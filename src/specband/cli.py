@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .acov import sample_autocov
 from .dependence import check_conditions, profile
-from .errors import InvalidLevel, InvalidPlan, SpecbandError
+from .errors import InvalidLevel, InvalidPlan, SpecbandError, UnknownKernel
 from .inference import pointwise_ci, uniform_band
 from .kernels import get_kernel, kernel_names, tabulated_kernel
 from .mc import ExperimentPlan, run_experiment
@@ -38,29 +38,22 @@ class UsageError(Exception):
     pass
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _sanitize(obj):
+def _jsonable(obj):
+    """Plain-Python copy of a payload, with non-finite floats as strings."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
     return obj
 
 
 def _emit(payload: dict, path: str | None):
-    payload = {"schema_version": SCHEMA_VERSION, **_sanitize(payload)}
-    text = json.dumps(payload, sort_keys=True, default=_json_default) + "\n"
+    payload = {"schema_version": SCHEMA_VERSION, **_jsonable(payload)}
+    text = json.dumps(payload, sort_keys=True) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -183,7 +176,7 @@ def _cmd_bands(args) -> int:
     target = "true_spectrum" if args.assume_smooth else "expected_smoothed_spectrum"
     payload["target"] = target
     if args.assume_smooth:
-        q, _ = kernel.q_exponent, kernel.k_q
+        q = kernel.q_exponent
         check = args.b_exponent * (q + 1.0) > 1.0 if math.isfinite(q) else True
         payload["undersmoothing_check"] = {
             "b_exponent_times_q_plus_1_gt_1": bool(check),
@@ -209,10 +202,7 @@ def _cmd_simulate(args) -> int:
         "out": args.out,
         "n_dim": series.n_dim,
     }
-    if args.meta:
-        _emit(meta, args.meta)
-    else:
-        _emit(meta, None)
+    _emit(meta, args.meta)
     return 0
 
 
@@ -251,7 +241,6 @@ def _cmd_verify(args) -> int:
         nu_star=args.nu_star,
         nu=args.nu,
         workers=args.threads,
-        keep_raw=not args.no_raw,
     )
     report = run_experiment(plan)
     text = report.to_json(include_raw=not args.no_raw)
@@ -342,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dep.add_argument("--b-exponent-lower", type=float, default=0.2)
     p_dep.add_argument("--b-exponent-upper", type=float, default=0.4)
     p_dep.add_argument("--independent-components", action="store_true")
-    p_dep.add_argument("--report", default="json", choices=["json"])
     p_dep.add_argument("--output", default=None)
     p_dep.set_defaults(func=_cmd_depmeasure)
 
@@ -381,7 +369,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
-    except (UsageError, InvalidLevel, InvalidPlan, ValueError) as exc:
+    except (UsageError, InvalidLevel, InvalidPlan, UnknownKernel, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except SpecbandError as exc:

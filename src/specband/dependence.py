@@ -198,11 +198,11 @@ def profile(
             DecayFitWarning,
             stacklevel=2,
         )
+    fits = [_fit_geometric(delta[:, i]) for i in range(n)]
     theta_i = np.empty((horizon + 1, n))
     psi_pow_i = np.empty((horizon + 1, n))
     for i in range(n):
-        fit_i = _fit_geometric(delta[:, i])
-        theta_i[:, i], psi_pow_i[:, i] = _aggregate(delta[:, i], p_prime, fit_i)
+        theta_i[:, i], psi_pow_i[:, i] = _aggregate(delta[:, i], p_prime, fits[i])
     theta = theta_i.max(axis=1)
     psi = psi_pow_i.max(axis=1) ** (1.0 / p_prime)
     d_seq = np.empty(horizon + 1)
@@ -210,9 +210,8 @@ def profile(
         per_coord = np.empty(n)
         for i in range(n):
             psi_m_i = psi_pow_i[m, i] ** (1.0 / p_prime)
-            fit_i = _fit_geometric(delta[:, i])
             head = np.minimum(psi_m_i, delta[:, i]).sum()
-            per_coord[i] = head + _d_tail(psi_m_i, fit_i, horizon + 1)
+            per_coord[i] = head + _d_tail(psi_m_i, fits[i], horizon + 1)
         d_seq[m] = per_coord.max()
     tail_remainder = _geom_tail(*fit_max, horizon + 1) if fit_max else (
         0.0 if not np.any(delta_max[1:] > _ZERO_TOL) else None

@@ -15,7 +15,7 @@ class ParseError(SpecbandError):
 
 
 class InsufficientData(SpecbandError):
-    """Fewer than two time points."""
+    """Too few time points for the requested operation."""
 
 
 class NotCentered(SpecbandError):
@@ -36,6 +36,12 @@ class UnsupportedModel(SpecbandError):
 
 class NonStationaryModel(SpecbandError):
     """Model parameters violate the stationarity region."""
+
+
+class UnknownKernel(SpecbandError, KeyError):
+    """Kernel name not in the catalog; a KeyError, as for any failed lookup."""
+
+    __str__ = Exception.__str__  # KeyError.__str__ would quote the message
 
 
 class InvalidLevel(SpecbandError):

@@ -7,35 +7,31 @@ metadata carried alongside the window function:
   the CLT and extreme-value normalizations.
 * ``q_exponent`` / ``k_q`` -- order and limit constant of 1 - K(x) ~ K_q |x|^q
   near 0, which governs the smoothing-bias order O(B^-q). ``k_q`` is None
-  when the constant is unavailable (truncated window: q is infinite; Bartlett:
-  see note below).
+  when the constant is unavailable (truncated window: q is infinite).
 * ``psd_guarantee`` -- whether the window's Fourier transform is nonnegative,
   so spectral estimates built from it are positive semidefinite.
 
-Bartlett's recorded exponent deserves a flag: the classical convention states
-q = 2 for it, yet 1 - K(x) = |x| near 0 has first-order decay, so the two
-disagree. Both are kept in the metadata (``q_exponent`` = 2, ``note`` records
-the first-order expansion) and the bias-rate experiment reports the fitted
-slope instead of asserting either.
+Bartlett is first order: 1 - K(x) = |x| exactly, so q = 1 and K_q = 1, and
+the exact bias decays like B^-1 (the bias-rate experiment fits a log-log
+slope of about -1). ``bands --assume-smooth`` reads q in its
+undersmoothing check b (q + 1) > 1.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .errors import UnknownKernel
 
 __all__ = [
     "Kernel",
     "get_kernel",
     "kernel_names",
     "tabulated_kernel",
-    "kernel_eval",
-    "kernel_kappa",
-    "kernel_bias_order",
 ]
 
 
@@ -76,13 +72,10 @@ _CATALOG = {
         name="bartlett",
         fn=_bartlett,
         kappa=2.0 / 3.0,
-        q_exponent=2.0,
-        k_q=None,
+        q_exponent=1.0,
+        k_q=1.0,
         psd_guarantee=True,
-        note=(
-            "recorded exponent follows the classical q=2 convention; the "
-            "first-order expansion 1-K(x)=|x| gives exponent 1 with constant 1"
-        ),
+        note="first-order window: 1-K(x)=|x| gives q=1, K_q=1, bias O(1/B)",
     ),
     "parzen": Kernel(
         name="parzen",
@@ -121,18 +114,11 @@ def get_kernel(name: str) -> Kernel:
     """Look up a catalog kernel by name (a few aliases accepted)."""
     key = _ALIASES.get(name, name)
     try:
-        kernel = _CATALOG[key]
+        return _CATALOG[key]
     except KeyError:
-        raise KeyError(
+        raise UnknownKernel(
             f"unknown kernel {name!r}; choose from {kernel_names()}"
         ) from None
-    if kernel.kappa >= 1.0:
-        warnings.warn(
-            f"kernel {kernel.name!r} has kappa = {kernel.kappa} >= 1; the "
-            "kernel admissibility condition is read as kappa < infinity",
-            stacklevel=2,
-        )
-    return kernel
 
 
 def tabulated_kernel(path) -> Kernel:
@@ -173,18 +159,3 @@ def tabulated_kernel(path) -> Kernel:
         psd_guarantee=False,
         note="user-supplied window; bias order unknown, admissibility unchecked",
     )
-
-
-def kernel_eval(kernel: Kernel, u):
-    """Evaluate K(u); exactly zero outside [-1, 1] and even in u."""
-    return kernel(u)
-
-
-def kernel_kappa(kernel: Kernel) -> float:
-    """The stored closed-form integral of K^2 over [-1, 1]."""
-    return kernel.kappa
-
-
-def kernel_bias_order(kernel: Kernel):
-    """Return (q, K_q) controlling the smoothing-bias order O(B^-q)."""
-    return kernel.q_exponent, kernel.k_q

@@ -6,6 +6,14 @@ theory: the pointwise normal limit, the extreme-value limit of the maximum
 deviation, moment convergence, the uniform moment rate, smoothing-bias decay,
 and simultaneous band coverage.
 
+All simulating experiments share one cell loop in ``run_experiment``: for
+each T in the plan's grid it builds the bandwidth, the exact centering
+E fhat on the experiment's frequency grid, and the replication estimates,
+then stores the cell's row and per-replication statistics. What differs is
+kept in the ``_EXPERIMENTS`` table: the frequency grid, the per-cell
+statistic and the verdicts. ``bias_rate`` is simulation-free and loops over
+bandwidths instead, so it has its own short loop.
+
 Centering is by the exact finite-sample mean (closed form under the model),
 and autocovariances are taken on the raw simulated values without sample-mean
 removal: the models are mean-zero by construction, which keeps the oracle
@@ -21,8 +29,9 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,7 +40,7 @@ from scipy.stats import kstest, norm
 from .acov import autocov_matrices
 from .errors import InvalidPlan, UnsupportedModel
 from .inference import gumbel_cdf, max_deviation, omega_factor, uniform_band
-from .kernels import get_kernel
+from .kernels import Kernel, get_kernel
 from .models import parse_model
 from .spectral import (
     Bandwidth,
@@ -46,12 +55,6 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentReport",
     "gumbel_abs_norm",
-    "run_clt",
-    "run_gumbel",
-    "run_moments",
-    "run_uniform_rate",
-    "run_bias_rate",
-    "run_coverage",
     "run_experiment",
 ]
 
@@ -74,7 +77,6 @@ class ExperimentPlan:
     nu: float = 2.0
     b_grid: tuple = (8, 16, 32, 64, 128)
     workers: int = 1
-    keep_raw: bool = True
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -82,15 +84,25 @@ class ExperimentPlan:
         if self.experiment != "bias_rate" and self.reps < 100:
             raise InvalidPlan(f"reps must be >= 100, got {self.reps}")
         t_grid = tuple(int(t) for t in self.t_grid)
-        if any(b >= a for a, b in zip(t_grid[1:], t_grid)):
-            raise InvalidPlan("t_grid must be strictly increasing")
+        if not t_grid or t_grid[0] < 3 or any(
+            b >= a for a, b in zip(t_grid[1:], t_grid)
+        ):
+            raise InvalidPlan("t_grid must be strictly increasing, with entries >= 3")
         if not 0.0 < self.b_exponent < 1.0:
             raise InvalidPlan("b_exponent must lie in (0, 1)")
         if not 0.0 < self.level < 1.0:
             raise InvalidPlan("level must lie in (0, 1)")
+        if self.nu_star < 1.0 or self.nu < 1.0:
+            raise InvalidPlan("nu_star and nu must be >= 1")
+        b_grid = tuple(int(v) for v in self.b_grid)
+        # bias_rate pins B to each entry, and a bandwidth lies in [2, T-1]
+        if self.experiment == "bias_rate" and (
+            not b_grid or not all(2 <= b < t_grid[-1] for b in b_grid)
+        ):
+            raise InvalidPlan(f"b_grid entries must lie in [2, {t_grid[-1] - 1}]")
         object.__setattr__(self, "t_grid", t_grid)
         object.__setattr__(self, "entry", tuple(int(v) for v in self.entry))
-        object.__setattr__(self, "b_grid", tuple(int(v) for v in self.b_grid))
+        object.__setattr__(self, "b_grid", b_grid)
 
     def model(self):
         return parse_model(self.model_spec)
@@ -177,23 +189,6 @@ def _run_reps(model, kernel, t_len, b_val, freqs, seed, cell, reps, workers):
     return np.stack(results)  # (reps, F, n, n) complex
 
 
-def _require_oracle(model):
-    if not model.has_closed_form:
-        raise UnsupportedModel(
-            f"experiment needs a closed-form model, got {model.kind!r}"
-        )
-
-
-def _grid(freqs, matrices, b_val, kernel_name, t_len) -> SpectralGrid:
-    return SpectralGrid(
-        freqs=freqs,
-        matrices=matrices,
-        bandwidth=b_val,
-        kernel_name=kernel_name,
-        t_len=t_len,
-    )
-
-
 def _limit_density(x: float) -> float:
     """Density of the limit law with cdf exp(-exp(-x/2))."""
     if x < -600.0:
@@ -218,205 +213,232 @@ def gumbel_mean() -> float:
     return total
 
 
-def run_clt(plan: ExperimentPlan) -> ExperimentReport:
-    """Pointwise normal limit at fixed frequencies 0 and pi/2.
+class _Cell(NamedTuple):
+    """One T of the shared loop, as an experiment's statistic sees it."""
 
-    The standardized deviation sqrt(T/B)(fhat - E fhat)/sqrt(omega kappa
-    f_ii f_jj) should be standard normal; the variance ratio of the
-    f-normalized deviations between 0 and pi/2 exhibits the boundary
-    factor omega = 2 vs 1.
+    plan: ExperimentPlan
+    model: object
+    kernel: Kernel
+    t_len: int
+    b_val: int
+    center: SpectralGrid  # exact mean E fhat on the experiment's grid
+    ests: np.ndarray  # (reps, F, n, n) replication estimates on that grid
+
+    def rep_grid(self, r: int) -> SpectralGrid:
+        """Replication r's estimate on the grid of ``center``."""
+        return replace(self.center, matrices=self.ests[r])
+
+
+def _clt_grid(b_val: int) -> np.ndarray:
+    return np.array([0.0, np.pi / 2.0])
+
+
+def _clt_cell(c: _Cell):
+    """Standardized deviation sqrt(T/B)(fhat - E fhat)/sqrt(omega kappa
+    f_ii f_jj) at 0 and pi/2; the variance ratio of the f-normalized
+    deviations between them exhibits the boundary factor omega = 2 vs 1.
     """
-    model = plan.model()
-    _require_oracle(model)
-    kernel = plan.kernel()
-    i, j = plan.entry
-    freqs = np.array([0.0, np.pi / 2.0])
-    rows, raw = [], {}
-    for cell, t_len in enumerate(plan.t_grid):
-        bw = Bandwidth(t_len, plan.b_exponent, plan.c_const)
-        b_val = bw.value
-        center = expected_spectrum(model, kernel, bw, freqs).matrices
-        truth = model.spectral_density(freqs)
-        ests = _run_reps(
-            model, kernel, t_len, b_val, freqs, plan.seed, cell, plan.reps, plan.workers
-        )
-        dev = np.sqrt(t_len / b_val) * (ests[:, :, i, j] - center[None, :, i, j])
-        denom = kernel.kappa * truth[:, i, i].real * truth[:, j, j].real
-        std = dev / np.sqrt(np.array([omega_factor(f) for f in freqs]) * denom)
-        ks_0 = float(kstest(std[:, 0].real, norm.cdf).statistic)
-        ks_pi2 = float(kstest(std[:, 1].real, norm.cdf).statistic)
-        scaled = dev / np.sqrt(denom)[None, :]
-        var_ratio = float(np.var(scaled[:, 0].real) / np.var(scaled[:, 1].real))
-        row = {
-            "t_len": t_len,
-            "bandwidth": b_val,
-            "ks_freq0": ks_0,
-            "ks_pi_half": ks_pi2,
-            "var_ratio_0_vs_pi_half": var_ratio,
-            "ks_se": 0.5 / math.sqrt(plan.reps),
-        }
-        if i != j:
-            imag = std[:, 1].imag
-            row["imag_mean_pi_half"] = float(imag.mean())
-            row["imag_mean_pi_half_se"] = float(imag.std(ddof=1) / math.sqrt(plan.reps))
-        rows.append(row)
-        if plan.keep_raw:
-            raw[f"std_pi_half_T{t_len}"] = [float(v) for v in std[:, 1].real]
+    i, j = c.plan.entry
+    reps = c.plan.reps
+    freqs = c.center.freqs
+    truth = c.model.spectral_density(freqs)
+    dev = np.sqrt(c.t_len / c.b_val) * (
+        c.ests[:, :, i, j] - c.center.matrices[None, :, i, j]
+    )
+    denom = c.kernel.kappa * truth[:, i, i].real * truth[:, j, j].real
+    std = dev / np.sqrt(np.array([omega_factor(f) for f in freqs]) * denom)
+    scaled = dev / np.sqrt(denom)[None, :]
+    row = {
+        "ks_freq0": float(kstest(std[:, 0].real, norm.cdf).statistic),
+        "ks_pi_half": float(kstest(std[:, 1].real, norm.cdf).statistic),
+        "var_ratio_0_vs_pi_half": float(
+            np.var(scaled[:, 0].real) / np.var(scaled[:, 1].real)
+        ),
+        "ks_se": 0.5 / math.sqrt(reps),
+    }
+    if i != j:
+        imag = std[:, 1].imag
+        row["imag_mean_pi_half"] = float(imag.mean())
+        row["imag_mean_pi_half_se"] = float(imag.std(ddof=1) / math.sqrt(reps))
+    return row, [float(v) for v in std[:, 1].real]
+
+
+def _clt_verdicts(plan, rows):
     last = rows[-1]
-    verdicts = {
+    return {
         "ks_pi_half_le_0.05": last["ks_pi_half"] <= 0.05,
         "var_ratio_in_1.6_2.4": 1.6 <= last["var_ratio_0_vs_pi_half"] <= 2.4,
     }
-    return ExperimentReport(plan=plan, rows=tuple(rows), verdicts=verdicts, raw=raw)
 
 
-def _max_stats(plan, model, kernel, t_len, cell) -> tuple:
-    """Centered maximum-deviation statistics, one per replication."""
-    bw = Bandwidth(t_len, plan.b_exponent, plan.c_const)
-    b_val = bw.value
-    freqs = theorem_grid(bw)
-    center = expected_spectrum(model, kernel, bw, freqs)
-    denom = true_spectrum(model, freqs)
-    ests = _run_reps(
-        model, kernel, t_len, b_val, freqs, plan.seed, cell, plan.reps, plan.workers
-    )
-    stats = np.empty(plan.reps)
-    raws = np.empty(plan.reps)
-    for r in range(plan.reps):
-        est = _grid(freqs, ests[r], b_val, kernel.name, t_len)
-        stat = max_deviation(est, center, denom, kernel, plan.entry)
+def _centered_max(c: _Cell):
+    """Centered and raw maximum-deviation statistics, one per replication."""
+    denom = true_spectrum(c.model, c.center.freqs)
+    stats = np.empty(c.plan.reps)
+    raws = np.empty(c.plan.reps)
+    for r in range(c.plan.reps):
+        stat = max_deviation(c.rep_grid(r), c.center, denom, c.kernel, c.plan.entry)
         stats[r] = stat.centered
         raws[r] = stat.raw_max
-    return b_val, stats, raws
+    return stats, raws
 
 
-def run_gumbel(plan: ExperimentPlan) -> ExperimentReport:
+def _gumbel_cell(c: _Cell):
     """Extreme-value limit of the centered maximum deviation."""
-    model = plan.model()
-    _require_oracle(model)
-    kernel = plan.kernel()
-    rows, raw = [], {}
-    for cell, t_len in enumerate(plan.t_grid):
-        b_val, stats, raws = _max_stats(plan, model, kernel, t_len, cell)
-        rows.append(
-            {
-                "t_len": t_len,
-                "bandwidth": b_val,
-                "ks_gumbel": float(kstest(stats, gumbel_cdf).statistic),
-                "mean_centered": float(stats.mean()),
-                "mean_centered_se": float(stats.std(ddof=1) / math.sqrt(plan.reps)),
-                "median_centered": float(np.median(stats)),
-                "min_raw_max": float(raws.min()),
-            }
-        )
-        if plan.keep_raw:
-            raw[f"centered_max_T{t_len}"] = [float(v) for v in stats]
+    stats, raws = _centered_max(c)
+    row = {
+        "ks_gumbel": float(kstest(stats, gumbel_cdf).statistic),
+        "mean_centered": float(stats.mean()),
+        "mean_centered_se": float(stats.std(ddof=1) / math.sqrt(c.plan.reps)),
+        "median_centered": float(np.median(stats)),
+        "min_raw_max": float(raws.min()),
+    }
+    return row, [float(v) for v in stats]
+
+
+def _gumbel_verdicts(plan, rows):
     ks_values = [row["ks_gumbel"] for row in rows]
-    verdicts = {
+    return {
         "ks_final_le_0.20": ks_values[-1] <= 0.20,
         "ks_decreasing_in_T": all(b < a for a, b in zip(ks_values, ks_values[1:])),
         "raw_max_nonnegative": all(row["min_raw_max"] >= 0.0 for row in rows),
     }
-    return ExperimentReport(plan=plan, rows=tuple(rows), verdicts=verdicts, raw=raw)
 
 
-def run_moments(plan: ExperimentPlan, nu_star: float | None = None) -> ExperimentReport:
+def _moments_cell(c: _Cell):
     """Moment convergence of the centered maximum toward the limit law."""
-    model = plan.model()
-    _require_oracle(model)
-    kernel = plan.kernel()
-    nu = plan.nu_star if nu_star is None else nu_star
-    if nu < 1:
-        raise InvalidPlan("nu_star must be >= 1")
+    nu = c.plan.nu_star
+    stats, _ = _centered_max(c)
     limit_norm = gumbel_abs_norm(nu)
     limit_mean = gumbel_mean()
-    rows, raw = [], {}
-    for cell, t_len in enumerate(plan.t_grid):
-        b_val, stats, _ = _max_stats(plan, model, kernel, t_len, cell)
-        emp_norm = float(np.mean(np.abs(stats) ** nu) ** (1.0 / nu))
-        rows.append(
-            {
-                "t_len": t_len,
-                "bandwidth": b_val,
-                "empirical_norm": emp_norm,
-                "limit_norm": limit_norm,
-                "norm_gap": abs(emp_norm - limit_norm),
-                "mean_centered": float(stats.mean()),
-                "limit_mean": limit_mean,
-                "mean_gap": abs(float(stats.mean()) - limit_mean),
-            }
-        )
-        if plan.keep_raw:
-            raw[f"centered_max_T{t_len}"] = [float(v) for v in stats]
+    emp_norm = float(np.mean(np.abs(stats) ** nu) ** (1.0 / nu))
+    row = {
+        "empirical_norm": emp_norm,
+        "limit_norm": limit_norm,
+        "norm_gap": abs(emp_norm - limit_norm),
+        "mean_centered": float(stats.mean()),
+        "limit_mean": limit_mean,
+        "mean_gap": abs(float(stats.mean()) - limit_mean),
+    }
+    return row, [float(v) for v in stats]
+
+
+def _moments_verdicts(plan, rows):
     gaps = [row["norm_gap"] for row in rows]
-    verdicts = {
-        "norm_within_30pct_final": gaps[-1] <= 0.30 * limit_norm,
+    return {
+        "norm_within_30pct_final": gaps[-1] <= 0.30 * rows[-1]["limit_norm"],
         "norm_gap_shrinks": gaps[-1] < gaps[0],
         "mean_gap_shrinks": rows[-1]["mean_gap"] < rows[0]["mean_gap"],
     }
-    return ExperimentReport(plan=plan, rows=tuple(rows), verdicts=verdicts, raw=raw)
 
 
-def run_uniform_rate(plan: ExperimentPlan, nu: float | None = None) -> ExperimentReport:
-    """Boundedness of ||sup-deviation||_nu / (B log B / T)^(1/2) across T."""
-    model = plan.model()
-    _require_oracle(model)
-    kernel = plan.kernel()
-    nu = plan.nu if nu is None else nu
-    if nu < 1:
-        raise InvalidPlan("nu must be >= 1")
-    i, j = plan.entry
-    rows, raw = [], {}
-    for cell, t_len in enumerate(plan.t_grid):
-        bw = Bandwidth(t_len, plan.b_exponent, plan.c_const)
-        b_val = bw.value
-        # theorem grid refined 4x: trig-polynomial structure makes a finite
-        # grid control the continuum supremum
-        dense = np.pi * np.arange(4 * b_val + 1) / (4 * b_val)
-        center = expected_spectrum(model, kernel, bw, dense).matrices
-        ests = _run_reps(
-            model, kernel, t_len, b_val, dense, plan.seed, cell, plan.reps, plan.workers
-        )
-        sup = np.abs(ests[:, :, i, j] - center[None, :, i, j]).max(axis=1)
-        norm_val = float(np.mean(sup**nu) ** (1.0 / nu))
-        rate = math.sqrt(b_val * math.log(b_val) / t_len)
-        rows.append(
-            {
-                "t_len": t_len,
-                "bandwidth": b_val,
-                "sup_norm": norm_val,
-                "rate": rate,
-                "ratio": norm_val / rate,
-            }
-        )
-        if plan.keep_raw:
-            raw[f"sup_T{t_len}"] = [float(v) for v in sup]
+def _dense_grid(b_val: int) -> np.ndarray:
+    # theorem grid refined 4x: trig-polynomial structure makes a finite
+    # grid control the continuum supremum
+    return np.pi * np.arange(4 * b_val + 1) / (4 * b_val)
+
+
+def _uniform_rate_cell(c: _Cell):
+    """||sup-deviation||_nu against the rate (B log B / T)^(1/2)."""
+    i, j = c.plan.entry
+    nu = c.plan.nu
+    sup = np.abs(c.ests[:, :, i, j] - c.center.matrices[None, :, i, j]).max(axis=1)
+    norm_val = float(np.mean(sup**nu) ** (1.0 / nu))
+    rate = math.sqrt(c.b_val * math.log(c.b_val) / c.t_len)
+    row = {"sup_norm": norm_val, "rate": rate, "ratio": norm_val / rate}
+    return row, [float(v) for v in sup]
+
+
+def _uniform_rate_verdicts(plan, rows):
     ratios = [row["ratio"] for row in rows]
-    verdicts = {
+    return {
         "ratio_spread_le_2": max(ratios) / min(ratios) <= 2.0,
         "ratio_positive": min(ratios) > 0.0,
     }
-    return ExperimentReport(plan=plan, rows=tuple(rows), verdicts=verdicts, raw=raw)
 
 
-def run_bias_rate(plan: ExperimentPlan) -> ExperimentReport:
+def _coverage_cell(c: _Cell):
+    """Simultaneous coverage of the plug-in uniform band.
+
+    Bands are Bonferroni-adjusted over all distinct entries (i <= j); the
+    target is the exact finite-sample mean E fhat.
+    """
+    n = c.model.n_dim
+    reps = c.plan.reps
+    entries = [(a, b) for a in range(n) for b in range(a, n)]
+    covered = np.zeros((reps, len(entries)), dtype=bool)
+    for r in range(reps):
+        band = uniform_band(
+            c.rep_grid(r), c.kernel, c.plan.level, entries, bonferroni=True
+        )
+        for k, e in enumerate(band.entries):
+            dev = np.abs(c.ests[r, :, e.i, e.j] - c.center.matrices[:, e.i, e.j])
+            covered[r, k] = np.all(dev <= e.half_width)
+    joint = covered.all(axis=1)
+    cov = float(joint.mean())
+    row = {
+        "joint_coverage": cov,
+        "joint_coverage_se": math.sqrt(max(cov * (1.0 - cov), 1e-12) / reps),
+    }
+    for (i, j), flags in zip(entries, covered.T):
+        row[f"coverage_{i + 1}{j + 1}"] = float(flags.mean())
+    return row, [int(v) for v in joint]
+
+
+def _coverage_verdicts(plan, rows):
+    final = rows[-1]["joint_coverage"]
+    if plan.level >= 0.9:
+        # slack for the logarithmic extreme-value convergence rate
+        verdicts = {"joint_coverage_floor": final >= plan.level - 0.05}
+    else:
+        verdicts = {
+            "joint_coverage_band": plan.level - 0.15 <= final <= plan.level + 0.20
+        }
+    if len(rows) > 1:
+        verdicts["coverage_nondecreasing"] = all(
+            b["joint_coverage"] >= a["joint_coverage"] - 0.02
+            for a, b in zip(rows, rows[1:])
+        )
+    return verdicts
+
+
+class _Experiment(NamedTuple):
+    """What one simulating experiment adds to the shared cell loop."""
+
+    freqs: Callable  # B -> frequency grid
+    statistic: Callable  # _Cell -> (row fields, per-replication raw values)
+    raw_key: str  # raw values are stored under f"{raw_key}_T{T}"
+    verdicts: Callable  # (plan, rows) -> {name: bool}
+
+
+_EXPERIMENTS = {
+    "clt": _Experiment(_clt_grid, _clt_cell, "std_pi_half", _clt_verdicts),
+    "gumbel": _Experiment(theorem_grid, _gumbel_cell, "centered_max", _gumbel_verdicts),
+    "moments": _Experiment(
+        theorem_grid, _moments_cell, "centered_max", _moments_verdicts
+    ),
+    "uniform_rate": _Experiment(
+        _dense_grid, _uniform_rate_cell, "sup", _uniform_rate_verdicts
+    ),
+    "coverage": _Experiment(theorem_grid, _coverage_cell, "joint", _coverage_verdicts),
+}
+
+
+def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
     """Exact (simulation-free) smoothing-bias decay in the bandwidth.
 
     Evaluates |E fhat - f| at pi/2 for each bandwidth in ``b_grid`` with T
     fixed at the largest grid value, and fits the log-log slope.
     """
-    model = plan.model()
-    _require_oracle(model)
-    kernel = plan.kernel()
     i, j = plan.entry
     t_len = plan.t_grid[-1]
     freq = np.array([np.pi / 2.0])
     f_true = model.spectral_density(freq)[0, i, j]
     rows = []
     for b_val in plan.b_grid:
+        # exponent log B / log T gives Bandwidth.value == b_val for every B
+        # in [2, T-1], the range plan validation enforces
         bw = Bandwidth(t_len, math.log(b_val) / math.log(t_len), 1.0)
-        # the exponent trick pins bw.value == b_val for the report
-        assert bw.value == b_val, "bandwidth grid value not representable"
         exp_mat = expected_spectrum(model, kernel, bw, freq).matrices[0, i, j]
         rows.append(
             {
@@ -434,7 +456,7 @@ def run_bias_rate(plan: ExperimentPlan) -> ExperimentReport:
         if positive.sum() >= 2
         else -math.inf
     )
-    q_claim, _ = kernel.q_exponent, kernel.k_q
+    q_claim = kernel.q_exponent
     verdicts = {}
     if kernel.name == "truncated":
         idx = plan.b_grid.index(64) if 64 in plan.b_grid else len(plan.b_grid) - 1
@@ -452,77 +474,34 @@ def run_bias_rate(plan: ExperimentPlan) -> ExperimentReport:
     return ExperimentReport(plan=plan, rows=rows_out, verdicts=verdicts)
 
 
-def run_coverage(plan: ExperimentPlan) -> ExperimentReport:
-    """Empirical simultaneous coverage of the plug-in uniform band.
+def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
+    """Run a plan and collect its rows, verdicts and raw statistics.
 
-    Bands are Bonferroni-adjusted over all distinct entries (i <= j); the
-    target is the exact finite-sample mean E fhat.
+    Every simulating experiment goes through the one loop below; its
+    ``_EXPERIMENTS`` entry supplies the grid, cell statistic and verdicts.
     """
     model = plan.model()
-    _require_oracle(model)
+    if not model.has_closed_form:
+        raise UnsupportedModel(
+            f"experiment needs a closed-form model, got {model.kind!r}"
+        )
     kernel = plan.kernel()
-    n = model.n_dim
-    entries = [(a, b) for a in range(n) for b in range(a, n)]
+    if plan.experiment == "bias_rate":
+        return _bias_rate(plan, model, kernel)
+    spec = _EXPERIMENTS[plan.experiment]
     rows, raw = [], {}
     for cell, t_len in enumerate(plan.t_grid):
         bw = Bandwidth(t_len, plan.b_exponent, plan.c_const)
         b_val = bw.value
-        freqs = theorem_grid(bw)
-        center = expected_spectrum(model, kernel, bw, freqs).matrices
+        freqs = spec.freqs(b_val)
+        center = expected_spectrum(model, kernel, bw, freqs)
         ests = _run_reps(
             model, kernel, t_len, b_val, freqs, plan.seed, cell, plan.reps, plan.workers
         )
-        joint = np.zeros(plan.reps, dtype=bool)
-        per_entry = {e: np.zeros(plan.reps, dtype=bool) for e in entries}
-        for r in range(plan.reps):
-            grid = _grid(freqs, ests[r], b_val, kernel.name, t_len)
-            band = uniform_band(grid, kernel, plan.level, entries, bonferroni=True)
-            ok_all = True
-            for band_entry in band.entries:
-                i, j = band_entry.i, band_entry.j
-                dev = np.abs(ests[r, :, i, j] - center[:, i, j])
-                ok = bool(np.all(dev <= band_entry.half_width))
-                per_entry[(i, j)][r] = ok
-                ok_all = ok_all and ok
-            joint[r] = ok_all
-        cov = float(joint.mean())
-        row = {
-            "t_len": t_len,
-            "bandwidth": b_val,
-            "joint_coverage": cov,
-            "joint_coverage_se": math.sqrt(max(cov * (1.0 - cov), 1e-12) / plan.reps),
-        }
-        for (i, j), flags in per_entry.items():
-            row[f"coverage_{i + 1}{j + 1}"] = float(flags.mean())
-        rows.append(row)
-        if plan.keep_raw:
-            raw[f"joint_T{t_len}"] = [int(v) for v in joint]
-    final = rows[-1]["joint_coverage"]
-    if plan.level >= 0.9:
-        # slack for the logarithmic extreme-value convergence rate
-        verdicts = {"joint_coverage_floor": final >= plan.level - 0.05}
-    else:
-        verdicts = {
-            "joint_coverage_band": plan.level - 0.15 <= final <= plan.level + 0.20
-        }
-    if len(rows) > 1:
-        verdicts["coverage_nondecreasing"] = all(
-            b["joint_coverage"] >= a["joint_coverage"] - 0.02
-            for a, b in zip(rows, rows[1:])
-        )
-    return ExperimentReport(plan=plan, rows=tuple(rows), verdicts=verdicts, raw=raw)
-
-
-_RUNNERS = {
-    "clt": run_clt,
-    "gumbel": run_gumbel,
-    "moments": run_moments,
-    "uniform_rate": run_uniform_rate,
-    "bias_rate": run_bias_rate,
-    "coverage": run_coverage,
-}
-
-
-def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    """Dispatch a plan to its experiment runner."""
-    return _RUNNERS[plan.experiment](plan)
+        cell_data = _Cell(plan, model, kernel, t_len, b_val, center, ests)
+        row, values = spec.statistic(cell_data)
+        rows.append({"t_len": t_len, "bandwidth": b_val, **row})
+        raw[f"{spec.raw_key}_T{t_len}"] = values
+    return ExperimentReport(
+        plan=plan, rows=tuple(rows), verdicts=spec.verdicts(plan, rows), raw=raw
+    )

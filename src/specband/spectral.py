@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acov import AutocovSequence, expected_autocov
-from .errors import BandwidthTooLarge, UnsupportedModel
+from .errors import BandwidthTooLarge, InsufficientData, UnsupportedModel
 from .kernels import Kernel
 
 __all__ = [
@@ -46,7 +46,7 @@ class Bandwidth:
         if self.c_const <= 0.0:
             raise ValueError("bandwidth constant must be positive")
         if self.t_len < 3:
-            raise ValueError("bandwidth needs T >= 3")
+            raise InsufficientData("bandwidth needs T >= 3")
 
     @property
     def value(self) -> int:

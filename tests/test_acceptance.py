@@ -21,12 +21,7 @@ from specband.mc import (
     ExperimentPlan,
     gumbel_abs_norm,
     gumbel_mean,
-    run_bias_rate,
-    run_clt,
-    run_coverage,
-    run_gumbel,
-    run_moments,
-    run_uniform_rate,
+    run_experiment,
 )
 from specband.models import AR1Scalar, parse_model
 from specband.series import MultivariateSeries, center
@@ -126,7 +121,7 @@ def test_criterion_03_pointwise_clt():
         reps=2000,
         seed=0,
     )
-    row = run_clt(plan).rows[-1]
+    row = run_experiment(plan).rows[-1]
     ks = row["ks_pi_half"]
     ratio = row["var_ratio_0_vs_pi_half"]
     ok = ks <= 0.05 and 1.6 <= ratio <= 2.4
@@ -149,7 +144,7 @@ def test_criterion_04_gumbel_limit():
         reps=500,
         seed=0,
     )
-    report = run_gumbel(plan)
+    report = run_experiment(plan)
     ks_vals = [row["ks_gumbel"] for row in report.rows]
     ok = (
         report.verdicts["ks_decreasing_in_T"]
@@ -171,8 +166,9 @@ def test_criterion_05_moment_convergence():
         b_exponent=0.4,
         reps=5000,
         seed=0,
+        nu_star=2.0,
     )
-    report = run_moments(plan, nu_star=2.0)
+    report = run_experiment(plan)
     mean_final = report.rows[-1]["mean_centered"]
     mean_gaps = [row["mean_gap"] for row in report.rows]
     norm_gaps = [row["norm_gap"] for row in report.rows]
@@ -200,8 +196,9 @@ def test_criterion_06_uniform_moment_rate():
         b_exponent=0.4,
         reps=300,
         seed=0,
+        nu=2.0,
     )
-    report = run_uniform_rate(plan, nu=2.0)
+    report = run_experiment(plan)
     ratios = [row["ratio"] for row in report.rows]
     spread = max(ratios) / min(ratios)
     ok = report.verdicts["ratio_spread_le_2"] and report.verdicts["ratio_positive"]
@@ -215,7 +212,7 @@ def test_criterion_06_uniform_moment_rate():
 
 def test_criterion_07_bias_order():
     b_grid = (8, 16, 32, 64, 128)
-    trunc = run_bias_rate(
+    trunc = run_experiment(
         ExperimentPlan(
             experiment="bias_rate",
             model_spec="ar1:phi=0.5",
@@ -225,7 +222,7 @@ def test_criterion_07_bias_order():
             reps=100,
         )
     )
-    bart = run_bias_rate(
+    bart = run_experiment(
         ExperimentPlan(
             experiment="bias_rate",
             model_spec="ar1:phi=0.5",
@@ -287,7 +284,7 @@ def test_criterion_09_band_coverage():
         seed=0,
         level=0.95,
     )
-    report = run_coverage(plan)
+    report = run_experiment(plan)
     row = report.rows[-1]
     ok = report.verdicts["joint_coverage_floor"]
     _verdict(
@@ -310,7 +307,7 @@ def test_criterion_10_determinism_across_workers():
             seed=7,
             workers=workers,
         )
-        return run_gumbel(plan).to_json()
+        return run_experiment(plan).to_json()
 
     serial = run(1)
     parallel = run(3)

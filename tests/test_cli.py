@@ -97,6 +97,37 @@ def test_bands_pointwise_and_assume_smooth(wn_csv, capsys):
     assert "undersmoothing_check" in payload
 
 
+def test_bands_assume_smooth_bartlett_is_first_order(wn_csv, capsys):
+    # Bartlett has q = 1, so the default b = 0.4 gives b (q + 1) = 0.8 < 1
+    code = main(["bands", "--input", wn_csv, "--assume-smooth"])
+    captured = capsys.readouterr()
+    assert code == 0
+    check = json.loads(captured.out)["undersmoothing_check"]
+    assert check["b_exponent_times_q_plus_1_gt_1"] is False
+    assert check["q"] == 1.0
+    assert "VIOLATED" in captured.err
+
+
+def test_estimate_two_rows_exit_1(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("1,2\n3,4\n")
+    assert main(["estimate", "--input", str(path)]) == 1
+    assert "InsufficientData" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "bands", "verify", "kernel-info"])
+def test_unknown_kernel_exit_2(command, wn_csv, capsys):
+    argv = [command, "--kernel", "nope"]
+    if command in ("estimate", "bands"):
+        argv += ["--input", wn_csv]
+    if command == "verify":
+        argv += ["--experiment", "gumbel", "--t-grid", "512", "--reps", "100"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnknownKernel: unknown kernel 'nope'")
+    assert err.count("\n") == 1
+
+
 def test_bands_bad_entries_exit_2(wn_csv, capsys):
     assert main(["bands", "--input", wn_csv, "--entries", "9,9"]) == 2
 

@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from specband.kernels import (
-    get_kernel,
-    kernel_bias_order,
-    kernel_eval,
-    kernel_kappa,
-    kernel_names,
-    tabulated_kernel,
-)
+from specband.kernels import get_kernel, kernel_names, tabulated_kernel
 
 ALL = ["bartlett", "parzen", "tukey_hanning", "truncated"]
 
@@ -44,7 +37,7 @@ def test_unknown_kernel():
 def test_kappa_against_quadrature(name):
     k = get_kernel(name)
     val, err = quad(lambda x: float(k(x)) ** 2, -1.0, 1.0, limit=200)
-    assert abs(kernel_kappa(k) - val) <= max(1e-10, 10 * err)
+    assert abs(k.kappa - val) <= max(1e-10, 10 * err)
 
 
 def test_kappa_closed_forms():
@@ -54,22 +47,17 @@ def test_kappa_closed_forms():
     assert get_kernel("truncated").kappa == 2.0
 
 
-def test_truncated_kappa_warns():
-    with pytest.warns(UserWarning, match="kappa"):
-        get_kernel("truncated")
-
-
 def test_bias_order_constants():
-    q, k_q = kernel_bias_order(get_kernel("parzen"))
-    assert q == 2.0 and k_q == 6.0
-    q, k_q = kernel_bias_order(get_kernel("tukey_hanning"))
-    assert q == 2.0
-    assert k_q == pytest.approx(np.pi**2 / 4.0, abs=1e-15)
-    q, k_q = kernel_bias_order(get_kernel("truncated"))
-    assert np.isinf(q) and k_q is None
-    # Bartlett carries the classical q=2 label but no constant, plus a note
+    parzen = get_kernel("parzen")
+    assert parzen.q_exponent == 2.0 and parzen.k_q == 6.0
+    tukey = get_kernel("tukey_hanning")
+    assert tukey.q_exponent == 2.0
+    assert tukey.k_q == pytest.approx(np.pi**2 / 4.0, abs=1e-15)
+    trunc = get_kernel("truncated")
+    assert np.isinf(trunc.q_exponent) and trunc.k_q is None
+    # Bartlett is first order: 1 - K(x) = |x| exactly
     bart = get_kernel("bartlett")
-    assert bart.q_exponent == 2.0 and bart.k_q is None
+    assert bart.q_exponent == 1.0 and bart.k_q == 1.0
     assert "first-order" in bart.note
 
 
@@ -78,7 +66,7 @@ def test_k_q_limit_decreasing_error(name, smallest):
     # tukey stops at 1e-3: below that, cancellation in 1-cos(pi x) drowns
     # the O(x^2) remainder in float64 rounding noise
     k = get_kernel(name)
-    q, k_q = kernel_bias_order(k)
+    q, k_q = k.q_exponent, k.k_q
     errs = [
         abs((1.0 - float(k(x))) / x**q - k_q)
         for x in 10.0 ** -np.arange(1, smallest + 1)
@@ -98,7 +86,7 @@ def test_support_and_unit_peak(name):
 @given(st.floats(-3.0, 3.0, allow_nan=False), st.sampled_from(ALL))
 def test_evenness_property(u, name):
     k = get_kernel(name)
-    assert kernel_eval(k, u) == kernel_eval(k, -u)
+    assert k(u) == k(-u)
 
 
 @settings(max_examples=100)

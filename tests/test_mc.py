@@ -9,11 +9,7 @@ from specband.mc import (
     ExperimentPlan,
     gumbel_abs_norm,
     gumbel_mean,
-    run_bias_rate,
-    run_clt,
-    run_coverage,
     run_experiment,
-    run_gumbel,
 )
 
 
@@ -28,6 +24,105 @@ def test_plan_validation():
         ExperimentPlan(experiment="clt", b_exponent=1.2)
     # bias_rate is simulation-free, so the reps floor does not apply
     ExperimentPlan(experiment="bias_rate", reps=1, t_grid=(2**18,))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(1, 8)),
+        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(8, 4096)),
+        dict(experiment="bias_rate", t_grid=(4096,), b_grid=()),
+        dict(experiment="moments", nu_star=0.5),
+        dict(experiment="uniform_rate", nu=0.5),
+        dict(experiment="clt", t_grid=(2, 512)),
+        dict(experiment="clt", t_grid=()),
+    ],
+)
+def test_plan_rejects_out_of_range_fields(fields):
+    with pytest.raises(InvalidPlan):
+        ExperimentPlan(**fields)
+
+
+def test_bias_rate_b_grid_endpoints():
+    # B = 2 and B = T - 1 are the extremes a bandwidth can take
+    plan = ExperimentPlan(
+        experiment="bias_rate", model_spec="ar1:phi=0.5", t_grid=(4096,),
+        b_grid=(2, 4095),
+    )
+    report = run_experiment(plan)
+    assert [row["bandwidth"] for row in report.rows[:-1]] == [2, 4095]
+
+
+_SUMMARY = ["t_len", "bandwidth"]
+
+
+@pytest.mark.parametrize(
+    "fields,row_keys,raw_key,verdict_keys",
+    [
+        (
+            dict(experiment="clt", model_spec="white:dim=2", entry=(0, 1)),
+            _SUMMARY + [
+                "ks_freq0", "ks_pi_half", "var_ratio_0_vs_pi_half", "ks_se",
+                "imag_mean_pi_half", "imag_mean_pi_half_se",
+            ],
+            "std_pi_half",
+            {"ks_pi_half_le_0.05", "var_ratio_in_1.6_2.4"},
+        ),
+        (
+            dict(experiment="gumbel"),
+            _SUMMARY + [
+                "ks_gumbel", "mean_centered", "mean_centered_se",
+                "median_centered", "min_raw_max",
+            ],
+            "centered_max",
+            {"ks_final_le_0.20", "ks_decreasing_in_T", "raw_max_nonnegative"},
+        ),
+        (
+            dict(experiment="moments", nu_star=2.0),
+            _SUMMARY + [
+                "empirical_norm", "limit_norm", "norm_gap", "mean_centered",
+                "limit_mean", "mean_gap",
+            ],
+            "centered_max",
+            {"norm_within_30pct_final", "norm_gap_shrinks", "mean_gap_shrinks"},
+        ),
+        (
+            dict(experiment="uniform_rate"),
+            _SUMMARY + ["sup_norm", "rate", "ratio"],
+            "sup",
+            {"ratio_spread_le_2", "ratio_positive"},
+        ),
+        (
+            dict(experiment="coverage", model_spec="white:dim=2", level=0.8),
+            _SUMMARY + [
+                "joint_coverage", "joint_coverage_se",
+                "coverage_11", "coverage_12", "coverage_22",
+            ],
+            "joint",
+            {"joint_coverage_band", "coverage_nondecreasing"},
+        ),
+        (
+            dict(experiment="bias_rate", model_spec="ar1:phi=0.5", t_grid=(4096,)),
+            _SUMMARY + ["bias", "f_true"],
+            None,
+            {"slope_le_-0.7", "bias_decreasing"},
+        ),
+    ],
+    ids=["clt", "gumbel", "moments", "uniform_rate", "coverage", "bias_rate"],
+)
+def test_every_experiment_report_shape(fields, row_keys, raw_key, verdict_keys):
+    plan = ExperimentPlan(**{"t_grid": (256, 512), "reps": 100, "seed": 5, **fields})
+    report = run_experiment(plan)
+    cells = report.rows if raw_key else report.rows[:-1]
+    assert len(cells) == (len(plan.t_grid) if raw_key else len(plan.b_grid))
+    assert all(list(row) == row_keys for row in cells)
+    assert set(report.verdicts) == verdict_keys
+    if raw_key:
+        assert sorted(report.raw) == [f"{raw_key}_T{t}" for t in plan.t_grid]
+        assert all(len(v) == plan.reps for v in report.raw.values())
+    else:
+        assert report.raw == {}
+        assert list(report.rows[-1]) == ["t_len", "fitted_slope", "kernel_q_claim"]
 
 
 def test_quadrature_oracles():
@@ -48,7 +143,7 @@ def test_oracle_experiments_reject_tar():
         experiment="clt", model_spec="tar:a=0.4,b=0.2", t_grid=(1024,), reps=100
     )
     with pytest.raises(UnsupportedModel):
-        run_clt(plan)
+        run_experiment(plan)
 
 
 def test_gumbel_smoke_and_report_shape():
@@ -59,7 +154,7 @@ def test_gumbel_smoke_and_report_shape():
         reps=120,
         seed=0,
     )
-    report = run_gumbel(plan)
+    report = run_experiment(plan)
     assert len(report.rows) == 2
     for row in report.rows:
         assert row["min_raw_max"] >= 0.0
@@ -79,7 +174,7 @@ def test_verdicts_recomputable_from_raw():
     plan = ExperimentPlan(
         experiment="gumbel", model_spec="white", t_grid=(512,), reps=100, seed=3
     )
-    report = run_gumbel(plan)
+    report = run_experiment(plan)
     from scipy.stats import kstest
 
     from specband.inference import gumbel_cdf
@@ -96,8 +191,8 @@ def test_determinism_across_worker_counts():
         reps=100,
         seed=7,
     )
-    r1 = run_clt(ExperimentPlan(**base, workers=1))
-    r2 = run_clt(ExperimentPlan(**base, workers=3))
+    r1 = run_experiment(ExperimentPlan(**base, workers=1))
+    r2 = run_experiment(ExperimentPlan(**base, workers=3))
     assert r1.to_json() == r2.to_json()
 
 
@@ -110,7 +205,7 @@ def test_bias_rate_truncated_and_bartlett():
         reps=1,
         b_grid=(8, 16, 32, 64, 128),
     )
-    report = run_bias_rate(plan)
+    report = run_experiment(plan)
     biases = [row["bias"] for row in report.rows[:-1]]
     assert all(a > b for a, b in zip(biases, biases[1:]))
     assert report.verdicts["slope_le_-0.7"]
@@ -127,7 +222,7 @@ def test_coverage_smoke():
         seed=1,
         level=0.95,
     )
-    report = run_coverage(plan)
+    report = run_experiment(plan)
     row = report.rows[0]
     assert 0.0 <= row["joint_coverage"] <= 1.0
     assert row["joint_coverage_se"] == pytest.approx(
@@ -171,7 +266,7 @@ def test_se_scales_with_reps():
         )
         for reps in (100, 400)
     ]
-    reports = [run_clt(p) for p in plans]
+    reports = [run_experiment(p) for p in plans]
     se_small = reports[0].rows[0]["ks_se"]
     se_big = reports[1].rows[0]["ks_se"]
     assert se_small == pytest.approx(2.0 * se_big, rel=1e-12)
