@@ -62,6 +62,11 @@ def _emit(payload: dict, path: str | None):
         sys.stdout.write(text)
 
 
+def _q_field(q: float):
+    """A kernel's bias order for a report; _jsonable writes infinity as "inf"."""
+    return "unknown" if math.isnan(q) else q
+
+
 def _resolve_kernel(name: str):
     if name.startswith("file:"):
         return tabulated_kernel(name[5:])
@@ -151,11 +156,7 @@ def _cmd_bands(args) -> int:
     else:
         out = []
         for i, j in entries:
-            lowers, uppers = [], []
-            for freq in freqs:
-                lo, hi = pointwise_ci(grid, kernel, args.level, (i, j), float(freq))
-                lowers.append(lo)
-                uppers.append(hi)
+            lowers, uppers = pointwise_ci(grid, kernel, args.level, (i, j), freqs)
             out.append(
                 {
                     "i": i + 1,
@@ -177,15 +178,14 @@ def _cmd_bands(args) -> int:
     payload["target"] = target
     if args.assume_smooth:
         q = kernel.q_exponent
-        check = args.b_exponent * (q + 1.0) > 1.0 if math.isfinite(q) else True
+        # a tabulated window has an unknown bias order (q is NaN)
+        check = None if math.isnan(q) else bool(args.b_exponent * (q + 1.0) > 1.0)
         payload["undersmoothing_check"] = {
-            "b_exponent_times_q_plus_1_gt_1": bool(check),
-            "q": q if math.isfinite(q) else "inf",
+            "b_exponent_times_q_plus_1_gt_1": check,
+            "q": _q_field(q),
         }
-        print(
-            f"undersmoothing check b*(q+1) > 1: {'ok' if check else 'VIOLATED'}",
-            file=sys.stderr,
-        )
+        verdict = {None: "unknown (bias order unknown)", True: "ok", False: "VIOLATED"}
+        print(f"undersmoothing check b*(q+1) > 1: {verdict[check]}", file=sys.stderr)
     payload["config"] = config
     _emit(payload, args.output)
     return 0
@@ -266,7 +266,7 @@ def _cmd_kernel_info(args) -> int:
     payload = {
         "name": kernel.name,
         "kappa": kernel.kappa,
-        "q": q if math.isfinite(q) else "inf",
+        "q": _q_field(q),
         "k_q": k_q,
         "psd_guarantee": kernel.psd_guarantee,
         "note": kernel.note,

@@ -68,5 +68,9 @@ class InvalidPlan(SpecbandError):
     """Monte Carlo experiment plan violates its validity constraints."""
 
 
+class OffGridFrequency(SpecbandError):
+    """A requested frequency is not on a grid pi*l/M the estimator evaluates."""
+
+
 class DecayFitWarning(UserWarning):
     """Geometric decay fit of a dependence profile failed or is unreliable."""

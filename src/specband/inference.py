@@ -49,10 +49,11 @@ def gumbel_quantile(level: float) -> float:
     return -2.0 * math.log(-math.log(level))
 
 
-def omega_factor(freq: float) -> float:
+def omega_factor(freq):
     """Boundary variance factor: 2 when freq is a multiple of pi, else 1."""
-    ratio = freq / np.pi
-    return 2.0 if abs(ratio - round(ratio)) < 1e-12 else 1.0
+    ratio = np.asarray(freq, dtype=float) / np.pi
+    out = np.where(np.abs(ratio - np.round(ratio)) < 1e-12, 2.0, 1.0)
+    return out if out.ndim else float(out)
 
 
 def _centering(grid_b: int) -> float:
@@ -222,31 +223,40 @@ def pointwise_ci(
     kernel: Kernel,
     level: float,
     entry: tuple,
-    freq: float,
+    freq,
     component: str = "re",
 ) -> tuple:
-    """Normal-limit interval for one entry at one frequency.
+    """Normal-limit interval for one entry at one frequency or an array of them.
 
     Half-width is z_{(1+level)/2} sqrt((B/T) omega(freq) kappa fhat_ii
     fhat_jj). For cross-spectra the real and imaginary parts get the same
     (conservative per-component) half-width; select with ``component``.
+    Returns (lower, upper), each shaped like ``freq``.
     """
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level must lie in (0, 1), got {level}")
     if component not in ("re", "im"):
         raise ValueError("component must be 're' or 'im'")
     i, j = entry
-    idx = int(np.argmin(np.abs(est.freqs - freq)))
-    if abs(est.freqs[idx] - freq) > 1e-9:
-        raise ValueError(f"frequency {freq} not on the evaluated grid")
-    f_ii = float(est.entry(i, i).real[idx])
-    f_jj = float(est.entry(j, j).real[idx])
-    if f_ii <= 0.0 or f_jj <= 0.0:
+    freq = np.asarray(freq, dtype=float)
+    order = np.argsort(est.freqs, kind="stable")
+    pos = np.searchsorted(est.freqs[order], freq - 1e-9)
+    idx = order[np.minimum(pos, order.size - 1)]
+    off = np.abs(est.freqs[idx] - freq) > 1e-9
+    if np.any(off):
+        raise ValueError(
+            f"frequency {float(np.extract(off, freq)[0])} not on the evaluated grid"
+        )
+    f_ii = est.entry(i, i).real[idx]
+    f_jj = est.entry(j, j).real[idx]
+    bad = (f_ii <= 0.0) | (f_jj <= 0.0)
+    if np.any(bad):
+        bad_freq = float(np.extract(bad, freq)[0])
         raise DegenerateSpectrum(
-            f"nonpositive spectral diagonal at frequency {freq:.6f}", freq=freq
+            f"nonpositive spectral diagonal at frequency {bad_freq:.6f}", freq=bad_freq
         )
     z = norm.ppf(0.5 * (1.0 + level))
-    half = z * math.sqrt(
+    half = z * np.sqrt(
         (est.bandwidth / est.t_len) * omega_factor(freq) * kernel.kappa * f_ii * f_jj
     )
     value = est.entry(i, j)[idx]

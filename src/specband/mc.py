@@ -246,7 +246,7 @@ def _clt_cell(c: _Cell):
         c.ests[:, :, i, j] - c.center.matrices[None, :, i, j]
     )
     denom = c.kernel.kappa * truth[:, i, i].real * truth[:, j, j].real
-    std = dev / np.sqrt(np.array([omega_factor(f) for f in freqs]) * denom)
+    std = dev / np.sqrt(omega_factor(freqs) * denom)
     scaled = dev / np.sqrt(denom)[None, :]
     row = {
         "ks_freq0": float(kstest(std[:, 0].real, norm.cdf).statistic),
@@ -484,6 +484,10 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     if not model.has_closed_form:
         raise UnsupportedModel(
             f"experiment needs a closed-form model, got {model.kind!r}"
+        )
+    if len(plan.entry) != 2 or not all(0 <= k < model.n_dim for k in plan.entry):
+        raise InvalidPlan(
+            f"entry {plan.entry} (0-based) is outside a {model.n_dim}-dimensional model"
         )
     kernel = plan.kernel()
     if plan.experiment == "bias_rate":

@@ -2,11 +2,22 @@
 
 The estimator is the finite weighted Fourier sum of sample autocovariances,
 
-    fhat(lambda) = (1/2pi) sum_{|u| <= B} K(u/B) e^{-i u lambda} C(u),
+    fhat(lambda) = (1/2pi) sum_{|u| <= B} K(u/B) e^{-i u lambda} C(u).
 
-evaluated by direct summation (desk-scale series, arbitrary frequency grids;
-an FFT path is a possible later optimization). Negative lags enter as exact
-transposes, which makes every output matrix Hermitian by construction.
+Every grid the package evaluates has the form lambda_l = pi*l/M: the
+theorem grid (M = B), ``uniform:<count>`` (M = count - 1), the 4x dense grid
+(M = 4B) and the CLT pair {0, pi/2} (M = 2). ``estimate_matrices`` takes M
+from the smallest step among 0 and the requested frequencies and raises
+``OffGridFrequency`` when a frequency lies more than 1e-12 from pi*l/M. On
+such a grid the sum over positive lags is one real FFT of length 2M: since
+e^{-i u pi l/M} has period 2M in u, the weighted lags w_u C(u), u = 1..L, are
+folded into bins u mod 2M (this matters when L > 2M), transformed, and the
+rows l of the requested frequencies kept. Negative lags enter as exact
+transposes, P^H, which makes every output matrix Hermitian by construction.
+
+The direct sum ``_fourier_sum`` is the oracle only: ``expected_spectrum``
+uses it at arbitrary frequencies, so the Monte Carlo centering stays
+independent of the production FFT path it checks.
 """
 
 from __future__ import annotations
@@ -16,7 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acov import AutocovSequence, expected_autocov
-from .errors import BandwidthTooLarge, InsufficientData, UnsupportedModel
+from .errors import (
+    BandwidthTooLarge,
+    InsufficientData,
+    OffGridFrequency,
+    UnsupportedModel,
+)
 from .kernels import Kernel
 
 __all__ = [
@@ -26,7 +42,6 @@ __all__ = [
     "theorem_grid",
     "expected_spectrum",
     "true_spectrum",
-    "spectrum_from_gamma",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -109,7 +124,7 @@ def theorem_grid(bandwidth: Bandwidth | int) -> np.ndarray:
 
 def _check_freqs(freqs) -> np.ndarray:
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    if np.any(freqs < 0.0) or np.any(freqs > np.pi + 1e-12):
+    if not np.all((freqs >= 0.0) & (freqs <= np.pi + 1e-12)):  # NaN fails too
         raise ValueError("frequencies must lie in [0, pi]")
     return freqs
 
@@ -128,13 +143,42 @@ def _fourier_sum(gammas: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> 
     return out
 
 
+def _grid_rows(freqs: np.ndarray) -> tuple:
+    """(M, l) with freqs = pi*l/M, where pi/M is the smallest step of 0 and freqs."""
+    gaps = np.diff(np.unique(np.concatenate(([0.0], freqs))))
+    # the FFT has M + 1 bins: capping M by the request makes frequencies on a
+    # finer step fall off the grid instead of allocating without limit
+    max_m = 4 * freqs.size + 4096
+    step = np.fmax(gaps.min(), np.pi / max_m) if gaps.size else np.pi
+    m = int(round(np.pi / step))
+    rows = np.rint(freqs * (m / np.pi))
+    off = ~(np.abs(freqs - np.pi * rows / m) <= 1e-12) | (rows < 0) | (rows > m)
+    if np.any(off):
+        raise OffGridFrequency(
+            f"frequency {float(freqs[np.argmax(off)])!r} is not on the grid pi*l/{m}, "
+            f"l = 0..{m}"
+        )
+    return m, rows.astype(int)
+
+
 def estimate_matrices(
     acov_stack: np.ndarray, kernel: Kernel, b_value: int, freqs: np.ndarray
 ) -> np.ndarray:
-    """Core estimator on a raw autocovariance stack (lags 0..max_lag)."""
+    """Core estimator on a raw autocovariance stack (lags 0..max_lag).
+
+    ``freqs`` must lie on a grid pi*l/M (module docstring); returns the
+    (F, n, n) complex estimates by one real FFT of length 2M.
+    """
+    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
+    m, rows = _grid_rows(freqs)
     max_lag = min(acov_stack.shape[0] - 1, b_value)
     weights = kernel(np.arange(max_lag + 1) / b_value)
-    return _fourier_sum(acov_stack[: max_lag + 1], np.atleast_1d(weights), freqs)
+    weighted = weights[:, None, None] * acov_stack[: max_lag + 1]
+    # e^{-i u pi l/M} has period 2M in u: lag u goes to bin u mod 2M
+    folded = np.zeros((2 * m, *weighted.shape[1:]))
+    np.add.at(folded, np.arange(1, max_lag + 1) % (2 * m), weighted[1:])
+    pos = np.fft.rfft(folded, axis=0)[rows]
+    return (weighted[0] + pos + pos.conj().transpose(0, 2, 1)) / _TWO_PI
 
 
 def estimate_spectrum(
@@ -186,14 +230,6 @@ def expected_spectrum(
         kernel_name=kernel.name,
         t_len=t_len,
     )
-
-
-def spectrum_from_gamma(model, freqs, tail: int = 2000) -> np.ndarray:
-    """Reference spectrum by direct Fourier summation of Gamma(u) (oracle path)."""
-    freqs = _check_freqs(freqs)
-    gammas = np.stack([model.gamma(u) for u in range(tail + 1)])
-    weights = np.ones(tail + 1)
-    return _fourier_sum(gammas, weights, freqs)
 
 
 def true_spectrum(model, freqs) -> SpectralGrid:

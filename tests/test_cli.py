@@ -181,6 +181,18 @@ def test_verify_reps_floor_exit_2(capsys):
     assert "InvalidPlan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, entry", [("white", "3,3"), ("white:dim=2", "0,0")])
+def test_verify_entry_outside_model_exit_2(model, entry, capsys):
+    code = main(
+        [
+            "verify", "--experiment", "gumbel", "--model", model, "--entry", entry,
+            "--t-grid", "64", "--reps", "100",
+        ]
+    )
+    assert code == 2
+    assert "InvalidPlan" in capsys.readouterr().err
+
+
 def test_verify_runs_and_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     plot = tmp_path / "plot.csv"
@@ -225,6 +237,23 @@ def test_kernel_info(capsys):
     assert payload["psd_guarantee"] is True
     code, payload = _run_json(capsys, ["kernel-info", "--kernel", "truncated"])
     assert payload["q"] == "inf"
+
+
+def test_tabulated_kernel_bias_order_unknown(wn_csv, tmp_path, capsys):
+    path = tmp_path / "kernel.csv"
+    u = np.linspace(-1.0, 1.0, 21)
+    np.savetxt(path, np.column_stack([u, 1.0 - np.abs(u)]), delimiter=",")
+    code, payload = _run_json(capsys, ["kernel-info", "--kernel", f"file:{path}"])
+    assert code == 0
+    assert payload["q"] == "unknown"
+    code = main(
+        ["bands", "--input", wn_csv, "--kernel", f"file:{path}", "--assume-smooth"]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    check = json.loads(captured.out)["undersmoothing_check"]
+    assert check == {"b_exponent_times_q_plus_1_gt_1": None, "q": "unknown"}
+    assert "b*(q+1) > 1: unknown (bias order unknown)" in captured.err
 
 
 def test_unknown_flag_exit_2(capsys):

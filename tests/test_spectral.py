@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from specband.acov import AutocovSequence, sample_autocov
-from specband.errors import BandwidthTooLarge, UnsupportedModel
-from specband.kernels import get_kernel
+from specband.errors import BandwidthTooLarge, OffGridFrequency, UnsupportedModel
+from specband.kernels import get_kernel, kernel_names, tabulated_kernel
 from specband.models import AR1Scalar, ThresholdAR1, VMA, WhiteNoise, default_var1, simulate
 from specband.series import center
 from specband.spectral import (
     Bandwidth,
+    _fourier_sum,
     estimate_matrices,
     estimate_spectrum,
     expected_spectrum,
@@ -45,7 +46,7 @@ def test_theorem_grid():
 def test_flat_from_single_lag():
     # C(0)=1, no other lags: fhat = 1/(2 pi) at every frequency
     stack = np.array([[[1.0]]])
-    out = estimate_matrices(stack, BART, 5, np.array([0.0, 0.7, np.pi]))
+    out = estimate_matrices(stack, BART, 5, np.array([0.0, np.pi / 2, np.pi]))
     np.testing.assert_allclose(out[:, 0, 0], 1.0 / TWO_PI)
 
 
@@ -69,13 +70,50 @@ def test_hermitian_by_construction():
     )
 
 
-def test_evenness_in_frequency():
-    # internal evaluation: f(-lambda) = conj(f(lambda)) entrywise
-    rng = np.random.default_rng(2)
-    stack = np.stack([rng.standard_normal((2, 2)) for _ in range(4)])
-    pos = estimate_matrices(stack, BART, 3, np.array([0.8]))
-    neg = estimate_matrices(stack, BART, 3, np.array([-0.8]))
-    np.testing.assert_allclose(neg[0], pos[0].conj(), atol=1e-14)
+def _tabulated_bartlett(tmp_path):
+    path = tmp_path / "kernel.csv"
+    grid = np.linspace(-1.0, 1.0, 201)
+    np.savetxt(path, np.column_stack([grid, 1.0 - np.abs(grid)]), delimiter=",")
+    return tabulated_kernel(path)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kernel_name", [*kernel_names(), "tabulated"])
+def test_fft_matches_direct_sum(n, kernel_name, tmp_path):
+    # the production FFT against the oracle's direct sum on every grid kind
+    kernel = (
+        _tabulated_bartlett(tmp_path)
+        if kernel_name == "tabulated"
+        else get_kernel(kernel_name)
+    )
+    rng = np.random.default_rng(n)
+    b_val = 37
+    grids = {
+        "theorem": theorem_grid(b_val),
+        "uniform": np.linspace(0.0, np.pi, 11),
+        "dense": np.pi * np.arange(4 * b_val + 1) / (4 * b_val),
+        # L = 37 lags on a period of 2M = 4 exercises the fold
+        "clt": np.array([0.0, np.pi / 2]),
+    }
+    for name, freqs in grids.items():
+        stack = rng.standard_normal((b_val + 1, n, n))
+        stack[0] = stack[0] @ stack[0].T
+        weights = kernel(np.arange(b_val + 1) / b_val)
+        want = _fourier_sum(stack, weights, freqs)
+        got = estimate_matrices(stack, kernel, b_val, freqs)
+        gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert gap <= 1e-12, name
+
+
+def test_off_grid_frequency_raises():
+    stack = np.array([[[1.0]], [[0.5]]])
+    with pytest.raises(OffGridFrequency):
+        estimate_matrices(stack, BART, 2, np.array([0.0, 0.7]))
+    with pytest.raises(OffGridFrequency):
+        estimate_matrices(stack, BART, 2, np.array([0.7]))
+    # a step of 1e-9 would need an FFT of length 2*pi/1e-9: M is capped
+    with pytest.raises(OffGridFrequency):
+        estimate_matrices(stack, BART, 2, np.array([0.0, 1e-9]))
 
 
 def test_bandwidth_too_large():
@@ -99,6 +137,10 @@ def test_frequencies_restricted_to_0_pi():
         estimate_spectrum(acov, BART, Bandwidth(64, 0.4), [-0.1])
     with pytest.raises(ValueError):
         estimate_spectrum(acov, BART, Bandwidth(64, 0.4), [3.5])
+    with pytest.raises(ValueError):
+        estimate_spectrum(acov, BART, Bandwidth(64, 0.4), [np.nan])
+    with pytest.raises(ValueError):
+        expected_spectrum(WhiteNoise(), BART, Bandwidth(64, 0.4), [np.nan])
 
 
 def test_scale_equivariance():
