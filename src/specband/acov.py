@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LagOutOfRange, NotCentered, UnsupportedModel
+from .errors import InvalidSeries, LagOutOfRange, NotCentered, UnsupportedModel
 from .series import MultivariateSeries
 
 __all__ = ["AutocovSequence", "sample_autocov", "expected_autocov", "autocov_matrices"]
@@ -73,7 +73,11 @@ def sample_autocov(series: MultivariateSeries, max_lag: int) -> AutocovSequence:
         raise LagOutOfRange(
             f"max_lag must lie in [0, T-1] = [0, {series.t_len - 1}], got {max_lag}"
         )
-    return AutocovSequence(autocov_matrices(series.values, max_lag), series.t_len)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = autocov_matrices(series.values, max_lag)
+    if not np.all(np.isfinite(stack)):
+        raise InvalidSeries("autocovariance overflows: series values are too large")
+    return AutocovSequence(stack, series.t_len)
 
 
 def expected_autocov(model, u: int, t_len: int) -> np.ndarray:

@@ -369,12 +369,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
-    except (UsageError, InvalidLevel, InvalidPlan, UnknownKernel, ValueError) as exc:
+    except (UsageError, InvalidLevel, InvalidPlan, UnknownKernel) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except SpecbandError as exc:
+    except SpecbandError as exc:  # before ValueError: InvalidSeries is both
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,10 @@ class ParseError(SpecbandError):
         self.col = col
 
 
+class InvalidSeries(SpecbandError, ValueError):
+    """Series values are not a finite (T, n) array, or overflow in centering or C(u)."""
+
+
 class InsufficientData(SpecbandError):
     """Too few time points for the requested operation."""
 

@@ -5,6 +5,15 @@ vectors to observations. ``path`` runs that map from a zero initial state,
 which is what the dependence-measure couplings need; ``simulate`` adds a burn
 -in long enough that the truncated start is invisible at double precision.
 
+VAR(1) paths are an exact linear filter with no loop over time. The complex
+Schur form A = U S U^H is computed once per model, so y_t = U^H Z_t obeys
+y_t = S y_{t-1} + U^H w_t with S upper triangular. Row i of that recursion
+is a first-order filter (``lfilter``) fed by the rows j > i at lag 1, so the
+rows are solved from last to first along the time axis, and Z_t = Re(U y_t).
+The mixing by U and U^H is written as elementwise sums over the n columns,
+which keeps every replication's arithmetic independent of the batch around
+it. For a 1x1 A the filter is the scalar AR(1) recursion.
+
 Linear models (white noise, scalar AR(1), VAR(1), VMA) expose closed-form
 autocovariances Gamma(u) and spectral densities; the threshold AR model is
 simulation-only. The spectral density follows the transform convention
@@ -17,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_discrete_lyapunov
+from scipy.linalg import cholesky, schur, solve_discrete_lyapunov
 from scipy.signal import lfilter
 
 from .errors import NonStationaryModel, UnsupportedModel
@@ -146,13 +155,15 @@ class VAR1(ProcessModel):
         n = coeff.shape[0]
         if coeff.shape != (n, n):
             raise ValueError("VAR(1) coefficient must be square")
-        radius = np.max(np.abs(np.linalg.eigvals(coeff)))
+        tri, unitary = schur(coeff, output="complex")
+        radius = np.max(np.abs(np.diag(tri)))
         if radius >= 1.0:
             raise NonStationaryModel(f"VAR(1) spectral radius {radius:.4f} >= 1")
         sigma = _as_cov(self.sigma if self.sigma is not None else np.eye(n), n)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", cholesky(sigma, lower=True))
+        object.__setattr__(self, "_schur", (tri, unitary))
         object.__setattr__(self, "_radius", float(radius))
         object.__setattr__(
             self, "_gamma0", solve_discrete_lyapunov(coeff, sigma)
@@ -168,12 +179,21 @@ class VAR1(ProcessModel):
         return int(np.ceil(np.log(tol) / np.log(self._radius))) + 1
 
     def path(self, eps):
+        tri, unitary = self._schur
+        n = self.n_dim
         w = eps @ self._chol.T
+        y = [None] * n  # y[i]: (..., steps) complex, time on the last axis
+        for i in reversed(range(n)):
+            drive = sum(unitary[k, i].conjugate() * w[..., k] for k in range(n))
+            for j in range(i + 1, n):
+                drive[..., 1:] += tri[i, j] * y[j][..., :-1]
+            y[i] = lfilter([1.0], [1.0, -tri[i, i]], drive, axis=-1)
         out = np.empty_like(w)
-        state = np.zeros(w.shape[:-2] + (self.n_dim,))
-        for t in range(w.shape[-2]):
-            state = state @ self.coeff.T + w[..., t, :]
-            out[..., t, :] = state
+        for k in range(n):
+            out[..., k] = sum(
+                unitary[k, j].real * y[j].real - unitary[k, j].imag * y[j].imag
+                for j in range(n)
+            )
         return out
 
     def gamma(self, u):
@@ -206,10 +226,6 @@ class AR1Scalar(VAR1):
         super().__init__(coeff=np.array([[phi]]), sigma=np.array([[sigma2]]))
         object.__setattr__(self, "phi", float(phi))
         object.__setattr__(self, "sigma2", float(sigma2))
-
-    def path(self, eps):
-        w = eps * np.sqrt(self.sigma2)
-        return lfilter([1.0], [1.0, -self.phi], w, axis=-2)
 
     def describe(self):
         return {"kind": self.kind, "n_dim": 1, "phi": self.phi, "sigma2": self.sigma2}

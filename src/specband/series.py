@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientData, ParseError
+from .errors import InsufficientData, InvalidSeries, ParseError
 
 __all__ = ["MultivariateSeries", "load_csv", "center", "write_csv"]
 
@@ -27,23 +27,24 @@ class MultivariateSeries:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
-            raise ValueError("series values must be a 2-D (T, n) array")
+            raise InvalidSeries("series values must be a 2-D (T, n) array")
         if values.shape[0] < 2:
             raise InsufficientData(
                 f"need at least 2 time points, got {values.shape[0]}"
             )
         if values.shape[1] < 1:
-            raise ValueError("series needs at least one component column")
+            raise InvalidSeries("series needs at least one component column")
         if not np.all(np.isfinite(values)):
-            raise ValueError("series contains NaN or infinite entries")
+            raise InvalidSeries("series contains NaN or infinite entries")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.centered:
             scale = np.max(np.abs(values), axis=0)
             tol = 1e-10 * values.shape[0] * np.maximum(scale, 1e-300)
-            col_sums = np.abs(values.sum(axis=0))
-            if np.any(col_sums > tol):
-                raise ValueError("centered flag set but column sums are nonzero")
+            with np.errstate(over="ignore", invalid="ignore"):
+                col_sums = np.abs(values.sum(axis=0))
+            if not np.all(col_sums <= tol):  # an overflowed sum may be NaN
+                raise InvalidSeries("centered flag set but column sums are nonzero")
 
     @property
     def t_len(self) -> int:
@@ -107,9 +108,14 @@ def center(series: MultivariateSeries) -> MultivariateSeries:
     """Subtract each column's sample mean. Idempotent."""
     if series.centered:
         return series
-    values = series.values - series.values.mean(axis=0, keepdims=True)
-    # force exact-zero column sums so repeated centering is a no-op
-    values = values - values.mean(axis=0, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = series.values - series.values.mean(axis=0, keepdims=True)
+        # force exact-zero column sums so repeated centering is a no-op
+        values = values - values.mean(axis=0, keepdims=True)
+    if not np.all(np.isfinite(values)):
+        raise InvalidSeries(
+            "centering overflows: a column mean or deviation exceeds the float range"
+        )
     return replace(series, values=values, centered=True)
 
 

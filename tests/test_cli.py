@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,28 @@ def test_estimate_bad_data_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1,x\n2,3\n")
     assert main(["estimate", "--input", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["estimate", "bands"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "1e308,1\n1e308,2\n-1e308,3\n1e308,4\n",  # the column mean overflows
+        "1e200,1\n-1e200,2\n1e200,3\n-1e200,4\n1e200,4\n",  # C(u) overflows
+    ],
+    ids=["mean", "acov"],
+)
+def test_overflowing_data_exit_1(command, rows, tmp_path, capsys):
+    # every cell is finite, but centering or the autocovariance overflows
+    path = tmp_path / "huge.csv"
+    path.write_text(rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--input", str(path)])
+    assert code == 1
+    assert caught == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidSeries: ")
 
 
 def test_bands_invalid_level_exit_2(wn_csv, capsys):
@@ -213,20 +236,28 @@ def test_verify_runs_and_writes_report(tmp_path, capsys):
     assert len(lines) > 1
 
 
-def test_verify_determinism_across_threads(tmp_path):
+def _verify_reports_per_worker_count(tmp_path, plan):
     outs = []
     for workers, name in ((1, "a.json"), (2, "b.json")):
         out = tmp_path / name
         code = main(
-            [
-                "verify", "--experiment", "clt", "--model", "white",
-                "--t-grid", "512", "--reps", "100", "--seed", "5",
-                "--threads", str(workers), "--out", str(out),
-            ]
+            ["verify", *plan, "--reps", "100", "--threads", str(workers), "--out", str(out)]
         )
         assert code == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    return outs
+
+
+def test_verify_determinism_across_threads(tmp_path):
+    plan = ["--experiment", "clt", "--model", "white", "--t-grid", "512", "--seed", "5"]
+    serial, parallel = _verify_reports_per_worker_count(tmp_path, plan)
+    assert serial == parallel
+
+
+def test_verify_var1_coverage_determinism_across_threads(tmp_path):
+    plan = ["--experiment", "coverage", "--model", "var1:default", "--t-grid", "512,1024"]
+    serial, parallel = _verify_reports_per_worker_count(tmp_path, plan)
+    assert serial == parallel
 
 
 def test_kernel_info(capsys):

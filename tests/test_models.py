@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from specband.errors import NonStationaryModel, UnsupportedModel
 from specband.models import (
@@ -120,10 +121,62 @@ def test_simulate_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_ar1_fast_path_matches_generic_recursion():
-    model = AR1Scalar(0.6)
-    eps = np.random.default_rng(4).standard_normal((3, 40, 1))
-    np.testing.assert_array_equal(model.path(eps), VAR1.path(model, eps))
+def _sequential_path(model, eps):
+    """Oracle: Z_t = A Z_{t-1} + w_t one time step at a time, from Z_{-1} = 0."""
+    w = eps @ model._chol.T
+    out = np.empty_like(w)
+    state = np.zeros(w.shape[:-2] + (model.n_dim,))
+    for t in range(w.shape[-2]):
+        state = state @ model.coeff.T + w[..., t, :]
+        out[..., t, :] = state
+    return out
+
+
+def _oracle_models():
+    rng = np.random.default_rng(21)
+    q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    q4, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    upper = np.triu(0.3 * rng.standard_normal((4, 4)), 1)
+    return {
+        "default": default_var1(),
+        "complex_pair": VAR1(coeff=np.array([[0.5, -0.6], [0.6, 0.5]])),
+        "jordan_0.9": VAR1(coeff=q2 @ np.array([[0.9, 1.0], [0.0, 0.9]]) @ q2.T),
+        "poles_0.92_0.95": VAR1(
+            coeff=q4 @ (upper + np.diag([0.92, 0.93, 0.94, 0.95])) @ q4.T,
+            sigma=np.eye(4) + 0.5 * np.ones((4, 4)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_models()))
+def test_var1_filter_matches_sequential_oracle(name):
+    model = _oracle_models()[name]
+    eps = np.random.default_rng(8).standard_normal((3, 2000, model.n_dim))
+    expected = _sequential_path(model, eps)
+    got = model.path(eps)
+    assert got.shape == expected.shape
+    rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+    assert rel <= 1e-12, rel
+
+
+@pytest.mark.parametrize("phi,sigma2", [(0.5, 1.0), (-0.7, 2.3), (0.6, 1.0)])
+def test_ar1_path_is_scalar_filter(phi, sigma2):
+    # a 1x1 A reduces the Schur filter to the scalar AR(1) recursion, bit for bit
+    model = AR1Scalar(phi, sigma2)
+    eps = np.random.default_rng(4).standard_normal((3, 400, 1))
+    expected = lfilter([1.0], [1.0, -phi], eps * np.sqrt(sigma2), axis=-2)
+    np.testing.assert_array_equal(model.path(eps), expected)
+
+
+@pytest.mark.parametrize("reps", [1, 7, 64])
+def test_var1_path_rows_independent_of_batch(reps):
+    # each replication's path must not depend on the replications batched with it
+    rng = np.random.default_rng(reps)
+    for model in (default_var1(), _oracle_models()["poles_0.92_0.95"]):
+        eps = rng.standard_normal((reps, 300, model.n_dim))
+        batch = model.path(eps)
+        for r in range(reps):
+            np.testing.assert_array_equal(batch[r], model.path(eps[r]))
 
 
 def test_parse_model_grammar(tmp_path):

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from specband.errors import InsufficientData, ParseError
+from specband.errors import InsufficientData, InvalidSeries, ParseError
 from specband.series import MultivariateSeries, center, load_csv, write_csv
 
 
@@ -116,3 +118,17 @@ def test_write_read_round_trip(tmp_path):
     write_csv(s, path)
     back = load_csv(path)
     np.testing.assert_array_equal(back.values, s.values)
+
+
+def test_overflowing_values_raise_invalid_series():
+    values = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, 3.0], [1e308, 4.0]])
+    # the column sum overflows to +inf and -inf in separate partial sums: NaN
+    nan_sum = np.zeros((16, 1))
+    nan_sum[[0, 8], 0] = 1e308
+    nan_sum[[1, 9], 0] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSeries):
+            center(MultivariateSeries(values))
+        with pytest.raises(InvalidSeries):
+            MultivariateSeries(nan_sum, centered=True)
