@@ -227,6 +227,8 @@ def _cmd_depmeasure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import scipy
+
     plan = ExperimentPlan(
         experiment=args.experiment.replace("-", "_"),
         model_spec=args.model,
@@ -241,6 +243,11 @@ def _cmd_verify(args) -> int:
         nu_star=args.nu_star,
         nu=args.nu,
         workers=args.threads,
+    )
+    log.info(
+        "verify %s: numpy %s, scipy %s, reps=%d, workers=%d, seed=%d",
+        plan.experiment, np.__version__, scipy.__version__, plan.reps, plan.workers,
+        plan.seed,
     )
     report = run_experiment(plan)
     text = report.to_json(include_raw=not args.no_raw)

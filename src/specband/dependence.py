@@ -335,9 +335,9 @@ def _slope_ci(t: np.ndarray, y: np.ndarray):
         return float(slope), (float(slope), float(slope))
     s2 = float(resid @ resid) / (n - 2)
     se = math.sqrt(s2 / float(((t - t.mean()) ** 2).sum()))
-    from scipy.stats import t as t_dist
+    from scipy.special import stdtrit
 
-    q = t_dist.ppf(0.975, n - 2)
+    q = stdtrit(n - 2, 0.975)
     return float(slope), (float(slope - q * se), float(slope + q * se))
 
 

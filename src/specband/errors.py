@@ -61,7 +61,7 @@ class DegenerateSpectrum(SpecbandError):
 
 
 class BandUndefined(SpecbandError):
-    """Band half-width formula produced a negative value under the root."""
+    """Band half-width is undefined: negative under the root, or overflowing."""
 
 
 class InsufficientInnerReps(SpecbandError):

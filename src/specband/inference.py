@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import BandUndefined, DegenerateSpectrum, InvalidLevel
 from .kernels import Kernel
@@ -125,6 +124,13 @@ def _denominators(denom: SpectralGrid, i: int, j: int) -> np.ndarray:
     return f_ii * f_jj
 
 
+def _finite(half: np.ndarray) -> np.ndarray:
+    """``half`` if finite; its callers compute it under errstate(over="ignore")."""
+    if not np.all(np.isfinite(half)):
+        raise BandUndefined("band half-width overflows; rescale the series values")
+    return half
+
+
 def max_deviation(
     est: SpectralGrid,
     center: SpectralGrid,
@@ -192,8 +198,9 @@ def uniform_band(
     ratio = est.bandwidth / est.t_len
     out = []
     for i, j in entries:
-        scale = kernel.kappa * _denominators(est, i, j)
-        half = np.sqrt(ratio * scale * threshold)
+        with np.errstate(over="ignore"):
+            scale = kernel.kappa * _denominators(est, i, j)
+            half = _finite(np.sqrt(ratio * scale * threshold))
         out.append(
             BandEntry(
                 i=i,
@@ -255,10 +262,12 @@ def pointwise_ci(
         raise DegenerateSpectrum(
             f"nonpositive spectral diagonal at frequency {bad_freq:.6f}", freq=bad_freq
         )
-    z = norm.ppf(0.5 * (1.0 + level))
-    half = z * np.sqrt(
-        (est.bandwidth / est.t_len) * omega_factor(freq) * kernel.kappa * f_ii * f_jj
-    )
+    from scipy.special import ndtri
+
+    z = ndtri(0.5 * (1.0 + level))
+    with np.errstate(over="ignore"):
+        var = (est.bandwidth / est.t_len) * omega_factor(freq) * kernel.kappa * f_ii
+        half = _finite(z * np.sqrt(var * f_jj))
     value = est.entry(i, j)[idx]
     point = value.real if component == "re" else value.imag
     return (point - half, point + half)

@@ -14,6 +14,11 @@ The mixing by U and U^H is written as elementwise sums over the n columns,
 which keeps every replication's arithmetic independent of the batch around
 it. For a 1x1 A the filter is the scalar AR(1) recursion.
 
+scipy is imported where it is called, so importing the package loads numpy
+alone: ``scipy.linalg`` in the constructors, ``lfilter`` in ``VAR1.path``.
+``VAR1`` also imports ``scipy.signal`` at construction: the Monte Carlo pool
+forks its workers after the model is built, so they inherit the module.
+
 Linear models (white noise, scalar AR(1), VAR(1), VMA) expose closed-form
 autocovariances Gamma(u) and spectral densities; the threshold AR model is
 simulation-only. The spectral density follows the transform convention
@@ -26,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, schur, solve_discrete_lyapunov
-from scipy.signal import lfilter
 
 from .errors import NonStationaryModel, UnsupportedModel
 from .series import MultivariateSeries
@@ -110,6 +113,8 @@ class WhiteNoise(ProcessModel):
     is_linear = True
 
     def __post_init__(self):
+        from scipy.linalg import cholesky
+
         sigma = _as_cov(self.sigma, np.atleast_2d(self.sigma).shape[0])
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", cholesky(sigma, lower=True))
@@ -151,6 +156,9 @@ class VAR1(ProcessModel):
     is_linear = True
 
     def __post_init__(self):
+        import scipy.signal  # noqa: F401  (for path; see the module docstring)
+        from scipy.linalg import cholesky, schur, solve_discrete_lyapunov
+
         coeff = np.atleast_2d(np.asarray(self.coeff, dtype=float))
         n = coeff.shape[0]
         if coeff.shape != (n, n):
@@ -179,6 +187,8 @@ class VAR1(ProcessModel):
         return int(np.ceil(np.log(tol) / np.log(self._radius))) + 1
 
     def path(self, eps):
+        from scipy.signal import lfilter
+
         tri, unitary = self._schur
         n = self.n_dim
         w = eps @ self._chol.T
@@ -242,6 +252,8 @@ class VMA(ProcessModel):
     is_linear = True
 
     def __post_init__(self):
+        from scipy.linalg import cholesky
+
         coeffs = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in self.coeffs)
         if not coeffs:
             raise ValueError("VMA needs at least one coefficient matrix")

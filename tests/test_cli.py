@@ -85,6 +85,22 @@ def test_overflowing_data_exit_1(command, rows, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: InvalidSeries: ")
 
 
+@pytest.mark.parametrize("method", ["uniform", "pointwise"])
+def test_bands_overflowing_half_width_exit_1(method, tmp_path, capsys):
+    # the estimate is finite (about 1.5e304), but f_11 * f_22 is not
+    path = tmp_path / "large.csv"
+    values = 3e152 * np.random.default_rng(0).standard_normal((600, 2))
+    np.savetxt(path, values, delimiter=",")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["bands", "--input", str(path), "--method", method])
+    assert code == 1
+    assert caught == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: BandUndefined: ")
+    assert "rescale" in err[0]
+
+
 def test_bands_invalid_level_exit_2(wn_csv, capsys):
     code = main(["bands", "--input", wn_csv, "--level", "1.5"])
     assert code == 2

@@ -203,3 +203,12 @@ def test_decay_fit_warning_on_nondecaying_profile():
 
     with pytest.warns(DecayFitWarning):
         profile(Flat(), 2.0, horizon=6, reps=200, seed=13)
+
+
+def test_stdtrit_matches_t_ppf():
+    # _slope_ci takes its t quantile from stdtrit, the function t.ppf evaluates
+    from scipy.special import stdtrit
+    from scipy.stats import t
+
+    for df in range(1, 201):
+        assert stdtrit(df, 0.975) == t.ppf(0.975, df)

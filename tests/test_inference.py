@@ -205,6 +205,15 @@ def test_pointwise_ci_z_value_and_omega():
     assert half0 / half_mid == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
+def test_ndtri_matches_norm_ppf():
+    # pointwise_ci takes z from ndtri, the function norm.ppf evaluates
+    from scipy.special import ndtri
+    from scipy.stats import norm
+
+    q = 0.5 * (1.0 + np.linspace(0.001, 0.999, 999))
+    assert np.array_equal(ndtri(q), norm.ppf(q))
+
+
 def test_pointwise_ci_off_grid_frequency():
     est = _flat_grid(32, 4096)
     with pytest.raises(ValueError):

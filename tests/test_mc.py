@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from scipy.stats import gumbel_r
+from scipy.special import ndtr
+from scipy.stats import gumbel_r, kstest, norm
 
 from specband.errors import InvalidPlan, UnsupportedModel
+from specband.inference import gumbel_cdf
 from specband.mc import (
     ExperimentPlan,
+    _ks_statistic,
     gumbel_abs_norm,
     gumbel_mean,
     run_experiment,
@@ -138,6 +141,19 @@ def test_quadrature_oracles():
     assert gumbel_abs_norm(1.0) == pytest.approx(g1_ref, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "cdf, oracle_cdf",
+    [(gumbel_cdf, gumbel_cdf), (ndtr, norm.cdf)],
+    ids=["gumbel", "normal"],
+)
+@pytest.mark.parametrize("n", [5, 100, 101, 1000])
+def test_ks_statistic_matches_scipy_bit_for_bit(cdf, oracle_cdf, n):
+    x = 1.0 + 2.0 * np.random.default_rng(n).standard_normal(n)
+    ties = np.repeat(x[: (n + 1) // 2], 2)[:n]  # values in equal pairs
+    for sample in (x, ties):
+        assert _ks_statistic(sample, cdf) == kstest(sample, oracle_cdf).statistic
+
+
 def test_oracle_experiments_reject_tar():
     plan = ExperimentPlan(
         experiment="clt", model_spec="tar:a=0.4,b=0.2", t_grid=(1024,), reps=100
@@ -175,10 +191,6 @@ def test_verdicts_recomputable_from_raw():
         experiment="gumbel", model_spec="white", t_grid=(512,), reps=100, seed=3
     )
     report = run_experiment(plan)
-    from scipy.stats import kstest
-
-    from specband.inference import gumbel_cdf
-
     ks = kstest(np.array(report.raw["centered_max_T512"]), gumbel_cdf).statistic
     assert ks == pytest.approx(report.rows[0]["ks_gumbel"], abs=1e-12)
 

@@ -1,0 +1,85 @@
+"""Tests that run specband in a fresh interpreter.
+
+Import guards: scipy is imported where it is called, so a stray module-level
+import would only show as a slower start-up. These tests pin which scipy
+submodules each entry point loads. The logging test checks that ``verify``
+telemetry goes to stderr and never into the report.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import specband
+
+SRC = str(Path(specband.__file__).resolve().parents[1])
+
+
+def _python(args):
+    path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+def _scipy_submodules(code: str) -> set:
+    """Top-level scipy submodules loaded after running ``code``."""
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules"
+        " if m.startswith('scipy.')})))"
+    )
+    return set(json.loads(_python(["-c", script]).stdout.splitlines()[-1]))
+
+
+def test_import_cli_loads_no_scipy_submodule():
+    assert _scipy_submodules("import specband.cli") == set()
+
+
+def test_white_noise_commands_load_neither_stats_nor_signal(tmp_path):
+    code = f"""
+import numpy as np
+from specband.cli import main
+from specband.mc import ExperimentPlan, run_experiment
+from specband.models import WhiteNoise, simulate
+from specband.series import write_csv
+
+run_experiment(ExperimentPlan("gumbel", t_grid=(64, 128), reps=100))
+path = {str(tmp_path / "wn.csv")!r}
+write_csv(simulate(WhiteNoise(sigma=np.eye(2)), 512, seed=1), path)
+assert main(["estimate", "--input", path, "--output", path + ".est.json"]) == 0
+assert main(["bands", "--input", path, "--output", path + ".bands.json"]) == 0
+"""
+    loaded = _scipy_submodules(code)
+    assert "stats" not in loaded
+    assert "signal" not in loaded
+
+
+def test_var1_construction_loads_signal_for_forked_workers():
+    code = "from specband.models import parse_model\nparse_model('var1:default')"
+    assert "signal" in _scipy_submodules(code)
+
+
+def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):
+    plan = ["--experiment", "gumbel", "--model", "white", "--t-grid", "64,128",
+            "--reps", "100", "--seed", "3"]
+    reports, errs = [], []
+    for level in ("info", "warning"):
+        out = tmp_path / f"{level}.json"
+        argv = ["-m", "specband.cli", "--log-level", level, "verify", *plan]
+        proc = _python([*argv, "--out", str(out)])
+        reports.append(out.read_bytes())
+        errs.append(proc.stderr)
+    assert reports[0] == reports[1]
+    info = [line for line in errs[0].splitlines() if line.startswith("INFO:")]
+    assert len(info) == 3  # the run's configuration, then one line per cell
+    assert "numpy" in info[0] and "scipy" in info[0] and "reps=100" in info[0]
+    assert "workers=1" in info[0] and "seed=3" in info[0]
+    assert "T=64 B=" in info[1] and "T=128 B=" in info[2]
+    assert not any(line.startswith("INFO:") for line in errs[1].splitlines())
