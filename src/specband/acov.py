@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSeries, LagOutOfRange, NotCentered, UnsupportedModel
+from .errors import (
+    InvalidSeries,
+    LagOutOfRange,
+    MalformedArray,
+    NotCentered,
+    UnsupportedModel,
+)
 from .series import MultivariateSeries
 
 __all__ = ["AutocovSequence", "sample_autocov", "expected_autocov", "autocov_matrices"]
@@ -32,9 +38,9 @@ class AutocovSequence:
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=float)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise ValueError("autocovariance stack must have shape (L+1, n, n)")
+            raise MalformedArray("autocovariance stack must have shape (L+1, n, n)")
         if not np.all(np.isfinite(m)):
-            raise ValueError("autocovariance contains non-finite entries")
+            raise MalformedArray("autocovariance contains non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrices", m)
 

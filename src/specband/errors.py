@@ -18,6 +18,10 @@ class InvalidSeries(SpecbandError, ValueError):
     """Series values are not a finite (T, n) array, or overflow in centering or C(u)."""
 
 
+class MalformedArray(SpecbandError, ValueError):
+    """An autocovariance stack or spectral grid has the wrong shape or non-finite entries."""
+
+
 class InsufficientData(SpecbandError):
     """Too few time points for the requested operation."""
 

@@ -30,6 +30,7 @@ from .acov import AutocovSequence, expected_autocov
 from .errors import (
     BandwidthTooLarge,
     InsufficientData,
+    MalformedArray,
     OffGridFrequency,
     UnsupportedModel,
 )
@@ -82,8 +83,9 @@ class SpectralGrid:
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
         matrices = np.asarray(self.matrices, dtype=complex)
-        if matrices.shape != (freqs.size, matrices.shape[1], matrices.shape[1]):
-            raise ValueError("matrices must be (n_freqs, n, n)")
+        shape = matrices.shape
+        if len(shape) != 3 or shape != (freqs.size, shape[1], shape[1]):
+            raise MalformedArray("matrices must be (n_freqs, n, n)")
         freqs.setflags(write=False)
         matrices.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)

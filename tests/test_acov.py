@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from specband.acov import autocov_matrices, expected_autocov, sample_autocov
-from specband.errors import LagOutOfRange, NotCentered, UnsupportedModel
+from specband.acov import AutocovSequence, autocov_matrices, expected_autocov, sample_autocov
+from specband.errors import (
+    LagOutOfRange,
+    MalformedArray,
+    NotCentered,
+    SpecbandError,
+    UnsupportedModel,
+)
 from specband.models import AR1Scalar, ThresholdAR1, WhiteNoise, simulate
 from specband.series import MultivariateSeries, center
 
@@ -95,9 +101,25 @@ def test_sample_mean_matches_expected_autocov():
 
 
 def test_stack_validation():
-    from specband.acov import AutocovSequence
-
     with pytest.raises(ValueError):
         AutocovSequence(np.zeros((3, 2, 1)), t_len=10)
     with pytest.raises(ValueError):
         AutocovSequence(np.full((2, 1, 1), np.nan), t_len=10)
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [
+        np.zeros(3),  # 1-D
+        np.zeros((3, 2)),  # 2-D
+        np.zeros((3, 2, 1)),  # not square
+        np.zeros((2, 2, 2, 2)),  # 4-D
+        np.array([[[np.inf]], [[0.0]]]),
+        np.array([[[1.0]], [[-np.inf]]]),
+    ],
+)
+def test_malformed_stack_is_a_specband_value_error(stack):
+    with pytest.raises(MalformedArray) as exc:
+        AutocovSequence(stack, t_len=10)
+    assert isinstance(exc.value, SpecbandError)
+    assert isinstance(exc.value, ValueError)

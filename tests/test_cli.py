@@ -65,6 +65,30 @@ def test_estimate_bad_data_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["estimate", "bands"])
 @pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("", [], "InsufficientData: need at least 2 data rows, got 0 (data starts at row 1)"),
+        (
+            "a,b\n",
+            ["--has-header"],
+            "InsufficientData: need at least 2 data rows, got 0 (data starts at row 2)",
+        ),
+        ("1,2\n3,x\n5,6\n", [], "ParseError: non-numeric cell 'x' at row 2, col 2"),
+    ],
+    ids=["empty", "header-only", "non-numeric"],
+)
+def test_rejected_csv_exit_1_with_one_error_line(command, text, flags, message, tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach the user's stderr
+        code = main([command, "--input", str(path), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "bands"])
+@pytest.mark.parametrize(
     "rows",
     [
         "1e308,1\n1e308,2\n-1e308,3\n1e308,4\n",  # the column mean overflows

@@ -2,8 +2,9 @@
 
 Import guards: scipy is imported where it is called, so a stray module-level
 import would only show as a slower start-up. These tests pin which scipy
-submodules each entry point loads. The logging test checks that ``verify``
-telemetry goes to stderr and never into the report.
+submodules each entry point loads. The logging tests check that telemetry
+(``verify`` cells, CSV reads and writes) goes to stderr and never into the
+outputs.
 """
 
 import json
@@ -83,3 +84,22 @@ def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):
     assert "workers=1" in info[0] and "seed=3" in info[0]
     assert "T=64 B=" in info[1] and "T=128 B=" in info[2]
     assert not any(line.startswith("INFO:") for line in errs[1].splitlines())
+
+
+def test_csv_io_logs_to_stderr_and_outputs_ignore_log_level(tmp_path):
+    outputs, errs = [], []
+    csv_path, est_path = tmp_path / "x.csv", tmp_path / "est.json"
+    for level in ("info", "warning"):  # same paths: the estimate echoes its input path
+        base = ["-m", "specband.cli", "--log-level", level]
+        sim = _python([*base, "simulate", "--model", "white:dim=2", "--t-len", "300",
+                       "--seed", "5", "--out", str(csv_path)])
+        est = _python([*base, "estimate", "--input", str(csv_path), "--output", str(est_path)])
+        outputs.append((csv_path.read_bytes(), est_path.read_bytes()))
+        errs.append((sim.stderr, est.stderr))
+    assert outputs[0] == outputs[1]
+    wrote = [line for line in errs[0][0].splitlines() if line.startswith("INFO:specband.series")]
+    read = [line for line in errs[0][1].splitlines() if line.startswith("INFO:specband.series")]
+    assert len(wrote) == 1 and "300 rows x 2 columns" in wrote[0]
+    assert len(read) == 1 and "300 rows x 2 columns" in read[0] and "(bulk parse)" in read[0]
+    assert f"{len(outputs[0][0])} bytes" in wrote[0] and f"{len(outputs[0][0])} bytes" in read[0]
+    assert not any("INFO:" in err for err in errs[1])

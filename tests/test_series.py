@@ -1,13 +1,23 @@
+import csv
+import io
+import logging
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from specband.errors import InsufficientData, InvalidSeries, ParseError
-from specband.series import MultivariateSeries, center, load_csv, write_csv
+from specband.errors import InsufficientData, InvalidSeries, ParseError, SpecbandError
+from specband.series import (
+    _WRITE_BLOCK_ROWS,
+    MultivariateSeries,
+    _parse_cells,
+    center,
+    load_csv,
+    write_csv,
+)
 
 
 def test_load_csv_basic(tmp_path):
@@ -132,3 +142,140 @@ def test_overflowing_values_raise_invalid_series():
             center(MultivariateSeries(values))
         with pytest.raises(InvalidSeries):
             MultivariateSeries(nan_sum, centered=True)
+
+
+# Parity of load_csv (bulk parse first) with the per-cell reader it falls back to.
+
+
+def _outcome(read):
+    """Values as (shape, bytes), or the exception class with its row and col."""
+    try:
+        values = read()
+    except (SpecbandError, ValueError) as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return values.shape, values.tobytes()
+
+
+def _assert_parity(path, has_header):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty file must not warn either
+        got = _outcome(lambda: load_csv(path, has_header=has_header).values)
+    assert got == _outcome(lambda: _parse_cells(path, has_header))
+    return got
+
+
+PARITY_CASES = [
+    # (id, file bytes, has_header, expected: "ok" or (class, row, col))
+    ("spaces", b" 1 , 2 \n3,4\n", False, "ok"),
+    ("underscore", b"1_000,2\n3,4\n", False, "ok"),
+    ("whitespace-line", b"1,2\n \t \n3,4\n", False, "ok"),
+    ("quoted", b'"1",2\n3,4\n', False, "ok"),
+    ("header", b"a,b\n1,2\n3,4\n", True, "ok"),
+    ("header-wider", b"a,b,c\n1,2\n3,4\n", True, (ParseError, 2, None)),
+    ("header-blank", b"\n1,2\n3,4\n", True, (ParseError, 2, None)),
+    ("header-multiline", b'"a\n",b\n1,2\n3,4\n', True, "ok"),
+    ("header-unclosed", b'"\r0\r0', True, (InsufficientData, None, None)),
+    ("tab", b"1\t,2\n3,\t4\n", False, "ok"),
+    ("mixed-newlines", b"1,2\r\n3,4\n5,6\r\n", False, "ok"),
+    ("cr-newlines", b"1,2\r3,4\r", False, "ok"),
+    ("trailing-blank-lines", b"1,2\n3,4\n\n\n", False, "ok"),
+    ("hex", b"0x1,2\n3,4\n", False, (ParseError, 1, 1)),
+    ("inf", b"1,inf\n3,4\n", False, (ParseError, 1, 2)),
+    ("nan", b"1,2\n3,nan\n", False, (ParseError, 2, 2)),
+    ("overflow", b"1,2\n1e309,4\n", False, (ParseError, 2, 1)),
+    ("bom", "\ufeff1,2\n3,4\n".encode(), False, (ParseError, 1, 1)),
+    ("not-utf8", b"1,2\n\xff,4\n", False, (UnicodeDecodeError, None, None)),
+    ("ragged", b"1,2\n3\n", False, (ParseError, 2, None)),
+    ("trailing-comma", b"1,2,\n3,4,\n", False, (ParseError, 1, 3)),
+    ("comment", b"1,2\n# c\n3,4\n", False, (ParseError, 2, None)),
+    ("single-column", b"1\n2\n3\n", False, "ok"),
+    ("empty", b"", False, (InsufficientData, None, None)),
+    ("header-only", b"a,b\n", True, (InsufficientData, None, None)),
+    ("one-row", b"1,2\n", False, (InsufficientData, None, None)),
+    ("extremes", b"-0.0,5e-324\n1.7976931348623157e308,1e16\n", False, "ok"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, has_header, expected",
+    [case[1:] for case in PARITY_CASES],
+    ids=[case[0] for case in PARITY_CASES],
+)
+def test_load_csv_matches_per_cell_reader(data, has_header, expected, tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(data)
+    got = _assert_parity(path, has_header)
+    if expected == "ok":
+        assert isinstance(got[0], tuple)
+    else:
+        assert got == expected
+
+
+def test_header_width_is_checked_beyond_a_bulk_parse(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("a,b,c\n1,2\n3,4\n")
+    naive = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=1)
+    assert naive.shape == (2, 2)  # a bulk parse alone accepts the file
+    with pytest.raises(ParseError) as exc:
+        load_csv(path, has_header=True)
+    assert exc.value.row == 2
+
+
+_ALPHABET = "0123456789.e+-, \t\r\n_#\"inf"
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.text(alphabet=_ALPHABET, max_size=40), st.booleans())
+def test_load_csv_parity_fuzz(tmp_path, text, has_header):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(text.encode())
+    _assert_parity(path, has_header)
+
+
+def test_load_csv_logs_which_parse_ran(tmp_path, caplog):
+    clean, odd = tmp_path / "clean.csv", tmp_path / "odd.csv"
+    clean.write_text("1,2\n3,4\n5,6\n")
+    odd.write_text("1_0,2\n3,4\n5,6\n")
+    with caplog.at_level(logging.INFO, logger="specband.series"):
+        load_csv(clean)
+        load_csv(odd)
+    bulk, per_cell = caplog.messages
+    assert "3 rows x 2 columns" in bulk and "12 bytes" in bulk and "(bulk parse)" in bulk
+    assert "(per-cell parse)" in per_cell
+
+
+# write_csv: the bytes of csv.writer on repr of each value, written in blocks.
+
+_SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 1e16]
+
+
+def _csv_writer_bytes(values):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for row in values:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+def test_write_csv_bytes_match_csv_writer(n_dim, tmp_path):
+    block = _WRITE_BLOCK_ROWS
+    t_len = block + 3  # one full block and a short one
+    rng = np.random.default_rng(n_dim)
+    values = rng.standard_normal((t_len, n_dim)) * 10.0 ** rng.integers(-300, 300, (t_len, n_dim))
+    for at in (0, block - 1, block, t_len - 1):  # both ends of each block
+        values[at] = np.resize(_SPECIAL[at % 3 :], n_dim)
+    path = tmp_path / "x.csv"
+    write_csv(MultivariateSeries(values), path)
+    assert path.read_bytes() == _csv_writer_bytes(values)
+    assert load_csv(path).values.tobytes() == values.tobytes()
+
+
+def test_write_csv_logs_size(tmp_path, caplog):
+    path = tmp_path / "x.csv"
+    with caplog.at_level(logging.INFO, logger="specband.series"):
+        write_csv(MultivariateSeries(np.array([[1.0, -0.0], [2.5, 3.0]])), path)
+    assert path.read_bytes() == b"1.0,-0.0\r\n2.5,3.0\r\n"
+    assert "2 rows x 2 columns, 19 bytes" in caplog.messages[0]

@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from specband.acov import AutocovSequence, sample_autocov
-from specband.errors import BandwidthTooLarge, OffGridFrequency, UnsupportedModel
+from specband.errors import (
+    BandwidthTooLarge,
+    MalformedArray,
+    OffGridFrequency,
+    SpecbandError,
+    UnsupportedModel,
+)
 from specband.kernels import get_kernel, kernel_names, tabulated_kernel
 from specband.models import AR1Scalar, ThresholdAR1, VMA, WhiteNoise, default_var1, simulate
 from specband.series import center
 from specband.spectral import (
     Bandwidth,
+    SpectralGrid,
     _fourier_sum,
     estimate_matrices,
     estimate_spectrum,
@@ -217,3 +224,20 @@ def test_spectral_grid_accessors():
         pytest.approx(grid.matrices[0][0, 1].real),
         pytest.approx(grid.matrices[0][0, 1].imag),
     ]
+
+
+@pytest.mark.parametrize(
+    "freqs, matrices",
+    [
+        ([0.0, 1.0], np.zeros(2)),  # 1-D matrices
+        ([0.0, 1.0], np.zeros((2, 2))),  # 2-D matrices
+        ([0.0, 1.0], np.zeros((3, 2, 2))),  # one matrix per frequency
+        ([0.0, 1.0], np.zeros((2, 2, 3))),  # not square
+        ([0.0], np.zeros(())),  # 0-D matrices
+    ],
+)
+def test_malformed_grid_is_a_specband_value_error(freqs, matrices):
+    with pytest.raises(MalformedArray) as exc:
+        SpectralGrid(freqs, matrices, bandwidth=2, kernel_name="bartlett", t_len=10)
+    assert isinstance(exc.value, SpecbandError)
+    assert isinstance(exc.value, ValueError)
