@@ -12,7 +12,6 @@ from .dependence import (
     DependenceProfile,
     check_conditions,
     coupled_delta,
-    m_dependent_approx,
     profile,
 )
 from .inference import (

@@ -8,6 +8,29 @@ with C(-u) = C(u)' filled by transpose rather than recomputed. Divisor T
 (not T - u) keeps the Toeplitz nonnegative-definiteness behind PSD spectral
 estimates; the matching finite-sample mean under a known model carries the
 (T - |u|)/T factor.
+
+``autocov_matrices`` computes every lag with a few matrix products instead of
+one product per lag. The zero-padded series is cut into rows A_b of s time
+points (s * n columns), and for each block offset k = 0..ceil(L/s)
+
+    G_k = sum_b A_b' A_{b+k},   G_k[(p, i), (q, j)] = sum_b Z_{bs+p,i} Z_{(b+k)s+q,j},
+
+so that C(u)[i, j] = (1/T) * sum_p G[(p, i), (p + u, j)] over the column
+blocks [G_0 | ... | G_K], a strided diagonal sum read in place. Only the
+ceil(L/s) + 1 offsets are a Python loop.
+
+Every BLAS call is sized to run on one thread: s * n <= 32 columns and 64
+block rows per product, stacked into one batched ``matmul`` per offset, so
+each dgemm or syrk has m * n * k <= 2**16. On a 2-vCPU machine, OpenBLAS
+0.3.31 ran dgemms of m * n * k = 2**19 on one thread and of 2**20 on two,
+and a 128-column syrk (the k = 0 product) of 2**19 on two. One product per
+offset over all rows is faster alone, but it makes each Monte Carlo pool
+worker run multi-threaded dgemms on cores the other worker needs: on the
+2-worker VAR(1) coverage plan (perfbench mc-var1) it took 4.3-5.3 s of CPU
+and 3.0-3.3 s of wall time per operation, against 2.6-2.7 s and 2.0-2.2 s
+with the sizing above. The result differs from the per-lag loop only in
+summation order: by at most 6e-16 normwise relative for T up to 70001 and
+L up to 999.
 """
 
 from __future__ import annotations
@@ -15,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     InvalidSeries,
@@ -26,6 +50,9 @@ from .errors import (
 from .series import MultivariateSeries
 
 __all__ = ["AutocovSequence", "sample_autocov", "expected_autocov", "autocov_matrices"]
+
+_BLOCK_COLS = 32  # at most s * n columns per block row
+_BATCH_ROWS = 64  # block rows summed by one dgemm
 
 
 @dataclass(frozen=True)
@@ -62,23 +89,43 @@ class AutocovSequence:
 
 
 def autocov_matrices(values: np.ndarray, max_lag: int) -> np.ndarray:
-    """Divisor-T autocovariance stack of a raw (T, n) array, lags 0..max_lag."""
+    """Divisor-T autocovariance stack of a raw (T, n) array, lags 0..max_lag.
+
+    Raises LagOutOfRange unless 0 <= max_lag <= T - 1.
+    """
     values = np.asarray(values, dtype=float)
-    t_len = values.shape[0]
-    out = np.empty((max_lag + 1, values.shape[1], values.shape[1]))
-    for u in range(max_lag + 1):
-        out[u] = values[: t_len - u].T @ values[u:] / t_len
-    return out
+    t_len, n_dim = values.shape
+    if not 0 <= max_lag <= t_len - 1:
+        raise LagOutOfRange(
+            f"max_lag must lie in [0, T-1] = [0, {t_len - 1}], got {max_lag}"
+        )
+    span = max(1, min(max_lag + 1, _BLOCK_COLS // n_dim))  # s time points per row
+    width = span * n_dim
+    offsets = -(-max_lag // span) + 1  # block offsets k = 0..ceil(L/s)
+    n_rows = -(-t_len // span)
+    batch = min(_BATCH_ROWS, n_rows)
+    n_rows = -(-n_rows // batch) * batch  # whole batches; the padding is zeros
+    blocks = np.zeros((n_rows + offsets - 1, width))
+    blocks.reshape(-1, n_dim)[:t_len] = values
+    left = blocks[:n_rows].reshape(-1, batch, width).transpose(0, 2, 1)
+    grams = np.empty((width, offsets, width))  # [(p, i), k, (q, j)]
+    for k in range(offsets):
+        right = blocks[k : k + n_rows].reshape(-1, batch, width)
+        np.sum(left @ right, axis=0, out=grams[:, k, :])
+    row, _, col = grams.strides
+    diag = as_strided(  # diag[u, p, i, j] = grams[(p, i), (p + u, j)]
+        grams,
+        shape=(max_lag + 1, span, n_dim, n_dim),
+        strides=(n_dim * col, n_dim * (row + col), row, col),
+        writeable=False,
+    )
+    return diag.sum(axis=1) / t_len
 
 
 def sample_autocov(series: MultivariateSeries, max_lag: int) -> AutocovSequence:
     """Sample C(u) of a centered series for u = 0..max_lag."""
     if not series.centered:
         raise NotCentered("center the series (or simulate a mean-zero model) first")
-    if not 0 <= max_lag <= series.t_len - 1:
-        raise LagOutOfRange(
-            f"max_lag must lie in [0, T-1] = [0, {series.t_len - 1}], got {max_lag}"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         stack = autocov_matrices(series.values, max_lag)
     if not np.all(np.isfinite(stack)):

@@ -22,16 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayFitWarning, InsufficientInnerReps
+from .errors import DecayFitWarning
 from .models import ProcessModel
-from .series import MultivariateSeries
 
 __all__ = [
     "DependenceProfile",
     "ConditionReport",
     "coupled_delta",
     "profile",
-    "m_dependent_approx",
     "check_conditions",
 ]
 
@@ -230,54 +228,6 @@ def profile(
         tail_remainder=tail_remainder,
         reps=reps,
     )
-
-
-def m_dependent_approx(
-    model: ProcessModel,
-    m: int,
-    t_len: int,
-    seed,
-    inner_reps: int = 200,
-) -> MultivariateSeries:
-    """The m-dependent approximation E(Z_t | eps_{t-m}, ..., eps_t).
-
-    Shares the innovation stream with ``simulate(model, t_len, seed)``, so the
-    pairwise distance ||Z_t - Ztilde_t|| is directly estimable. Linear models
-    truncate the moving-average representation exactly; nonlinear models
-    average ``inner_reps`` redraws of the pre-window innovations.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    burn = max(1000, model.decay_horizon())
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((burn + t_len, model.innov_dim))
-    if model.is_linear:
-        out = np.zeros((burn + t_len, model.n_dim))
-        for j in range(m + 1):
-            coef = model.ma_matrix(j)
-            if not np.any(coef):
-                continue
-            if j == 0:
-                out += eps @ coef.T
-            else:
-                out[j:] += eps[:-j] @ coef.T
-        return MultivariateSeries(out[burn:], centered=False)
-    if inner_reps < 50:
-        raise InsufficientInnerReps(
-            f"nonlinear conditional expectation needs inner_reps >= 50, got {inner_reps}"
-        )
-    lead = model.decay_horizon()
-    inner_rng = np.random.default_rng([int(seed), 0x1D])
-    values = np.empty((t_len, model.n_dim))
-    for t in range(t_len):
-        idx = burn + t
-        window = eps[max(idx - m, 0) : idx + 1]
-        redraw = inner_rng.standard_normal((inner_reps, lead, model.innov_dim))
-        stacked = np.concatenate(
-            [redraw, np.broadcast_to(window, (inner_reps, *window.shape))], axis=1
-        )
-        values[t] = model.path(stacked)[:, -1, :].mean(axis=0)
-    return MultivariateSeries(values, centered=False)
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,6 @@ class BandUndefined(SpecbandError):
     """Band half-width is undefined: negative under the root, or overflowing."""
 
 
-class InsufficientInnerReps(SpecbandError):
-    """Nonlinear conditional-expectation approximation needs more redraws."""
-
-
 class InvalidPlan(SpecbandError):
     """Monte Carlo experiment plan violates its validity constraints."""
 

@@ -66,7 +66,6 @@ class ProcessModel:
 
     kind: str = "abstract"
     has_closed_form: bool = False
-    is_linear: bool = False
 
     @property
     def n_dim(self) -> int:
@@ -90,10 +89,6 @@ class ProcessModel:
     def spectral_density(self, freqs) -> np.ndarray:
         raise UnsupportedModel(f"model {self.kind!r} has no closed-form spectrum")
 
-    def ma_matrix(self, j: int) -> np.ndarray:
-        """Coefficient of innovation eps_{t-j} for linear models."""
-        raise UnsupportedModel(f"model {self.kind!r} is not linear")
-
     def simulate_values(self, t_len: int, rng: np.random.Generator) -> np.ndarray:
         burn = max(1000, self.decay_horizon())
         eps = rng.standard_normal((burn + t_len, self.innov_dim))
@@ -110,7 +105,6 @@ class WhiteNoise(ProcessModel):
     sigma: np.ndarray = field(default_factory=lambda: np.eye(1))
     kind = "white_noise"
     has_closed_form = True
-    is_linear = True
 
     def __post_init__(self):
         from scipy.linalg import cholesky
@@ -139,11 +133,6 @@ class WhiteNoise(ProcessModel):
         flat = self.sigma.astype(complex) / _TWO_PI
         return np.broadcast_to(flat, (freqs.size, *flat.shape)).copy()
 
-    def ma_matrix(self, j):
-        if j == 0:
-            return self._chol.copy()
-        return np.zeros_like(self.sigma)
-
 
 @dataclass(frozen=True, eq=False)
 class VAR1(ProcessModel):
@@ -153,7 +142,6 @@ class VAR1(ProcessModel):
     sigma: np.ndarray | None = None
     kind = "var1"
     has_closed_form = True
-    is_linear = True
 
     def __post_init__(self):
         import scipy.signal  # noqa: F401  (for path; see the module docstring)
@@ -221,9 +209,6 @@ class VAR1(ProcessModel):
             out[k] = h.conj() @ self.sigma @ h.T / _TWO_PI
         return out
 
-    def ma_matrix(self, j):
-        return np.linalg.matrix_power(self.coeff, j) @ self._chol
-
 
 class AR1Scalar(VAR1):
     """Scalar AR(1): Z_t = phi Z_{t-1} + eps_t, eps_t ~ N(0, sigma2)."""
@@ -249,7 +234,6 @@ class VMA(ProcessModel):
     sigma: np.ndarray | None = None
     kind = "vma"
     has_closed_form = True
-    is_linear = True
 
     def __post_init__(self):
         from scipy.linalg import cholesky
@@ -310,11 +294,6 @@ class VMA(ProcessModel):
             )
             out[idx] = b_lam.conj() @ self.sigma @ b_lam.T / _TWO_PI
         return out
-
-    def ma_matrix(self, j):
-        if j < len(self.coeffs):
-            return self.coeffs[j] @ self._chol
-        return np.zeros((self.n_dim, self.n_dim))
 
 
 @dataclass(frozen=True, eq=False)

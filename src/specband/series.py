@@ -115,10 +115,21 @@ def _bulk_parse(path, has_header: bool):
     if has_header:  # loadtxt skipped one line: was that line the whole header?
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
+            header = next(_checked(reader), [])
             if reader.line_num != 1 or len(header) != values.shape[1]:
                 return None
     return values
+
+
+def _checked(reader):
+    """The rows of a csv.reader, with a line it cannot split (such as one with
+    a cell over the reader's field limit) raised as a ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(
+            f"row {reader.line_num} is not readable CSV: {exc}", row=reader.line_num
+        ) from None
 
 
 def _parse_cells(path, has_header: bool) -> np.ndarray:
@@ -131,7 +142,7 @@ def _parse_cells(path, has_header: bool) -> np.ndarray:
     width = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for row_idx, cells in enumerate(reader, start=1):
+        for row_idx, cells in enumerate(_checked(reader), start=1):
             if has_header and row_idx == 1:
                 width = len(cells)
                 continue

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specband.acov import AutocovSequence, autocov_matrices, expected_autocov, sample_autocov
 from specband.errors import (
@@ -42,6 +44,9 @@ def test_lag_out_of_range():
     s = _series([[1.0], [-1.0], [2.0], [-2.0]])
     with pytest.raises(LagOutOfRange):
         sample_autocov(s, 4)  # max_lag beyond T-1
+    for max_lag in (-1, 4):
+        with pytest.raises(LagOutOfRange):
+            autocov_matrices(s.values, max_lag)
     acov = sample_autocov(s, 2)
     with pytest.raises(LagOutOfRange):
         acov.lag(3)
@@ -57,6 +62,67 @@ def test_autocov_matrices_matches_definition():
             np.outer(values[t], values[t + u]) for t in range(t_len - u)
         ) / t_len
         np.testing.assert_allclose(stack[u], manual, atol=1e-12)
+
+
+def _per_lag_autocov(values, max_lag):
+    """Oracle: one (T-u, n)' @ (T-u, n) product per lag."""
+    t_len = values.shape[0]
+    out = np.empty((max_lag + 1, values.shape[1], values.shape[1]))
+    for u in range(max_lag + 1):
+        out[u] = values[: t_len - u].T @ values[u:] / t_len
+    return out
+
+
+def _assert_matches_per_lag(values, max_lag):
+    got = autocov_matrices(values, max_lag)
+    want = _per_lag_autocov(values, max_lag)
+    assert got.shape == want.shape
+    # normwise relative gap; only the summation order differs
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+@pytest.mark.parametrize(
+    "t_len, max_lag",
+    [
+        (3, 0),
+        (3, 2),
+        (17, 16),
+        (129, 128),
+        (1000, 999),
+        (4096, 28),
+        (4096, 167),
+        (16384, 49),
+        (16384, 291),
+        (65536, 507),
+        (70001, 300),
+    ],
+)
+def test_autocov_matrices_matches_per_lag_oracle(t_len, max_lag, n_dim):
+    rng = np.random.default_rng([t_len, max_lag, n_dim])
+    _assert_matches_per_lag(rng.standard_normal((t_len, n_dim)), max_lag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_len=st.integers(1, 400),
+    n_dim=st.integers(1, 40),
+    lag_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_autocov_matrices_matches_per_lag_oracle_over_shapes(t_len, n_dim, lag_frac, seed):
+    values = np.random.default_rng(seed).standard_normal((t_len, n_dim))
+    _assert_matches_per_lag(values, round(lag_frac * (t_len - 1)))
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+@pytest.mark.parametrize("t_len, max_lag", [(129, 128), (4096, 167), (70001, 300)])
+def test_autocov_matrices_ignores_memory_layout(t_len, max_lag, n_dim):
+    wide = np.random.default_rng(2).standard_normal((t_len, n_dim + 2))
+    sliced = wide[:, 1 : n_dim + 1]
+    want = autocov_matrices(np.ascontiguousarray(sliced), max_lag)
+    for values in (np.asfortranarray(sliced), sliced):
+        np.testing.assert_array_equal(autocov_matrices(values, max_lag), want)
 
 
 def test_expected_autocov_white_noise():

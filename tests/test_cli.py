@@ -74,8 +74,18 @@ def test_estimate_bad_data_exit_1(tmp_path, capsys):
             "InsufficientData: need at least 2 data rows, got 0 (data starts at row 2)",
         ),
         ("1,2\n3,x\n5,6\n", [], "ParseError: non-numeric cell 'x' at row 2, col 2"),
+        (
+            "h" * 140_000 + ",b\n1,2\n3,4\n",
+            ["--has-header"],
+            "ParseError: row 1 is not readable CSV: field larger than field limit (131072)",
+        ),
+        (
+            "1,2\n" + "x" * 140_000 + ",3\n5,6\n",
+            [],
+            "ParseError: row 2 is not readable CSV: field larger than field limit (131072)",
+        ),
     ],
-    ids=["empty", "header-only", "non-numeric"],
+    ids=["empty", "header-only", "non-numeric", "oversized-header", "oversized-cell"],
 )
 def test_rejected_csv_exit_1_with_one_error_line(command, text, flags, message, tmp_path, capsys):
     path = tmp_path / "x.csv"

@@ -6,11 +6,10 @@ import pytest
 from specband.dependence import (
     check_conditions,
     coupled_delta,
-    m_dependent_approx,
     profile,
 )
-from specband.errors import DecayFitWarning, InsufficientInnerReps
-from specband.models import AR1Scalar, ThresholdAR1, WhiteNoise, simulate
+from specband.errors import DecayFitWarning
+from specband.models import AR1Scalar, WhiteNoise
 
 SQRT2 = math.sqrt(2.0)
 
@@ -86,51 +85,6 @@ def test_profile_validation():
         profile(WhiteNoise(), 2.0, horizon=2, reps=500, seed=0)
     with pytest.raises(ValueError):
         profile(WhiteNoise(), 2.0, horizon=8, reps=50, seed=0)
-
-
-def test_m_dependent_linear_truncation():
-    # ar1 phi=0.5, m=2: Ztilde_t = eps_t + 0.5 eps_{t-1} + 0.25 eps_{t-2};
-    # ||Z_0 - Ztilde_0||_2 = sqrt(sum_{j>2} 0.25^j) in closed form
-    model = AR1Scalar(0.5)
-    t_len = 2**16
-    full = simulate(model, t_len, seed=7)
-    approx = m_dependent_approx(model, 2, t_len, seed=7)
-    diff = full.values - approx.values
-    sample_l2 = math.sqrt(float((diff**2).mean()))
-    closed = math.sqrt(0.25**3 / (1.0 - 0.25))
-    assert sample_l2 == pytest.approx(closed, rel=0.05)
-
-
-def test_m_dependent_m0_white_noise_exact():
-    model = WhiteNoise()
-    full = simulate(model, 256, seed=8)
-    approx = m_dependent_approx(model, 0, 256, seed=8)
-    np.testing.assert_array_equal(full.values, approx.values)
-
-
-def test_m_dependent_distance_decreases_in_m():
-    model = AR1Scalar(0.5)
-    t_len = 2**12
-    full = simulate(model, t_len, seed=9)
-    dists = []
-    for m in (0, 2, 4, 8):
-        approx = m_dependent_approx(model, m, t_len, seed=9)
-        dists.append(float(((full.values - approx.values) ** 2).mean()))
-    assert all(a > b for a, b in zip(dists, dists[1:]))
-    # geometric decay: each extra pair of lags cuts the L2 gap by phi^2
-    assert dists[-1] < 1e-4 * dists[0]
-
-
-def test_m_dependent_nonlinear_inner_reps_floor():
-    with pytest.raises(InsufficientInnerReps):
-        m_dependent_approx(ThresholdAR1(0.4, 0.2), 1, 16, seed=0, inner_reps=10)
-
-
-def test_m_dependent_nonlinear_runs():
-    model = ThresholdAR1(0.5, -0.5)
-    approx = m_dependent_approx(model, 3, 8, seed=1, inner_reps=64)
-    assert approx.t_len == 8
-    assert np.all(np.isfinite(approx.values))
 
 
 def test_check_conditions_ar1_geometric_pass():
