@@ -5,7 +5,7 @@ All structured output is JSON with a schema_version field and an echo of the
 fully resolved configuration; series and plot data travel as CSV.
 
 Exit codes: 0 success, 1 domain errors (bad data, unsupported model), 2
-usage errors (bad flags or plan validation).
+usage errors (bad flags, plan validation, malformed model parameters).
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .acov import sample_autocov
 from .dependence import check_conditions, profile
-from .errors import InvalidLevel, InvalidPlan, SpecbandError, UnknownKernel
+from .errors import InvalidLevel, InvalidModel, InvalidPlan, SpecbandError, UnknownKernel
 from .inference import pointwise_ci, uniform_band
 from .kernels import get_kernel, kernel_names, tabulated_kernel
-from .mc import ExperimentPlan, run_experiment
+from .mc import ExperimentPlan, pool_size, run_experiment
 from .models import parse_model, simulate
 from .series import center, load_csv, write_csv
 from .spectral import Bandwidth, estimate_spectrum, theorem_grid
@@ -245,9 +245,10 @@ def _cmd_verify(args) -> int:
         workers=args.threads,
     )
     log.info(
-        "verify %s: numpy %s, scipy %s, reps=%d, workers=%d, seed=%d",
+        "verify %s: numpy %s, scipy %s, reps=%d, workers=%d, pool=%d processes,"
+        " seed=%d, streams default_rng([seed, cell, rep])",
         plan.experiment, np.__version__, scipy.__version__, plan.reps, plan.workers,
-        plan.seed,
+        pool_size(plan.workers), plan.seed,
     )
     report = run_experiment(plan)
     text = report.to_json(include_raw=not args.no_raw)
@@ -376,7 +377,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
-    except (UsageError, InvalidLevel, InvalidPlan, UnknownKernel) as exc:
+    except (UsageError, InvalidLevel, InvalidModel, InvalidPlan, UnknownKernel) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except SpecbandError as exc:  # before ValueError: InvalidSeries is both

@@ -42,6 +42,10 @@ class UnsupportedModel(SpecbandError):
     """The process model has no closed-form autocovariance/spectrum."""
 
 
+class InvalidModel(SpecbandError, ValueError):
+    """Model parameters are malformed, non-finite or not positive definite."""
+
+
 class NonStationaryModel(SpecbandError):
     """Model parameters violate the stationarity region."""
 

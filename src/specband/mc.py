@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -83,6 +84,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidPlan(f"unknown experiment {self.experiment!r}")
+        if self.workers < 1:
+            raise InvalidPlan(f"workers must be >= 1, got {self.workers}")
         if self.experiment != "bias_rate" and self.reps < 100:
             raise InvalidPlan(f"reps must be >= 100, got {self.reps}")
         t_grid = tuple(int(t) for t in self.t_grid)
@@ -178,13 +181,20 @@ def _rep_estimate(common, rep: int) -> np.ndarray:
     return estimate_matrices(stack, kernel, b_val, freqs)
 
 
+def pool_size(workers: int) -> int:
+    """Processes the pool starts: at most os.cpu_count(), and 0 (serial) below 2."""
+    size = min(workers, os.cpu_count() or 1)
+    return size if size > 1 else 0
+
+
 def _run_reps(model, kernel, t_len, b_val, freqs, seed, cell, reps, workers):
     common = (model, kernel, t_len, b_val, freqs, seed, cell)
-    if workers <= 1:
+    size = pool_size(workers)
+    if not size:
         results = [_rep_estimate(common, r) for r in range(reps)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, reps // (workers * 8))
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            chunk = max(1, reps // (size * 8))
             results = list(
                 pool.map(partial(_rep_estimate, common), range(reps), chunksize=chunk)
             )

@@ -7,17 +7,21 @@ which is what the dependence-measure couplings need; ``simulate`` adds a burn
 
 VAR(1) paths are an exact linear filter with no loop over time. The complex
 Schur form A = U S U^H is computed once per model, so y_t = U^H Z_t obeys
-y_t = S y_{t-1} + U^H w_t with S upper triangular. Row i of that recursion
-is a first-order filter (``lfilter``) fed by the rows j > i at lag 1, so the
-rows are solved from last to first along the time axis, and Z_t = Re(U y_t).
-The mixing by U and U^H is written as elementwise sums over the n columns,
-which keeps every replication's arithmetic independent of the batch around
-it. For a 1x1 A the filter is the scalar AR(1) recursion.
+y_t = S y_{t-1} + U^H w_t with S upper triangular. Row i of that recursion,
+y_t - S_ii y_{t-1} = drive_t with the rows j > i at lag 1 in the drive, is a
+unit lower-bidiagonal system in time: one LAPACK banded triangular solve
+(``ztbtrs``) with the replications as right-hand sides. Rows are solved from
+last to first, and Z_t = Re(U y_t). The mixing by U and U^H is written as
+elementwise sums over the n columns, which keeps every replication's
+arithmetic independent of the batch around it. For a 1x1 A the solve is the
+scalar AR(1) recursion bit for bit; with complex poles LAPACK may fuse each
+multiply-add, so paths differ from a two-rounding filter such as
+``scipy.signal.lfilter`` in the last bits (about 2e-16 relative).
 
-scipy is imported where it is called, so importing the package loads numpy
-alone: ``scipy.linalg`` in the constructors, ``lfilter`` in ``VAR1.path``.
-``VAR1`` also imports ``scipy.signal`` at construction: the Monte Carlo pool
-forks its workers after the model is built, so they inherit the module.
+Covariances are factored by numpy's Cholesky; bad parameters raise
+``InvalidModel`` at construction. scipy is imported where it is called, so
+importing the package loads numpy alone, and only ``VAR1`` loads
+``scipy.linalg`` (Schur form, Lyapunov solve, banded solve).
 
 Linear models (white noise, scalar AR(1), VAR(1), VMA) expose closed-form
 autocovariances Gamma(u) and spectral densities; the threshold AR model is
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonStationaryModel, UnsupportedModel
+from .errors import InvalidModel, NonStationaryModel, UnsupportedModel
 from .series import MultivariateSeries
 
 __all__ = [
@@ -51,14 +55,20 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _as_cov(sigma, n):
+    """The innovation covariance as an (n, n) array, and its lower Cholesky factor."""
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if sigma.shape == (1, 1) and n > 1:
         sigma = sigma[0, 0] * np.eye(n)
-    if sigma.shape != (n, n):
-        raise ValueError(f"innovation covariance must be {n}x{n}")
+    if n < 1 or sigma.shape != (n, n):
+        raise InvalidModel(f"innovation covariance must be {n}x{n} with n >= 1")
+    if not np.all(np.isfinite(sigma)):
+        raise InvalidModel("innovation covariance must be finite")
     if not np.allclose(sigma, sigma.T):
-        raise ValueError("innovation covariance must be symmetric")
-    return sigma
+        raise InvalidModel("innovation covariance must be symmetric")
+    try:
+        return sigma, np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise InvalidModel("innovation covariance must be positive definite") from None
 
 
 class ProcessModel:
@@ -107,11 +117,9 @@ class WhiteNoise(ProcessModel):
     has_closed_form = True
 
     def __post_init__(self):
-        from scipy.linalg import cholesky
-
-        sigma = _as_cov(self.sigma, np.atleast_2d(self.sigma).shape[0])
+        sigma, chol = _as_cov(self.sigma, np.atleast_2d(self.sigma).shape[0])
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", cholesky(sigma, lower=True))
+        object.__setattr__(self, "_chol", chol)
 
     @property
     def n_dim(self):
@@ -144,21 +152,20 @@ class VAR1(ProcessModel):
     has_closed_form = True
 
     def __post_init__(self):
-        import scipy.signal  # noqa: F401  (for path; see the module docstring)
-        from scipy.linalg import cholesky, schur, solve_discrete_lyapunov
+        from scipy.linalg import schur, solve_discrete_lyapunov
 
         coeff = np.atleast_2d(np.asarray(self.coeff, dtype=float))
         n = coeff.shape[0]
-        if coeff.shape != (n, n):
-            raise ValueError("VAR(1) coefficient must be square")
+        if coeff.shape != (n, n) or not np.all(np.isfinite(coeff)):
+            raise InvalidModel("VAR(1) coefficient must be a finite square matrix")
+        sigma, chol = _as_cov(self.sigma if self.sigma is not None else np.eye(n), n)
         tri, unitary = schur(coeff, output="complex")
         radius = np.max(np.abs(np.diag(tri)))
         if radius >= 1.0:
             raise NonStationaryModel(f"VAR(1) spectral radius {radius:.4f} >= 1")
-        sigma = _as_cov(self.sigma if self.sigma is not None else np.eye(n), n)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", cholesky(sigma, lower=True))
+        object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_schur", (tri, unitary))
         object.__setattr__(self, "_radius", float(radius))
         object.__setattr__(
@@ -175,17 +182,25 @@ class VAR1(ProcessModel):
         return int(np.ceil(np.log(tol) / np.log(self._radius))) + 1
 
     def path(self, eps):
-        from scipy.signal import lfilter
+        from scipy.linalg.lapack import ztbtrs  # not stored: the pool pickles models
 
         tri, unitary = self._schur
         n = self.n_dim
         w = eps @ self._chol.T
+        steps = w.shape[-2]
+        band = np.ones((2, steps), dtype=complex)  # unit diagonal, then -S_ii below
         y = [None] * n  # y[i]: (..., steps) complex, time on the last axis
         for i in reversed(range(n)):
             drive = sum(unitary[k, i].conjugate() * w[..., k] for k in range(n))
             for j in range(i + 1, n):
                 drive[..., 1:] += tri[i, j] * y[j][..., :-1]
-            y[i] = lfilter([1.0], [1.0, -tri[i, i]], drive, axis=-1)
+            band[1] = -tri[i, i]
+            sol, info = ztbtrs(  # overwrites drive, a temporary, in place
+                band, drive.reshape(-1, steps).T, uplo="L", diag="U", overwrite_b=1
+            )
+            if info != 0:
+                raise np.linalg.LinAlgError(f"banded solve failed (info={info})")
+            y[i] = sol.T.reshape(drive.shape)
         out = np.empty_like(w)
         for k in range(n):
             out[..., k] = sum(
@@ -216,6 +231,8 @@ class AR1Scalar(VAR1):
     kind = "ar1_scalar"
 
     def __init__(self, phi: float, sigma2: float = 1.0):
+        if not np.isfinite(phi):
+            raise InvalidModel(f"AR(1) needs a finite phi, got {phi}")
         if not abs(phi) < 1.0:
             raise NonStationaryModel(f"AR(1) needs |phi| < 1, got {phi}")
         super().__init__(coeff=np.array([[phi]]), sigma=np.array([[sigma2]]))
@@ -236,21 +253,19 @@ class VMA(ProcessModel):
     has_closed_form = True
 
     def __post_init__(self):
-        from scipy.linalg import cholesky
-
         coeffs = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in self.coeffs)
         if not coeffs:
-            raise ValueError("VMA needs at least one coefficient matrix")
+            raise InvalidModel("VMA needs at least one coefficient matrix")
         n = coeffs[0].shape[0]
         for b in coeffs:
             if b.shape != (n, n):
-                raise ValueError("all VMA coefficient matrices must be square, same size")
+                raise InvalidModel("all VMA coefficient matrices must be square, same size")
             if not np.all(np.isfinite(b)):
-                raise ValueError("VMA coefficients must be finite")
-        sigma = _as_cov(self.sigma if self.sigma is not None else np.eye(n), n)
+                raise InvalidModel("VMA coefficients must be finite")
+        sigma, chol = _as_cov(self.sigma if self.sigma is not None else np.eye(n), n)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", cholesky(sigma, lower=True))
+        object.__setattr__(self, "_chol", chol)
 
     @property
     def n_dim(self):
@@ -306,6 +321,8 @@ class ThresholdAR1(ProcessModel):
     kind = "threshold_ar1"
 
     def __post_init__(self):
+        if not (np.isfinite([self.a, self.b]).all() and 0.0 < self.sigma2 < np.inf):
+            raise InvalidModel("threshold AR needs finite a, b and 0 < sigma2 < inf")
         contraction = max(abs(self.a), abs(self.b))
         if contraction >= 1.0:
             raise NonStationaryModel(
@@ -371,19 +388,21 @@ def parse_model(text: str) -> ProcessModel:
     if head in ("white", "white_noise", "wn"):
         kv = _parse_kv(body)
         dim = int(kv.get("dim", 1))
+        if dim < 1:
+            raise InvalidModel(f"white noise needs dim >= 1, got {dim}")
         sigma2 = float(kv.get("sigma2", 1.0))
         return WhiteNoise(sigma=sigma2 * np.eye(dim))
     if head == "ar1":
         kv = _parse_kv(body)
         if "phi" not in kv:
-            raise ValueError("ar1 model needs phi=, e.g. ar1:phi=0.5")
+            raise InvalidModel("ar1 model needs phi=, e.g. ar1:phi=0.5")
         return AR1Scalar(phi=float(kv["phi"]), sigma2=float(kv.get("sigma2", 1.0)))
     if head == "var1":
         if body.strip() == "default":
             return default_var1()
         kv = _parse_kv(body)
         if "file" not in kv:
-            raise ValueError("var1 model needs file=A.csv (or var1:default)")
+            raise InvalidModel("var1 model needs file=A.csv (or var1:default)")
         coeff = np.loadtxt(kv["file"], delimiter=",", ndmin=2)
         sigma = (
             np.loadtxt(kv["sigma"], delimiter=",", ndmin=2) if "sigma" in kv else None
@@ -393,7 +412,7 @@ def parse_model(text: str) -> ProcessModel:
         kv = _parse_kv(body)  # file paths are ;-separated, commas split options
         files = kv.get("file", "")
         if not files:
-            raise ValueError("vma model needs file=B0.csv;B1.csv;...")
+            raise InvalidModel("vma model needs file=B0.csv;B1.csv;...")
         coeffs = tuple(
             np.loadtxt(f, delimiter=",", ndmin=2) for f in files.split(";") if f
         )
@@ -404,8 +423,8 @@ def parse_model(text: str) -> ProcessModel:
     if head == "tar":
         kv = _parse_kv(body)
         if "a" not in kv or "b" not in kv:
-            raise ValueError("tar model needs a= and b=")
+            raise InvalidModel("tar model needs a= and b=")
         return ThresholdAR1(
             a=float(kv["a"]), b=float(kv["b"]), sigma2=float(kv.get("sigma2", 1.0))
         )
-    raise ValueError(f"unknown model {text!r}")
+    raise InvalidModel(f"unknown model {text!r}")

@@ -231,6 +231,46 @@ def test_simulate_bad_model_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+_BAD_MODELS = [
+    ("white:sigma2=0", "positive definite"),
+    ("white:sigma2=-1", "positive definite"),
+    ("white:sigma2=nan", "finite"),
+    ("white:dim=0", "dim >= 1"),
+    ("ar1:phi=0.5,sigma2=0", "positive definite"),
+    ("ar1:phi=nan", "finite phi"),
+    ("tar:a=0.5,b=nan", "finite a, b"),
+    ("tar:a=0.5,b=0.2,sigma2=0", "0 < sigma2"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "depmeasure"])
+@pytest.mark.parametrize("model, message", _BAD_MODELS)
+def test_invalid_model_exit_2_with_one_error_line(command, model, message, tmp_path, capsys):
+    argv = {
+        "simulate": ["simulate", "--t-len", "64", "--out", str(tmp_path / "x.csv")],
+        "verify": ["verify", "--experiment", "gumbel", "--t-grid", "64", "--reps", "100"],
+        "depmeasure": ["depmeasure", "--horizon", "4", "--reps", "50"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach the user's stderr
+        code = main([*argv, "--model", model])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidModel: ") and message in err[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_verify_threads_below_one_exit_2(threads, capsys):
+    code = main(
+        ["verify", "--experiment", "gumbel", "--t-grid", "64", "--reps", "100",
+         "--threads", threads]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: InvalidPlan: workers must be >= 1, got {threads}"]
+
+
 def test_depmeasure(capsys):
     code, payload = _run_json(
         capsys,

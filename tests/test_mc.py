@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from scipy.stats import gumbel_r, kstest, norm
 
 from specband.errors import InvalidPlan, UnsupportedModel
 from specband.inference import gumbel_cdf
+from specband import mc
+from specband.cli import main
 from specband.mc import (
     ExperimentPlan,
     _ks_statistic,
     gumbel_abs_norm,
     gumbel_mean,
+    pool_size,
     run_experiment,
 )
 
@@ -39,6 +43,8 @@ def test_plan_validation():
         dict(experiment="uniform_rate", nu=0.5),
         dict(experiment="clt", t_grid=(2, 512)),
         dict(experiment="clt", t_grid=()),
+        dict(experiment="clt", workers=0),
+        dict(experiment="clt", workers=-2),
     ],
 )
 def test_plan_rejects_out_of_range_fields(fields):
@@ -206,6 +212,51 @@ def test_determinism_across_worker_counts():
     r1 = run_experiment(ExperimentPlan(**base, workers=1))
     r2 = run_experiment(ExperimentPlan(**base, workers=3))
     assert r1.to_json() == r2.to_json()
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that records its size and forks nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, expected",
+    [(3, 10**6, [3, 3]), (3, 2, [2, 2]), (1, 8, []), (None, 8, []), (4, 1, [])],
+)
+def test_pool_is_capped_at_cpu_count(monkeypatch, cpus, workers, expected):
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    base = dict(experiment="clt", model_spec="white", t_grid=(64, 128), reps=100, seed=7)
+    report = run_experiment(ExperimentPlan(**base, workers=workers))
+    assert _RecordingPool.sizes == expected  # one pool per cell, or serial
+    assert pool_size(workers) == (expected[0] if expected else 0)
+    assert report.to_json() == run_experiment(ExperimentPlan(**base)).to_json()
+
+
+def test_verify_logs_the_pool_it_starts(monkeypatch, caplog, tmp_path):
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    caplog.set_level(logging.INFO, logger="specband")
+    argv = ["verify", "--experiment", "gumbel", "--t-grid", "64", "--reps", "100",
+            "--threads", "1000", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert "workers=1000, pool=3 processes" in caplog.messages[0]
+    assert _RecordingPool.sizes == [3]
 
 
 def test_bias_rate_truncated_and_bartlett():

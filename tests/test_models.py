@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from specband.errors import NonStationaryModel, UnsupportedModel
+from specband.errors import InvalidModel, NonStationaryModel, UnsupportedModel
 from specband.models import (
     AR1Scalar,
     ThresholdAR1,
@@ -86,6 +86,29 @@ def test_var1_rejects_explosive():
         VAR1(coeff=np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(NonStationaryModel):
         AR1Scalar(1.01)
+
+
+_NOT_PD = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: WhiteNoise(sigma=np.full((2, 2), np.nan)), "finite"),  # not "symmetric"
+        (lambda: WhiteNoise(sigma=np.array([[1.0, 0.5], [0.0, 1.0]])), "symmetric"),
+        (lambda: WhiteNoise(sigma=np.zeros((0, 0))), "n >= 1"),
+        (lambda: WhiteNoise(sigma=_NOT_PD), "positive definite"),
+        (lambda: VAR1(coeff=0.5 * np.eye(2), sigma=_NOT_PD), "positive definite"),
+        (lambda: VAR1(coeff=np.array([[0.5, np.inf], [0.0, 0.5]])), "finite square"),
+        (lambda: VAR1(coeff=np.ones((2, 3))), "finite square"),
+        (lambda: VMA((np.eye(2),), sigma=np.eye(3)), "2x2"),
+        (lambda: VMA((np.eye(2),), sigma=-np.eye(2)), "positive definite"),
+        (lambda: ThresholdAR1(0.5, 0.2, sigma2=-1.0), "0 < sigma2"),
+    ],
+)
+def test_invalid_parameters_raise_at_construction(build, message):
+    with pytest.raises(InvalidModel, match=message):
+        build()
 
 
 def test_vma_gamma_hand_value():

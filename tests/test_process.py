@@ -62,9 +62,31 @@ assert main(["bands", "--input", path, "--output", path + ".bands.json"]) == 0
     assert "signal" not in loaded
 
 
-def test_var1_construction_loads_signal_for_forked_workers():
-    code = "from specband.models import parse_model\nparse_model('var1:default')"
-    assert "signal" in _scipy_submodules(code)
+def test_var1_and_ar1_load_neither_signal_nor_stats(tmp_path):
+    out = str(tmp_path / "cov.json")
+    code = f"""
+from specband.cli import main
+from specband.models import parse_model
+
+parse_model('var1:default').path(__import__('numpy').zeros((5, 2)))
+parse_model('ar1:phi=0.5')
+assert main(["verify", "--experiment", "coverage", "--model", "var1:default",
+             "--t-grid", "64,128", "--reps", "100", "--out", {out!r}]) == 0
+"""
+    loaded = _scipy_submodules(code)
+    assert "linalg" in loaded  # the Schur form and the banded solve
+    assert "signal" not in loaded
+    assert "stats" not in loaded
+
+
+def test_white_noise_and_vma_construction_load_no_scipy_submodule():
+    code = (
+        "import numpy as np\n"
+        "from specband.models import VMA, parse_model\n"
+        "parse_model('white:dim=2').path(np.zeros((5, 2)))\n"
+        "VMA((np.eye(2), 0.5 * np.eye(2)), sigma=np.eye(2) + 0.1).path(np.zeros((5, 2)))"
+    )
+    assert _scipy_submodules(code) == set()
 
 
 def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):
@@ -81,7 +103,8 @@ def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):
     info = [line for line in errs[0].splitlines() if line.startswith("INFO:")]
     assert len(info) == 3  # the run's configuration, then one line per cell
     assert "numpy" in info[0] and "scipy" in info[0] and "reps=100" in info[0]
-    assert "workers=1" in info[0] and "seed=3" in info[0]
+    assert "workers=1" in info[0] and "pool=0 processes" in info[0] and "seed=3" in info[0]
+    assert "streams default_rng([seed, cell, rep])" in info[0]
     assert "T=64 B=" in info[1] and "T=128 B=" in info[2]
     assert not any(line.startswith("INFO:") for line in errs[1].splitlines())
 
