@@ -383,6 +383,15 @@ def parse_model(text: str) -> ProcessModel:
     ``var1:file=A.csv,sigma=S.csv`` (or ``var1:default``),
     ``vma:file=B0.csv;B1.csv[,sigma=S.csv]``, ``tar:a=0.5,b=-0.3[,sigma2=1]``.
     """
+    try:
+        return _parse_model(text)
+    except InvalidModel:
+        raise
+    except ValueError as exc:  # a non-numeric parameter or matrix file entry
+        raise InvalidModel(f"model {text!r}: {exc}") from None
+
+
+def _parse_model(text: str) -> ProcessModel:
     head, _, body = text.partition(":")
     head = head.strip().lower()
     if head in ("white", "white_noise", "wn"):

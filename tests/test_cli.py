@@ -240,6 +240,8 @@ _BAD_MODELS = [
     ("ar1:phi=nan", "finite phi"),
     ("tar:a=0.5,b=nan", "finite a, b"),
     ("tar:a=0.5,b=0.2,sigma2=0", "0 < sigma2"),
+    ("ar1:phi=abc", "could not convert"),
+    ("white:dim=1.5", "invalid literal"),
 ]
 
 
