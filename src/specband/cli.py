@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .acov import sample_autocov
 from .dependence import check_conditions, profile
-from .errors import InvalidLevel, InvalidModel, InvalidPlan, SpecbandError, UnknownKernel
+from .errors import InvalidBandwidth, InvalidLevel, InvalidModel, InvalidPlan
+from .errors import SpecbandError, UnknownKernel
 from .inference import pointwise_ci, uniform_band
 from .kernels import get_kernel, kernel_names, tabulated_kernel
 from .mc import ExperimentPlan, pool_size, run_experiment
@@ -73,10 +74,6 @@ def _resolve_kernel(name: str):
     return get_kernel(name)
 
 
-def _load_centered(path: str, has_header: bool):
-    return center(load_csv(path, has_header=has_header))
-
-
 def _parse_grid(spec: str, bandwidth: Bandwidth):
     if spec == "theorem":
         return theorem_grid(bandwidth)
@@ -111,13 +108,18 @@ def _parse_entries(spec: str, n: int):
     return entries
 
 
-def _cmd_estimate(args) -> int:
-    series = _load_centered(args.input, args.has_header)
+def _estimate_input(args, grid_spec: str):
+    """(kernel, estimate) of the centered --input series on the named grid."""
+    series = center(load_csv(args.input, has_header=args.has_header))
     kernel = _resolve_kernel(args.kernel)
     bandwidth = Bandwidth(series.t_len, args.b_exponent, args.c_const)
-    freqs = _parse_grid(args.grid, bandwidth)
-    acov = sample_autocov(series, min(bandwidth.value, series.t_len - 1))
-    grid = estimate_spectrum(acov, kernel, bandwidth, freqs)
+    freqs = _parse_grid(grid_spec, bandwidth)
+    acov = sample_autocov(series, bandwidth.value)
+    return kernel, estimate_spectrum(acov, kernel, bandwidth, freqs)
+
+
+def _cmd_estimate(args) -> int:
+    _, grid = _estimate_input(args, args.grid)
     payload = grid.to_dict()
     payload["config"] = {
         "input": args.input,
@@ -132,13 +134,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bands(args) -> int:
-    series = _load_centered(args.input, args.has_header)
-    kernel = _resolve_kernel(args.kernel)
-    bandwidth = Bandwidth(series.t_len, args.b_exponent, args.c_const)
-    freqs = theorem_grid(bandwidth)
-    acov = sample_autocov(series, min(bandwidth.value, series.t_len - 1))
-    grid = estimate_spectrum(acov, kernel, bandwidth, freqs)
-    entries = _parse_entries(args.entries, series.n_dim)
+    kernel, grid = _estimate_input(args, "theorem")
+    entries = _parse_entries(args.entries, grid.n_dim)
     config = {
         "input": args.input,
         "kernel": args.kernel,
@@ -156,12 +153,12 @@ def _cmd_bands(args) -> int:
     else:
         out = []
         for i, j in entries:
-            lowers, uppers = pointwise_ci(grid, kernel, args.level, (i, j), freqs)
+            lowers, uppers = pointwise_ci(grid, kernel, args.level, (i, j), grid.freqs)
             out.append(
                 {
                     "i": i + 1,
                     "j": j + 1,
-                    "freqs": [float(f) for f in freqs],
+                    "freqs": [float(f) for f in grid.freqs],
                     "estimate_re": [float(v) for v in grid.entry(i, j).real],
                     "estimate_im": [float(v) for v in grid.entry(i, j).imag],
                     "lower": lowers,
@@ -377,7 +374,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
-    except (UsageError, InvalidLevel, InvalidModel, InvalidPlan, UnknownKernel) as exc:
+    except (UsageError, InvalidBandwidth, InvalidLevel, InvalidModel, InvalidPlan,
+            UnknownKernel) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except SpecbandError as exc:  # before ValueError: InvalidSeries is both

@@ -41,9 +41,9 @@ def _coupled_differences(model: ProcessModel, horizon: int, reps: int, seed):
     lead = model.decay_horizon()
     steps = lead + horizon + 1
     rng = np.random.default_rng([int(seed), 0x5D])
-    eps = rng.standard_normal((reps, steps, model.innov_dim))
+    eps = rng.standard_normal((reps, steps, model.n_dim))
     eps_star = eps.copy()
-    eps_star[:, lead, :] = rng.standard_normal((reps, model.innov_dim))
+    eps_star[:, lead, :] = rng.standard_normal((reps, model.n_dim))
     base = model.path(eps)[:, lead:, :]
     coupled = model.path(eps_star)[:, lead:, :]
     return np.abs(base - coupled)

@@ -34,6 +34,10 @@ class LagOutOfRange(SpecbandError):
     """Requested autocovariance lag is >= T."""
 
 
+class InvalidBandwidth(SpecbandError, ValueError):
+    """Bandwidth exponent outside (0, 1), or a constant not finite and positive."""
+
+
 class BandwidthTooLarge(SpecbandError):
     """Lag-window size must stay below the series length."""
 

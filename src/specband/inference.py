@@ -61,14 +61,17 @@ def _centering(grid_b: int) -> float:
 
 @dataclass(frozen=True)
 class MaxDeviationStat:
-    """Max over the grid of (T/B) |dev|^2 / (kappa f_ii f_jj), plus centering."""
+    """Max over the grid of (T/B) |dev|^2 / (kappa f_ii f_jj), plus centering.
+
+    For a stacked estimate the three statistics are arrays over its leading
+    axes; for a single grid they are floats.
+    """
 
     entry: tuple
     raw_max: float
     centered: float
     argmax_freq: float
     grid_size: int
-    center_mode: str
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,9 @@ def _denominators(denom: SpectralGrid, i: int, j: int) -> np.ndarray:
     f_jj = denom.entry(j, j).real
     bad = (f_ii <= 0.0) | (f_jj <= 0.0)
     if np.any(bad):
-        freq = float(denom.freqs[int(np.argmax(bad))])
+        # the first bad point in row-major order: stacked grids name the
+        # first bad frequency of the first bad replication
+        freq = float(denom.freqs[np.nonzero(bad)[-1][0]])
         raise DegenerateSpectrum(
             f"nonpositive spectral diagonal at frequency {freq:.6f}", freq=freq
         )
@@ -137,12 +142,13 @@ def max_deviation(
     denom: SpectralGrid,
     kernel: Kernel,
     entry: tuple,
-    center_mode: str = "oracle_mean",
 ) -> MaxDeviationStat:
     """The normalized maximum squared deviation over the theorem grid.
 
-    ``est``, ``center`` and ``denom`` must share the same frequency grid.
-    The squared deviation is the complex modulus, which covers cross-spectra.
+    ``est``, ``center`` and ``denom`` must share the same frequency grid;
+    ``est`` may stack replications on leading axes, and the maximum is taken
+    over the last (frequency) axis. The squared deviation is the complex
+    modulus, which covers cross-spectra.
     """
     i, j = entry
     if est.freqs.shape != center.freqs.shape or not np.allclose(
@@ -156,15 +162,13 @@ def max_deviation(
     dev2 = np.abs(est.entry(i, j) - center.entry(i, j)) ** 2
     scale = kernel.kappa * _denominators(denom, i, j)
     ratio = (est.t_len / est.bandwidth) * dev2 / scale
-    arg = int(np.argmax(ratio))
-    raw = float(ratio[arg])
+    raw = ratio.max(axis=-1)
     return MaxDeviationStat(
         entry=(i, j),
         raw_max=raw,
         centered=raw - _centering(est.bandwidth),
-        argmax_freq=float(est.freqs[arg]),
+        argmax_freq=est.freqs[ratio.argmax(axis=-1)],
         grid_size=est.freqs.size,
-        center_mode=center_mode,
     )
 
 
@@ -182,7 +186,8 @@ def uniform_band(
         sqrt( (B/T) kappa fhat_ii fhat_jj (q + 2 log B - log(pi log B)) )
 
     with q the limit-law quantile at the (possibly Bonferroni-split) level.
-    Denominators are the plug-in estimated diagonals.
+    Denominators are the plug-in estimated diagonals. A stacked ``est``
+    gives each entry's estimate and half-width with the same leading axes.
     """
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level must lie in (0, 1), got {level}")

@@ -7,12 +7,15 @@ deviation, moment convergence, the uniform moment rate, smoothing-bias decay,
 and simultaneous band coverage.
 
 All simulating experiments share one cell loop in ``run_experiment``: for
-each T in the plan's grid it builds the bandwidth, the exact centering
-E fhat on the experiment's frequency grid, and the replication estimates,
-then stores the cell's row and per-replication statistics. What differs is
-kept in the ``_EXPERIMENTS`` table: the frequency grid, the per-cell
-statistic and the verdicts. ``bias_rate`` is simulation-free and loops over
-bandwidths instead, so it has its own short loop.
+each T in the plan's grid it builds one ``_Cell`` (bandwidth and the exact
+centering E fhat on the experiment's frequency grid), runs the replications,
+and stores the cell's row and per-replication statistics. The replication
+estimates come back as one ``SpectralGrid`` stacked on a leading replication
+axis, so each statistic (``max_deviation``, ``uniform_band``) runs once per
+cell on the whole stack, through the same code that ``bands`` uses. What
+differs is kept in the ``_EXPERIMENTS`` table: the frequency grid, the
+per-cell statistic and the verdicts. ``bias_rate`` is simulation-free and
+loops over bandwidths instead, so it has its own short loop.
 
 Centering is by the exact finite-sample mean (closed form under the model),
 and autocovariances are taken on the raw simulated values without sample-mean
@@ -95,6 +98,8 @@ class ExperimentPlan:
             raise InvalidPlan("t_grid must be strictly increasing, with entries >= 3")
         if not 0.0 < self.b_exponent < 1.0:
             raise InvalidPlan("b_exponent must lie in (0, 1)")
+        if not (math.isfinite(self.c_const) and self.c_const > 0.0):
+            raise InvalidPlan("c_const must be finite and positive")
         if not 0.0 < self.level < 1.0:
             raise InvalidPlan("level must lie in (0, 1)")
         if self.nu_star < 1.0 or self.nu < 1.0:
@@ -172,13 +177,24 @@ class ExperimentReport:
         return out
 
 
-def _rep_estimate(common, rep: int) -> np.ndarray:
+class _Cell(NamedTuple):
+    """One T of the shared loop, as its replications and statistic see it."""
+
+    plan: ExperimentPlan
+    model: object
+    kernel: Kernel
+    index: int  # position in t_grid: replication r draws from (seed, index, r)
+    t_len: int
+    b_val: int
+    center: SpectralGrid  # exact mean E fhat on the experiment's grid
+
+
+def _rep_estimate(cell: _Cell, rep: int) -> np.ndarray:
     """One replication: simulate, autocovariances, lag-window estimate."""
-    model, kernel, t_len, b_val, freqs, seed, cell = common
-    rng = np.random.default_rng([seed, cell, rep])
-    values = model.simulate_values(t_len, rng)
-    stack = autocov_matrices(values, min(b_val, t_len - 1))
-    return estimate_matrices(stack, kernel, b_val, freqs)
+    rng = np.random.default_rng([cell.plan.seed, cell.index, rep])
+    values = cell.model.simulate_values(cell.t_len, rng)
+    stack = autocov_matrices(values, cell.b_val)
+    return estimate_matrices(stack, cell.kernel, cell.b_val, cell.center.freqs)
 
 
 def pool_size(workers: int) -> int:
@@ -187,18 +203,19 @@ def pool_size(workers: int) -> int:
     return size if size > 1 else 0
 
 
-def _run_reps(model, kernel, t_len, b_val, freqs, seed, cell, reps, workers):
-    common = (model, kernel, t_len, b_val, freqs, seed, cell)
-    size = pool_size(workers)
+def _run_reps(cell: _Cell) -> SpectralGrid:
+    """The cell's replication estimates, stacked as one (reps, F, n, n) grid."""
+    reps = cell.plan.reps
+    size = pool_size(cell.plan.workers)
     if not size:
-        results = [_rep_estimate(common, r) for r in range(reps)]
+        results = [_rep_estimate(cell, r) for r in range(reps)]
     else:
         with ProcessPoolExecutor(max_workers=size) as pool:
             chunk = max(1, reps // (size * 8))
             results = list(
-                pool.map(partial(_rep_estimate, common), range(reps), chunksize=chunk)
+                pool.map(partial(_rep_estimate, cell), range(reps), chunksize=chunk)
             )
-    return np.stack(results)  # (reps, F, n, n) complex
+    return replace(cell.center, matrices=np.stack(results))
 
 
 def _limit_density(x: float) -> float:
@@ -234,27 +251,11 @@ def _ks_statistic(x, cdf) -> float:
     return float(max(d_plus, np.max(cdf_vals - np.arange(0.0, n) / n)))
 
 
-class _Cell(NamedTuple):
-    """One T of the shared loop, as an experiment's statistic sees it."""
-
-    plan: ExperimentPlan
-    model: object
-    kernel: Kernel
-    t_len: int
-    b_val: int
-    center: SpectralGrid  # exact mean E fhat on the experiment's grid
-    ests: np.ndarray  # (reps, F, n, n) replication estimates on that grid
-
-    def rep_grid(self, r: int) -> SpectralGrid:
-        """Replication r's estimate on the grid of ``center``."""
-        return replace(self.center, matrices=self.ests[r])
-
-
 def _clt_grid(b_val: int) -> np.ndarray:
     return np.array([0.0, np.pi / 2.0])
 
 
-def _clt_cell(c: _Cell):
+def _clt_cell(c: _Cell, ests: SpectralGrid):
     """Standardized deviation sqrt(T/B)(fhat - E fhat)/sqrt(omega kappa
     f_ii f_jj) at 0 and pi/2; the variance ratio of the f-normalized
     deviations between them exhibits the boundary factor omega = 2 vs 1.
@@ -265,9 +266,7 @@ def _clt_cell(c: _Cell):
     reps = c.plan.reps
     freqs = c.center.freqs
     truth = c.model.spectral_density(freqs)
-    dev = np.sqrt(c.t_len / c.b_val) * (
-        c.ests[:, :, i, j] - c.center.matrices[None, :, i, j]
-    )
+    dev = np.sqrt(c.t_len / c.b_val) * (ests.entry(i, j) - c.center.entry(i, j))
     denom = c.kernel.kappa * truth[:, i, i].real * truth[:, j, j].real
     std = dev / np.sqrt(omega_factor(freqs) * denom)
     scaled = dev / np.sqrt(denom)[None, :]
@@ -294,21 +293,16 @@ def _clt_verdicts(plan, rows):
     }
 
 
-def _centered_max(c: _Cell):
+def _centered_max(c: _Cell, ests: SpectralGrid):
     """Centered and raw maximum-deviation statistics, one per replication."""
     denom = true_spectrum(c.model, c.center.freqs)
-    stats = np.empty(c.plan.reps)
-    raws = np.empty(c.plan.reps)
-    for r in range(c.plan.reps):
-        stat = max_deviation(c.rep_grid(r), c.center, denom, c.kernel, c.plan.entry)
-        stats[r] = stat.centered
-        raws[r] = stat.raw_max
-    return stats, raws
+    stat = max_deviation(ests, c.center, denom, c.kernel, c.plan.entry)
+    return stat.centered, stat.raw_max
 
 
-def _gumbel_cell(c: _Cell):
+def _gumbel_cell(c: _Cell, ests: SpectralGrid):
     """Extreme-value limit of the centered maximum deviation."""
-    stats, raws = _centered_max(c)
+    stats, raws = _centered_max(c, ests)
     row = {
         "ks_gumbel": _ks_statistic(stats, gumbel_cdf),
         "mean_centered": float(stats.mean()),
@@ -328,10 +322,10 @@ def _gumbel_verdicts(plan, rows):
     }
 
 
-def _moments_cell(c: _Cell):
+def _moments_cell(c: _Cell, ests: SpectralGrid):
     """Moment convergence of the centered maximum toward the limit law."""
     nu = c.plan.nu_star
-    stats, _ = _centered_max(c)
+    stats, _ = _centered_max(c, ests)
     limit_norm = gumbel_abs_norm(nu)
     limit_mean = gumbel_mean()
     emp_norm = float(np.mean(np.abs(stats) ** nu) ** (1.0 / nu))
@@ -361,11 +355,11 @@ def _dense_grid(b_val: int) -> np.ndarray:
     return np.pi * np.arange(4 * b_val + 1) / (4 * b_val)
 
 
-def _uniform_rate_cell(c: _Cell):
+def _uniform_rate_cell(c: _Cell, ests: SpectralGrid):
     """||sup-deviation||_nu against the rate (B log B / T)^(1/2)."""
     i, j = c.plan.entry
     nu = c.plan.nu
-    sup = np.abs(c.ests[:, :, i, j] - c.center.matrices[None, :, i, j]).max(axis=1)
+    sup = np.abs(ests.entry(i, j) - c.center.entry(i, j)).max(axis=1)
     norm_val = float(np.mean(sup**nu) ** (1.0 / nu))
     rate = math.sqrt(c.b_val * math.log(c.b_val) / c.t_len)
     row = {"sup_norm": norm_val, "rate": rate, "ratio": norm_val / rate}
@@ -380,7 +374,7 @@ def _uniform_rate_verdicts(plan, rows):
     }
 
 
-def _coverage_cell(c: _Cell):
+def _coverage_cell(c: _Cell, ests: SpectralGrid):
     """Simultaneous coverage of the plug-in uniform band.
 
     Bands are Bonferroni-adjusted over all distinct entries (i <= j); the
@@ -389,14 +383,13 @@ def _coverage_cell(c: _Cell):
     n = c.model.n_dim
     reps = c.plan.reps
     entries = [(a, b) for a in range(n) for b in range(a, n)]
-    covered = np.zeros((reps, len(entries)), dtype=bool)
-    for r in range(reps):
-        band = uniform_band(
-            c.rep_grid(r), c.kernel, c.plan.level, entries, bonferroni=True
-        )
-        for k, e in enumerate(band.entries):
-            dev = np.abs(c.ests[r, :, e.i, e.j] - c.center.matrices[:, e.i, e.j])
-            covered[r, k] = np.all(dev <= e.half_width)
+    band = uniform_band(ests, c.kernel, c.plan.level, entries, bonferroni=True)
+    covered = np.column_stack(
+        [
+            np.all(np.abs(e.estimate - c.center.entry(e.i, e.j)) <= e.half_width, 1)
+            for e in band.entries
+        ]
+    )  # (reps, entries)
     joint = covered.all(axis=1)
     cov = float(joint.mean())
     row = {
@@ -429,7 +422,7 @@ class _Experiment(NamedTuple):
     """What one simulating experiment adds to the shared cell loop."""
 
     freqs: Callable  # B -> frequency grid
-    statistic: Callable  # _Cell -> (row fields, per-replication raw values)
+    statistic: Callable  # (_Cell, stacked ests) -> (row fields, per-rep raw values)
     raw_key: str  # raw values are stored under f"{raw_key}_T{T}"
     verdicts: Callable  # (plan, rows) -> {name: bool}
 
@@ -517,17 +510,13 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
         return _bias_rate(plan, model, kernel)
     spec = _EXPERIMENTS[plan.experiment]
     rows, raw = [], {}
-    for cell, t_len in enumerate(plan.t_grid):
+    for index, t_len in enumerate(plan.t_grid):
         start = time.perf_counter()
         bw = Bandwidth(t_len, plan.b_exponent, plan.c_const)
         b_val = bw.value
-        freqs = spec.freqs(b_val)
-        center = expected_spectrum(model, kernel, bw, freqs)
-        ests = _run_reps(
-            model, kernel, t_len, b_val, freqs, plan.seed, cell, plan.reps, plan.workers
-        )
-        cell_data = _Cell(plan, model, kernel, t_len, b_val, center, ests)
-        row, values = spec.statistic(cell_data)
+        center = expected_spectrum(model, kernel, bw, spec.freqs(b_val))
+        cell = _Cell(plan, model, kernel, index, t_len, b_val, center)
+        row, values = spec.statistic(cell, _run_reps(cell))
         rows.append({"t_len": t_len, "bandwidth": b_val, **row})
         raw[f"{spec.raw_key}_T{t_len}"] = values
         log.info("cell T=%d B=%d: %.3f s", t_len, b_val, time.perf_counter() - start)

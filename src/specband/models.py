@@ -81,10 +81,6 @@ class ProcessModel:
     def n_dim(self) -> int:
         raise NotImplementedError
 
-    @property
-    def innov_dim(self) -> int:
-        return self.n_dim
-
     def decay_horizon(self, tol: float = 1e-14) -> int:
         """Lags after which the causal map's memory is below tol."""
         raise NotImplementedError
@@ -101,11 +97,8 @@ class ProcessModel:
 
     def simulate_values(self, t_len: int, rng: np.random.Generator) -> np.ndarray:
         burn = max(1000, self.decay_horizon())
-        eps = rng.standard_normal((burn + t_len, self.innov_dim))
+        eps = rng.standard_normal((burn + t_len, self.n_dim))
         return self.path(eps)[burn:]
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "n_dim": self.n_dim}
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +231,6 @@ class AR1Scalar(VAR1):
         super().__init__(coeff=np.array([[phi]]), sigma=np.array([[sigma2]]))
         object.__setattr__(self, "phi", float(phi))
         object.__setattr__(self, "sigma2", float(sigma2))
-
-    def describe(self):
-        return {"kind": self.kind, "n_dim": 1, "phi": self.phi, "sigma2": self.sigma2}
 
 
 @dataclass(frozen=True, eq=False)

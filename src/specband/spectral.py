@@ -22,6 +22,7 @@ independent of the production FFT path it checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .acov import AutocovSequence, expected_autocov
 from .errors import (
     BandwidthTooLarge,
     InsufficientData,
+    InvalidBandwidth,
     MalformedArray,
     OffGridFrequency,
     UnsupportedModel,
@@ -58,24 +60,31 @@ class Bandwidth:
 
     def __post_init__(self):
         if not 0.0 < self.b_exponent < 1.0:
-            raise ValueError("bandwidth exponent must lie in (0, 1)")
-        if self.c_const <= 0.0:
-            raise ValueError("bandwidth constant must be positive")
+            raise InvalidBandwidth("bandwidth exponent must lie in (0, 1)")
+        if not (math.isfinite(self.c_const) and self.c_const > 0.0):
+            raise InvalidBandwidth("bandwidth constant must be finite and positive")
         if self.t_len < 3:
             raise InsufficientData("bandwidth needs T >= 3")
 
     @property
     def value(self) -> int:
-        raw = int(round(self.c_const * self.t_len**self.b_exponent))
-        return min(max(raw, 2), self.t_len - 1)
+        # clamp before rounding: c * T^b may overflow to inf for a huge c
+        raw = min(self.c_const * self.t_len**self.b_exponent, self.t_len - 1)
+        return max(round(raw), 2)
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Hermitian n x n complex matrices on an ordered frequency grid."""
+    """Hermitian n x n complex matrices on an ordered frequency grid.
+
+    ``matrices`` has shape (..., n_freqs, n, n). Leading axes stack estimates
+    that share the grid, bandwidth and T, such as the replications of one
+    Monte Carlo cell, so a statistic takes them in one call; ``entry`` keeps
+    those axes. ``to_dict`` serializes a single grid.
+    """
 
     freqs: np.ndarray
-    matrices: np.ndarray  # (len(freqs), n, n) complex
+    matrices: np.ndarray  # (..., len(freqs), n, n) complex
     bandwidth: int
     kernel_name: str
     t_len: int
@@ -84,8 +93,8 @@ class SpectralGrid:
         freqs = np.asarray(self.freqs, dtype=float)
         matrices = np.asarray(self.matrices, dtype=complex)
         shape = matrices.shape
-        if len(shape) != 3 or shape != (freqs.size, shape[1], shape[1]):
-            raise MalformedArray("matrices must be (n_freqs, n, n)")
+        if len(shape) < 3 or shape[-3:] != (freqs.size, shape[-1], shape[-1]):
+            raise MalformedArray("matrices must be (..., n_freqs, n, n)")
         freqs.setflags(write=False)
         matrices.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
@@ -93,15 +102,11 @@ class SpectralGrid:
 
     @property
     def n_dim(self) -> int:
-        return self.matrices.shape[1]
+        return self.matrices.shape[-1]
 
     def entry(self, i: int, j: int) -> np.ndarray:
-        """The (i, j) entry across the grid (0-based indices)."""
-        return self.matrices[:, i, j]
-
-    def diagonal(self) -> np.ndarray:
-        """Real diagonal entries across the grid, shape (n_freqs, n)."""
-        return np.real(np.einsum("fii->fi", self.matrices))
+        """The (i, j) entry across the grid (0-based indices), shape (..., n_freqs)."""
+        return self.matrices[..., i, j]
 
     def to_dict(self) -> dict:
         return {
@@ -191,10 +196,9 @@ def estimate_spectrum(
     b_val = bandwidth.value
     if b_val >= acov.t_len:
         raise BandwidthTooLarge(f"bandwidth {b_val} >= series length {acov.t_len}")
-    needed = min(b_val, acov.t_len - 1)
-    if acov.max_lag < needed:
+    if acov.max_lag < b_val:
         raise ValueError(
-            f"autocovariances cover lags up to {acov.max_lag}, need {needed}"
+            f"autocovariances cover lags up to {acov.max_lag}, need {b_val}"
         )
     matrices = estimate_matrices(acov.matrices, kernel, b_val, freqs)
     return SpectralGrid(

@@ -273,6 +273,28 @@ def test_verify_threads_below_one_exit_2(threads, capsys):
     assert err == [f"error: InvalidPlan: workers must be >= 1, got {threads}"]
 
 
+@pytest.mark.parametrize("command", ["estimate", "bands", "verify"])
+@pytest.mark.parametrize("c_const", ["inf", "nan", "0", "-1"])
+def test_bad_bandwidth_constant_exit_2_with_one_error_line(command, c_const, wn_csv, capsys):
+    argv, name = {
+        "estimate": (["estimate", "--input", wn_csv], "InvalidBandwidth"),
+        "bands": (["bands", "--input", wn_csv], "InvalidBandwidth"),
+        "verify": (
+            ["verify", "--experiment", "gumbel", "--t-grid", "64", "--reps", "100"],
+            "InvalidPlan",
+        ),
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach the user's stderr
+        code = main([*argv, f"--c-const={c_const}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name}: ")
+    assert "finite and positive" in err[0]
+    assert captured.out == ""
+
+
 def test_depmeasure(capsys):
     code, payload = _run_json(
         capsys,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,54 @@ def test_max_deviation_degenerate_spectrum():
     bad = SpectralGrid(est.freqs, np.zeros_like(est.matrices), 10, "bartlett", 1000)
     with pytest.raises(DegenerateSpectrum):
         max_deviation(est, est, bad, BART, (0, 0))
+
+
+def _random_stack(rng, reps, n, b_val=16, t_len=1024):
+    """``reps`` random Hermitian positive definite grids stacked on axis 0."""
+    freqs = theorem_grid(b_val)
+    shape = (reps, freqs.size, n, n)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mats = a @ a.conj().transpose(0, 1, 3, 2) + 0.1 * np.eye(n)
+    return SpectralGrid(freqs, mats, b_val, "bartlett", t_len)
+
+
+@pytest.mark.parametrize("n, entry", [(1, (0, 0)), (2, (1, 1)), (2, (0, 1))])
+def test_stacked_statistics_equal_single_grid_calls(n, entry):
+    # oracle: one call per replication, as the Monte Carlo loop once made
+    rng = np.random.default_rng(40 + n)
+    ests = _random_stack(rng, 24, n)
+    center = replace(ests, matrices=ests.matrices.mean(axis=0))
+    denom = _random_stack(rng, 1, n)
+    denom = replace(denom, matrices=denom.matrices[0])
+    entries = [(i, j) for i in range(n) for j in range(i, n)]
+    stat = max_deviation(ests, center, denom, BART, entry)
+    band = uniform_band(ests, BART, 0.9, entries, bonferroni=True)
+    assert stat.raw_max.shape == stat.centered.shape == (24,)
+    for r in range(24):
+        one = replace(ests, matrices=ests.matrices[r])
+        single = max_deviation(one, center, denom, BART, entry)
+        assert isinstance(single.raw_max, float)
+        assert single.raw_max == stat.raw_max[r]
+        assert single.centered == stat.centered[r]
+        assert single.argmax_freq == stat.argmax_freq[r]
+        single_band = uniform_band(one, BART, 0.9, entries, bonferroni=True)
+        for stacked_e, single_e in zip(band.entries, single_band.entries):
+            np.testing.assert_array_equal(stacked_e.half_width[r], single_e.half_width)
+            np.testing.assert_array_equal(stacked_e.estimate[r], single_e.estimate)
+    assert band.metadata == single_band.metadata
+
+
+def test_stacked_degenerate_spectrum_names_first_bad_frequency():
+    ests = _random_stack(np.random.default_rng(9), 20, 2)
+    mats = ests.matrices.copy()
+    k = 5
+    mats[13, k, 1, 1] = -1.0  # the only bad replication, bad at k and later
+    mats[13, k + 3, 1, 1] = 0.0
+    bad = replace(ests, matrices=mats)
+    with pytest.raises(DegenerateSpectrum) as exc:
+        uniform_band(bad, BART, 0.95, [(0, 0), (0, 1), (1, 1)], bonferroni=True)
+    assert exc.value.freq == bad.freqs[k]
+    assert str(exc.value) == f"nonpositive spectral diagonal at frequency {bad.freqs[k]:.6f}"
 
 
 def test_uniform_band_flat_oracle():

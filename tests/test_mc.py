@@ -20,6 +20,23 @@ from specband.mc import (
 )
 
 
+@pytest.mark.parametrize(
+    "experiment, name", [("gumbel", "max_deviation"), ("coverage", "uniform_band")]
+)
+def test_statistic_runs_once_per_cell(experiment, name, monkeypatch):
+    # called by name from mc's namespace, once on each cell's stacked grid
+    calls = []
+    real = getattr(mc, name)
+
+    def counted(est, *args, **kwargs):
+        calls.append(est.matrices.shape[0])
+        return real(est, *args, **kwargs)
+
+    monkeypatch.setattr(mc, name, counted)
+    run_experiment(ExperimentPlan(experiment, t_grid=(256, 512), reps=100, seed=2))
+    assert calls == [100, 100]
+
+
 def test_plan_validation():
     with pytest.raises(InvalidPlan):
         ExperimentPlan(experiment="nope")
