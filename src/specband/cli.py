@@ -24,10 +24,10 @@ from .dependence import check_conditions, profile
 from .errors import InvalidBandwidth, InvalidLevel, InvalidModel, InvalidPlan
 from .errors import SpecbandError, UnknownKernel
 from .inference import pointwise_ci, uniform_band
-from .kernels import get_kernel, kernel_names, tabulated_kernel
+from .kernels import get_kernel, tabulated_kernel
 from .mc import ExperimentPlan, pool_size, run_experiment
 from .models import parse_model, simulate
-from .series import center, load_csv, write_csv
+from .series import _jsonable, center, load_csv, write_csv
 from .spectral import Bandwidth, estimate_spectrum, theorem_grid
 
 log = logging.getLogger("specband")
@@ -37,19 +37,6 @@ SCHEMA_VERSION = 1
 
 class UsageError(Exception):
     pass
-
-
-def _jsonable(obj):
-    """Plain-Python copy of a payload, with non-finite floats as strings."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
-    return obj
 
 
 def _emit(payload: dict, path: str | None):
@@ -149,28 +136,9 @@ def _cmd_bands(args) -> int:
     }
     if args.method == "uniform":
         band = uniform_band(grid, kernel, args.level, entries, args.bonferroni)
-        payload = band.to_dict()
     else:
-        out = []
-        for i, j in entries:
-            lowers, uppers = pointwise_ci(grid, kernel, args.level, (i, j), grid.freqs)
-            out.append(
-                {
-                    "i": i + 1,
-                    "j": j + 1,
-                    "freqs": [float(f) for f in grid.freqs],
-                    "estimate_re": [float(v) for v in grid.entry(i, j).real],
-                    "estimate_im": [float(v) for v in grid.entry(i, j).imag],
-                    "lower": lowers,
-                    "upper": uppers,
-                }
-            )
-        payload = {
-            "level": args.level,
-            "method": "clt_pointwise",
-            "bonferroni_m": 1,
-            "entries": out,
-        }
+        band = pointwise_ci(grid, kernel, args.level, entries)
+    payload = band.to_dict()
     target = "true_spectrum" if args.assume_smooth else "expected_smoothed_spectrum"
     payload["target"] = target
     if args.assume_smooth:

@@ -70,8 +70,8 @@ def coupled_delta(model: ProcessModel, t: int, p: float, reps: int, seed):
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     if reps < 100:
         raise ValueError("need at least 100 replications")
     diffs = _coupled_differences(model, t, reps, seed)[:, t, :]
@@ -181,8 +181,8 @@ def profile(
         raise ValueError("horizon must be at least 4")
     if reps < 100:
         raise ValueError("need at least 100 replications")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     diffs = _coupled_differences(model, horizon, reps, seed)
     delta, delta_se = _delta_from_samples(diffs**p, p)  # (H+1, n)
     p_prime = min(2.0, p)
@@ -323,6 +323,8 @@ def check_conditions(
     ``independent_components`` applies the relaxation p -> p/2 available when
     the series components are mutually independent.
     """
+    if not 0.0 < delta_param < math.inf:
+        raise ValueError("delta_param must be finite and positive")
     notes = []
     p_eff = p / 2.0 if independent_components else p
     if independent_components:

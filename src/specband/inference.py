@@ -1,15 +1,16 @@
-"""Maximum-deviation statistics, simultaneous bands, and pointwise intervals.
+"""Maximum-deviation statistics and confidence bands.
 
 The centered maximum deviation of the lag-window estimator over the grid
 pi*l/B converges to the law with cdf exp(-exp(-x/2)); the centering constants
 are 2 log B - log(pi log B) with natural logarithms throughout (the limit law
-fixes the scale). Simultaneous half-widths invert that statement; pointwise
-intervals use the normal limit with boundary variance factor omega = 2 at
-multiples of pi and 1 elsewhere.
+fixes the scale). The max statistic normalizes every grid point by
+kappa * f_ii * f_jj with no omega factor, including l = 0 and l = B.
 
-Theorem-faithful detail: the max statistic normalizes every grid point by
-kappa * f_ii * f_jj with no omega factor, including the endpoints l = 0 and
-l = B.
+Both bands have one form, estimate +- sqrt((B/T) kappa fhat_ii fhat_jj c),
+and differ only in the critical value c: the simultaneous band inverts the
+extreme-value limit, c = q + 2 log B - log(pi log B) with q the limit-law
+quantile; the pointwise band uses the normal limit, c = z^2 omega with the
+boundary variance factor omega = 2 at multiples of pi and 1 elsewhere.
 """
 
 from __future__ import annotations
@@ -41,10 +42,14 @@ def gumbel_cdf(x):
     return np.exp(-np.exp(-np.asarray(x, dtype=float) / 2.0))
 
 
-def gumbel_quantile(level: float) -> float:
-    """Inverse of :func:`gumbel_cdf`: -2 log(-log(level))."""
+def _check_level(level: float):
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level must lie in (0, 1), got {level}")
+
+
+def gumbel_quantile(level: float) -> float:
+    """Inverse of :func:`gumbel_cdf`: -2 log(-log(level))."""
+    _check_level(level)
     return -2.0 * math.log(-math.log(level))
 
 
@@ -172,107 +177,61 @@ def max_deviation(
     )
 
 
-def uniform_band(
-    est: SpectralGrid,
-    kernel: Kernel,
-    level: float,
-    entries,
-    bonferroni: bool = False,
+def _band(
+    est: SpectralGrid, kernel: Kernel, level: float, entries, crit, method: str, m: int
 ) -> BandResult:
-    """Simultaneous confidence band from the extreme-value limit.
+    """Half-widths sqrt((B/T) kappa fhat_ii fhat_jj crit) of each entry.
 
-    Half-width at each grid frequency is
-
-        sqrt( (B/T) kappa fhat_ii fhat_jj (q + 2 log B - log(pi log B)) )
-
-    with q the limit-law quantile at the (possibly Bonferroni-split) level.
-    Denominators are the plug-in estimated diagonals. A stacked ``est``
-    gives each entry's estimate and half-width with the same leading axes.
+    ``crit`` is a scalar or an array over the frequency axis. A stacked
+    ``est`` gives each entry's estimate and half-width with its leading axes.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
-    entries = [tuple(e) for e in entries]
-    m = len(entries) if bonferroni else 1
-    split_level = 1.0 - (1.0 - level) / m
-    threshold = gumbel_quantile(split_level) + _centering(est.bandwidth)
-    if threshold < 0.0:
-        raise BandUndefined(
-            "band threshold negative at this bandwidth; increase B (larger "
-            "series or larger bandwidth constant)"
-        )
     ratio = est.bandwidth / est.t_len
     out = []
     for i, j in entries:
         with np.errstate(over="ignore"):
             scale = kernel.kappa * _denominators(est, i, j)
-            half = _finite(np.sqrt(ratio * scale * threshold))
-        out.append(
-            BandEntry(
-                i=i,
-                j=j,
-                freqs=est.freqs,
-                estimate=est.entry(i, j),
-                half_width=half,
-            )
+            half = _finite(np.sqrt(ratio * scale * crit))
+        out.append(BandEntry(i, j, est.freqs, est.entry(i, j), half))
+    metadata = {
+        "per_entry_level": 1.0 - (1.0 - level) / m,
+        "bandwidth": int(est.bandwidth),
+        "t_len": int(est.t_len),
+        "kernel": kernel.name,
+    }
+    return BandResult(level, method, m, tuple(out), metadata=metadata)
+
+
+def uniform_band(
+    est: SpectralGrid, kernel: Kernel, level: float, entries, bonferroni: bool = False
+) -> BandResult:
+    """Simultaneous band from the extreme-value limit, over plug-in diagonals.
+
+    The critical value is q + 2 log B - log(pi log B), with q the limit-law
+    quantile at the (possibly Bonferroni-split) level.
+    """
+    _check_level(level)
+    entries = [tuple(e) for e in entries]
+    m = len(entries) if bonferroni else 1
+    threshold = gumbel_quantile(1.0 - (1.0 - level) / m) + _centering(est.bandwidth)
+    if threshold < 0.0:
+        raise BandUndefined(
+            "band threshold negative at this bandwidth; increase B (larger "
+            "series or larger bandwidth constant)"
         )
-    return BandResult(
-        level=level,
-        method="gumbel_uniform",
-        bonferroni_m=m,
-        entries=tuple(out),
-        center_mode="plugin",
-        metadata={
-            "per_entry_level": split_level,
-            "bandwidth": int(est.bandwidth),
-            "t_len": int(est.t_len),
-            "kernel": kernel.name,
-        },
-    )
+    return _band(est, kernel, level, entries, threshold, "gumbel_uniform", m)
 
 
 def pointwise_ci(
-    est: SpectralGrid,
-    kernel: Kernel,
-    level: float,
-    entry: tuple,
-    freq,
-    component: str = "re",
-) -> tuple:
-    """Normal-limit interval for one entry at one frequency or an array of them.
+    est: SpectralGrid, kernel: Kernel, level: float, entries
+) -> BandResult:
+    """Normal-limit band, valid at each grid frequency separately.
 
-    Half-width is z_{(1+level)/2} sqrt((B/T) omega(freq) kappa fhat_ii
-    fhat_jj). For cross-spectra the real and imaginary parts get the same
-    (conservative per-component) half-width; select with ``component``.
-    Returns (lower, upper), each shaped like ``freq``.
+    The critical value is z^2 omega(freq), z the standard normal quantile at
+    (1 + level) / 2. For cross-spectra the real and imaginary parts get the
+    same (conservative per-component) half-width.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
-    if component not in ("re", "im"):
-        raise ValueError("component must be 're' or 'im'")
-    i, j = entry
-    freq = np.asarray(freq, dtype=float)
-    order = np.argsort(est.freqs, kind="stable")
-    pos = np.searchsorted(est.freqs[order], freq - 1e-9)
-    idx = order[np.minimum(pos, order.size - 1)]
-    off = np.abs(est.freqs[idx] - freq) > 1e-9
-    if np.any(off):
-        raise ValueError(
-            f"frequency {float(np.extract(off, freq)[0])} not on the evaluated grid"
-        )
-    f_ii = est.entry(i, i).real[idx]
-    f_jj = est.entry(j, j).real[idx]
-    bad = (f_ii <= 0.0) | (f_jj <= 0.0)
-    if np.any(bad):
-        bad_freq = float(np.extract(bad, freq)[0])
-        raise DegenerateSpectrum(
-            f"nonpositive spectral diagonal at frequency {bad_freq:.6f}", freq=bad_freq
-        )
+    _check_level(level)
     from scipy.special import ndtri
 
-    z = ndtri(0.5 * (1.0 + level))
-    with np.errstate(over="ignore"):
-        var = (est.bandwidth / est.t_len) * omega_factor(freq) * kernel.kappa * f_ii
-        half = _finite(z * np.sqrt(var * f_jj))
-    value = est.entry(i, j)[idx]
-    point = value.real if component == "re" else value.imag
-    return (point - half, point + half)
+    crit = ndtri(0.5 * (1.0 + level)) ** 2 * omega_factor(est.freqs)
+    return _band(est, kernel, level, entries, crit, "clt_pointwise", 1)

@@ -46,6 +46,7 @@ from .errors import InvalidPlan, UnsupportedModel
 from .inference import gumbel_cdf, max_deviation, omega_factor, uniform_band
 from .kernels import Kernel, get_kernel
 from .models import parse_model
+from .series import _jsonable
 from .spectral import (
     Bandwidth,
     SpectralGrid,
@@ -102,8 +103,8 @@ class ExperimentPlan:
             raise InvalidPlan("c_const must be finite and positive")
         if not 0.0 < self.level < 1.0:
             raise InvalidPlan("level must lie in (0, 1)")
-        if self.nu_star < 1.0 or self.nu < 1.0:
-            raise InvalidPlan("nu_star and nu must be >= 1")
+        if not (1.0 <= self.nu_star < math.inf and 1.0 <= self.nu < math.inf):
+            raise InvalidPlan("nu_star and nu must be finite and >= 1")
         b_grid = tuple(int(v) for v in self.b_grid)
         # bias_rate pins B to each entry, and a bandwidth lies in [2, T-1]
         if self.experiment == "bias_rate" and (
@@ -162,7 +163,7 @@ class ExperimentReport:
         return out
 
     def to_json(self, include_raw: bool = True) -> str:
-        return json.dumps(self.to_dict(include_raw), sort_keys=True) + "\n"
+        return json.dumps(_jsonable(self.to_dict(include_raw)), sort_keys=True) + "\n"
 
     def plot_rows(self):
         """Tidy (experiment, T, statistic, value, se) tuples."""
@@ -484,6 +485,7 @@ def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
         {
             "t_len": t_len,
             "fitted_slope": slope,
+            # a string, so plot_rows leaves an infinite order out of the plot data
             "kernel_q_claim": float(q_claim) if math.isfinite(q_claim) else "inf",
         },
     )

@@ -9,12 +9,16 @@ commas, every row of the same width, every cell a finite decimal float as
 Python's ``float`` reads it. An optional first line is a header (read with
 ``has_header``). Blank lines are skipped. There are no comments: ``#`` is a
 bad cell like any other.
+
+JSON payloads (CLI output and experiment reports) go through
+:func:`_jsonable`, which writes non-finite floats as strings.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
 import time
 import warnings
@@ -29,6 +33,19 @@ __all__ = ["MultivariateSeries", "load_csv", "center", "write_csv"]
 log = logging.getLogger(__name__)
 
 _WRITE_BLOCK_ROWS = 65536
+
+
+def _jsonable(obj):
+    """Plain-Python copy of a payload, with non-finite floats as strings."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
 
 
 @dataclass(frozen=True)

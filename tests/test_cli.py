@@ -1,9 +1,9 @@
-import json
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import strict_json
 from specband.cli import main
 from specband.models import WhiteNoise, simulate
 from specband.series import write_csv
@@ -19,7 +19,7 @@ def wn_csv(tmp_path):
 def _run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 def test_estimate_happy_path(wn_csv, capsys):
@@ -39,7 +39,7 @@ def test_estimate_output_file(wn_csv, tmp_path, capsys):
     out = tmp_path / "spec.json"
     code = main(["estimate", "--input", wn_csv, "--output", str(out)])
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = strict_json(out.read_text())
     assert payload["t_len"] == 512
 
 
@@ -166,8 +166,16 @@ def test_bands_pointwise_and_assume_smooth(wn_csv, capsys):
     )
     assert code == 0
     assert payload["method"] == "clt_pointwise"
+    assert payload["bonferroni_m"] == 1
+    assert payload["metadata"]["per_entry_level"] == 0.95
     assert payload["target"] == "true_spectrum"
     assert "undersmoothing_check" in payload
+    for entry in payload["entries"]:
+        np.testing.assert_allclose(
+            np.array(entry["upper"]) - np.array(entry["lower"]),
+            2.0 * np.array(entry["half_width"]),
+            rtol=1e-12,
+        )
 
 
 def test_bands_assume_smooth_bartlett_is_first_order(wn_csv, capsys):
@@ -175,7 +183,7 @@ def test_bands_assume_smooth_bartlett_is_first_order(wn_csv, capsys):
     code = main(["bands", "--input", wn_csv, "--assume-smooth"])
     captured = capsys.readouterr()
     assert code == 0
-    check = json.loads(captured.out)["undersmoothing_check"]
+    check = strict_json(captured.out)["undersmoothing_check"]
     assert check["b_exponent_times_q_plus_1_gt_1"] is False
     assert check["q"] == 1.0
     assert "VIOLATED" in captured.err
@@ -215,7 +223,7 @@ def test_simulate_estimate_round_trip(tmp_path, capsys):
         ]
     )
     assert code == 0
-    meta = json.loads(meta_path.read_text())
+    meta = strict_json(meta_path.read_text())
     assert meta["model"] == "ar1:phi=0.5"
     assert meta["seed"] == 11
     code, payload = _run_json(capsys, ["estimate", "--input", str(series_path)])
@@ -310,6 +318,40 @@ def test_depmeasure(capsys):
     assert payload["conditions"]["bandwidth_window_ok"] is True
 
 
+_VERIFY = ["verify", "--t-grid", "64", "--reps", "100"]
+_DEPMEASURE = ["depmeasure", "--model", "ar1:phi=0.5", "--horizon", "4", "--reps", "100"]
+_NU = "InvalidPlan: nu_star and nu must be finite and >= 1"
+_P = "ValueError: p must be finite and >= 1"
+_DELTA = "ValueError: delta_param must be finite and positive"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*_VERIFY, "--experiment", "moments", "--nu-star", "nan"], _NU),
+        ([*_VERIFY, "--experiment", "moments", "--nu-star", "inf"], _NU),
+        ([*_VERIFY, "--experiment", "uniform-rate", "--nu", "nan"], _NU),
+        ([*_VERIFY, "--experiment", "uniform-rate", "--nu", "inf"], _NU),
+        ([*_DEPMEASURE, "--p", "nan"], _P),
+        ([*_DEPMEASURE, "--p", "inf"], _P),
+        ([*_DEPMEASURE, "--check-conditions", "--delta-param", "0"], _DELTA),
+        ([*_DEPMEASURE, "--check-conditions", "--delta-param", "-1"], _DELTA),
+        ([*_DEPMEASURE, "--check-conditions", "--delta-param", "nan"], _DELTA),
+        ([*_DEPMEASURE, "--check-conditions", "--delta-param", "inf"], _DELTA),
+    ],
+    ids=lambda v: " ".join(v[-2:]) if isinstance(v, list) else "",
+)
+def test_bad_numeric_parameter_exit_2_with_one_error_line(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach the user's stderr
+        code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err == [f"error: {message}"]
+    assert captured.out == ""
+
+
 def test_verify_reps_floor_exit_2(capsys):
     code = main(
         ["verify", "--experiment", "gumbel", "--reps", "50", "--t-grid", "512"]
@@ -341,7 +383,7 @@ def test_verify_runs_and_writes_report(tmp_path, capsys):
         ]
     )
     assert code == 0
-    report = json.loads(out.read_text())
+    report = strict_json(out.read_text())
     assert report["plan"]["experiment"] == "uniform_rate"
     err = capsys.readouterr().err
     assert "[PASS]" in err or "[FAIL]" in err
@@ -396,7 +438,7 @@ def test_tabulated_kernel_bias_order_unknown(wn_csv, tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert code == 0
-    check = json.loads(captured.out)["undersmoothing_check"]
+    check = strict_json(captured.out)["undersmoothing_check"]
     assert check == {"b_exponent_times_q_plus_1_gt_1": None, "q": "unknown"}
     assert "b*(q+1) > 1: unknown (bias order unknown)" in captured.err
 

@@ -165,10 +165,13 @@ def test_stacked_degenerate_spectrum_names_first_bad_frequency():
     mats[13, k, 1, 1] = -1.0  # the only bad replication, bad at k and later
     mats[13, k + 3, 1, 1] = 0.0
     bad = replace(ests, matrices=mats)
-    with pytest.raises(DegenerateSpectrum) as exc:
-        uniform_band(bad, BART, 0.95, [(0, 0), (0, 1), (1, 1)], bonferroni=True)
-    assert exc.value.freq == bad.freqs[k]
-    assert str(exc.value) == f"nonpositive spectral diagonal at frequency {bad.freqs[k]:.6f}"
+    for band in (uniform_band, pointwise_ci):
+        with pytest.raises(DegenerateSpectrum) as exc:
+            band(bad, BART, 0.95, [(0, 0), (0, 1), (1, 1)])
+        assert exc.value.freq == bad.freqs[k]
+        assert str(exc.value) == (
+            f"nonpositive spectral diagonal at frequency {bad.freqs[k]:.6f}"
+        )
 
 
 def test_uniform_band_flat_oracle():
@@ -242,16 +245,16 @@ def test_band_to_dict_one_based():
 
 def test_pointwise_ci_z_value_and_omega():
     est = _flat_grid(32, 4096)
-    lo0, hi0 = pointwise_ci(est, BART, 0.95, (0, 0), 0.0)
-    lo_mid, hi_mid = pointwise_ci(est, BART, 0.95, (0, 0), float(est.freqs[16]))
-    half0 = (hi0 - lo0) / 2.0
-    half_mid = (hi_mid - lo_mid) / 2.0
+    band = pointwise_ci(est, BART, 0.95, [(0, 0)])
+    half = band.entries[0].half_width
     expected_mid = 1.959964 * math.sqrt(
         (32.0 / 4096.0) * (2.0 / 3.0) * (1.0 / TWO_PI) ** 2
     )
-    assert half_mid == pytest.approx(expected_mid, abs=1e-6)
+    assert half[16] == pytest.approx(expected_mid, abs=1e-6)
     # boundary variance doubling: width ratio sqrt(2)
-    assert half0 / half_mid == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert half[0] / half[16] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert band.method == "clt_pointwise" and band.bonferroni_m == 1
+    assert band.metadata["per_entry_level"] == 0.95
 
 
 def test_ndtri_matches_norm_ppf():
@@ -263,15 +266,51 @@ def test_ndtri_matches_norm_ppf():
     assert np.array_equal(ndtri(q), norm.ppf(q))
 
 
-def test_pointwise_ci_off_grid_frequency():
-    est = _flat_grid(32, 4096)
-    with pytest.raises(ValueError):
-        pointwise_ci(est, BART, 0.95, (0, 0), 0.1234)
+@pytest.mark.parametrize("n, entry", [(1, (0, 0)), (2, (1, 1)), (2, (0, 1))])
+def test_pointwise_ci_matches_closed_form(n, entry):
+    # oracle: z sqrt((B/T) omega kappa fhat_ii fhat_jj), one frequency at a time
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(70 + n)
+    i, j = entry
+    for _ in range(20):
+        b_val = int(rng.integers(4, 64))
+        t_len = int(rng.integers(4 * b_val, 100 * b_val))
+        level = float(rng.uniform(0.5, 0.999))
+        est = _random_stack(rng, 1, n, b_val, t_len)
+        est = replace(est, matrices=est.matrices[0])
+        band = pointwise_ci(est, BART, level, [entry])
+        z = ndtri(0.5 * (1.0 + level))
+        expected = [
+            z * math.sqrt(
+                (b_val / t_len) * float(omega_factor(freq)) * BART.kappa
+                * est.matrices[k, i, i].real * est.matrices[k, j, j].real
+            )
+            for k, freq in enumerate(est.freqs)
+        ]
+        np.testing.assert_allclose(band.entries[0].half_width, expected, rtol=1e-14)
+        np.testing.assert_array_equal(band.entries[0].estimate, est.entry(i, j))
 
 
-def test_pointwise_ci_components():
-    est = _flat_grid(16, 1024, n=2)
-    lo, hi = pointwise_ci(est, BART, 0.9, (0, 1), 0.0, component="im")
-    assert lo < 0.0 < hi
-    with pytest.raises(ValueError):
-        pointwise_ci(est, BART, 0.9, (0, 1), 0.0, component="abs")
+_BANDS = pytest.mark.parametrize(
+    "band", [uniform_band, pointwise_ci], ids=lambda f: f.__name__
+)
+
+
+@_BANDS
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_band_rejects_bad_level_before_arithmetic(band, level):
+    # the grid is degenerate too: the level check must come first
+    est = _flat_grid(32, 4096, value=0.0)
+    with pytest.raises(InvalidLevel) as exc:
+        band(est, BART, level, [(0, 0)])
+    assert str(exc.value) == f"level must lie in (0, 1), got {level}"
+
+
+@_BANDS
+def test_band_overflowing_half_width_undefined(band):
+    # finite diagonals of about 1e200 whose product overflows
+    est = _flat_grid(32, 4096, value=1e200, n=2)
+    with np.errstate(all="raise"), pytest.raises(BandUndefined) as exc:
+        band(est, BART, 0.95, [(0, 1)])
+    assert "rescale" in str(exc.value)

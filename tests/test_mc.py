@@ -1,4 +1,3 @@
-import json
 import logging
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import gumbel_r, kstest, norm
 
+from conftest import strict_json
 from specband.errors import InvalidPlan, UnsupportedModel
 from specband.inference import gumbel_cdf
 from specband import mc
@@ -62,6 +62,10 @@ def test_plan_validation():
         dict(experiment="clt", t_grid=()),
         dict(experiment="clt", workers=0),
         dict(experiment="clt", workers=-2),
+        dict(experiment="moments", nu_star=float("nan")),
+        dict(experiment="moments", nu_star=float("inf")),
+        dict(experiment="uniform_rate", nu=float("nan")),
+        dict(experiment="uniform_rate", nu=float("inf")),
     ],
 )
 def test_plan_rejects_out_of_range_fields(fields):
@@ -291,6 +295,16 @@ def test_bias_rate_truncated_and_bartlett():
     assert report.verdicts["slope_le_-0.7"]
     slope = report.rows[-1]["fitted_slope"]
     assert slope <= -0.7
+    # the truncated window's bias is exactly 0 on white noise, so the fitted
+    # slope is -inf, which the report writes as a string
+    plan = ExperimentPlan(
+        experiment="bias_rate", model_spec="white", kernel_name="truncated",
+        t_grid=(4096,), reps=1,
+    )
+    payload = strict_json(run_experiment(plan).to_json())
+    assert payload["rows"][-1]["fitted_slope"] == "-inf"
+    assert payload["rows"][-1]["kernel_q_claim"] == "inf"
+    assert payload["passed"] is True
 
 
 def test_coverage_smoke():
@@ -329,7 +343,7 @@ def test_report_json_and_plot_rows():
         experiment="uniform_rate", model_spec="white", t_grid=(512,), reps=100, seed=2
     )
     report = run_experiment(plan)
-    payload = json.loads(report.to_json())
+    payload = strict_json(report.to_json())
     assert payload["schema_version"] == 1
     assert payload["plan"]["experiment"] == "uniform_rate"
     assert isinstance(payload["verdicts"], dict)
