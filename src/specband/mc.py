@@ -9,10 +9,14 @@ and simultaneous band coverage.
 All simulating experiments share one cell loop in ``run_experiment``: for
 each T in the plan's grid it builds one ``_Cell`` (bandwidth and the exact
 centering E fhat on the experiment's frequency grid), runs the replications,
-and stores the cell's row and per-replication statistics. The replication
-estimates come back as one ``SpectralGrid`` stacked on a leading replication
-axis, so each statistic (``max_deviation``, ``uniform_band``) runs once per
-cell on the whole stack, through the same code that ``bands`` uses. What
+and stores the cell's row and per-replication statistics. Each replication
+contributes its autocovariance stack; a run of replications is estimated by
+one ``estimate_matrices`` call on the stacked autocovariances. A serial cell
+is one run; a pooled cell maps consecutive ranges of replications, one per
+worker task, and joins their estimates in replication order. The estimates
+come back as one ``SpectralGrid`` stacked on a leading replication axis, so
+each statistic (``max_deviation``, ``uniform_band``) runs once per cell on
+the whole stack, through the same code that ``bands`` uses. What
 differs is kept in the ``_EXPERIMENTS`` table: the frequency grid, the
 per-cell statistic and the verdicts. ``bias_rate`` is simulation-free and
 loops over bandwidths instead, so it has its own short loop.
@@ -190,12 +194,17 @@ class _Cell(NamedTuple):
     center: SpectralGrid  # exact mean E fhat on the experiment's grid
 
 
-def _rep_estimate(cell: _Cell, rep: int) -> np.ndarray:
-    """One replication: simulate, autocovariances, lag-window estimate."""
+def _rep_acov(cell: _Cell, rep: int) -> np.ndarray:
+    """One replication's (B+1, n, n) autocovariance stack from its own stream."""
     rng = np.random.default_rng([cell.plan.seed, cell.index, rep])
     values = cell.model.simulate_values(cell.t_len, rng)
-    stack = autocov_matrices(values, cell.b_val)
-    return estimate_matrices(stack, cell.kernel, cell.b_val, cell.center.freqs)
+    return autocov_matrices(values, cell.b_val)
+
+
+def _run_estimates(cell: _Cell, reps: range) -> np.ndarray:
+    """The (len(reps), F, n, n) estimates of a run of replications, in one call."""
+    stacks = np.stack([_rep_acov(cell, r) for r in reps])
+    return estimate_matrices(stacks, cell.kernel, cell.b_val, cell.center.freqs)
 
 
 def pool_size(workers: int) -> int:
@@ -209,14 +218,12 @@ def _run_reps(cell: _Cell) -> SpectralGrid:
     reps = cell.plan.reps
     size = pool_size(cell.plan.workers)
     if not size:
-        results = [_rep_estimate(cell, r) for r in range(reps)]
-    else:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            chunk = max(1, reps // (size * 8))
-            results = list(
-                pool.map(partial(_rep_estimate, cell), range(reps), chunksize=chunk)
-            )
-    return replace(cell.center, matrices=np.stack(results))
+        return replace(cell.center, matrices=_run_estimates(cell, range(reps)))
+    chunk = max(1, reps // (size * 8))
+    runs = [range(start, min(start + chunk, reps)) for start in range(0, reps, chunk)]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        results = list(pool.map(partial(_run_estimates, cell), runs))
+    return replace(cell.center, matrices=np.concatenate(results))
 
 
 def _limit_density(x: float) -> float:
@@ -445,7 +452,9 @@ def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
     """Exact (simulation-free) smoothing-bias decay in the bandwidth.
 
     Evaluates |E fhat - f| at pi/2 for each bandwidth in ``b_grid`` with T
-    fixed at the largest grid value, and fits the log-log slope.
+    fixed at the largest grid value, and fits the log-log slope. A model
+    with no smoothing bias at any bandwidth (a flat spectrum, such as white
+    noise) has no rate to fit and raises ``InvalidPlan``.
     """
     i, j = plan.entry
     t_len = plan.t_grid[-1]
@@ -466,6 +475,11 @@ def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
             }
         )
     biases = np.array([row["bias"] for row in rows])
+    if np.all(biases == 0.0):
+        raise InvalidPlan(
+            f"model {plan.model_spec!r} gives the {kernel.name} kernel no smoothing "
+            "bias at pi/2 (every bias is 0), so there is no decay rate to measure"
+        )
     log_b = np.log([row["bandwidth"] for row in rows])
     positive = biases > 0.0
     slope = (
@@ -513,15 +527,23 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     spec = _EXPERIMENTS[plan.experiment]
     rows, raw = [], {}
     for index, t_len in enumerate(plan.t_grid):
-        start = time.perf_counter()
+        marks = [time.perf_counter()]
         bw = Bandwidth(t_len, plan.b_exponent, plan.c_const)
         b_val = bw.value
         center = expected_spectrum(model, kernel, bw, spec.freqs(b_val))
         cell = _Cell(plan, model, kernel, index, t_len, b_val, center)
-        row, values = spec.statistic(cell, _run_reps(cell))
+        marks.append(time.perf_counter())
+        ests = _run_reps(cell)
+        marks.append(time.perf_counter())
+        row, values = spec.statistic(cell, ests)
+        marks.append(time.perf_counter())
         rows.append({"t_len": t_len, "bandwidth": b_val, **row})
         raw[f"{spec.raw_key}_T{t_len}"] = values
-        log.info("cell T=%d B=%d: %.3f s", t_len, b_val, time.perf_counter() - start)
+        center_s, reps_s, stat_s = np.diff(marks)
+        log.info(
+            "cell T=%d B=%d: %.3f s (center %.3f s, reps %.3f s, statistic %.3f s)",
+            t_len, b_val, marks[-1] - marks[0], center_s, reps_s, stat_s,
+        )
     return ExperimentReport(
         plan=plan, rows=tuple(rows), verdicts=spec.verdicts(plan, rows), raw=raw
     )

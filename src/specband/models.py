@@ -18,6 +18,12 @@ scalar AR(1) recursion bit for bit; with complex poles LAPACK may fuse each
 multiply-add, so paths differ from a two-rounding filter such as
 ``scipy.signal.lfilter`` in the last bits (about 2e-16 relative).
 
+White noise with a diagonal Cholesky factor (one-dimensional, or
+``white:dim=n``) scales each innovation column by its entry instead of
+taking a matrix product: for finite innovations the values are the same bit
+for bit, since every off-diagonal term of the product is an exact zero. A
+dense factor keeps the product.
+
 Covariances are factored by numpy's Cholesky; bad parameters raise
 ``InvalidModel`` at construction. scipy is imported where it is called, so
 importing the package loads numpy alone, and only ``VAR1`` loads
@@ -113,6 +119,8 @@ class WhiteNoise(ProcessModel):
         sigma, chol = _as_cov(self.sigma, np.atleast_2d(self.sigma).shape[0])
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", chol)
+        diagonal = np.array_equal(chol, np.diag(chol.diagonal()))
+        object.__setattr__(self, "_scale", chol.diagonal() if diagonal else None)
 
     @property
     def n_dim(self):
@@ -122,6 +130,8 @@ class WhiteNoise(ProcessModel):
         return 0
 
     def path(self, eps):
+        if self._scale is not None:
+            return eps * self._scale
         return eps @ self._chol.T
 
     def gamma(self, u):

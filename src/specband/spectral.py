@@ -14,10 +14,15 @@ e^{-i u pi l/M} has period 2M in u, the weighted lags w_u C(u), u = 1..L, are
 folded into bins u mod 2M (this matters when L > 2M), transformed, and the
 rows l of the requested frequencies kept. Negative lags enter as exact
 transposes, P^H, which makes every output matrix Hermitian by construction.
+The stack may carry leading axes (lags on axis -3), such as the replications
+of one Monte Carlo run: the fold and the FFT then cover them all in one call,
+and each estimate is bit for bit what a call on its own stack returns.
 
 The direct sum ``_fourier_sum`` is the oracle only: ``expected_spectrum``
 uses it at arbitrary frequencies, so the Monte Carlo centering stays
-independent of the production FFT path it checks.
+independent of the production FFT path it checks. It forms its phase
+matrix for a block of frequencies at a time, so its memory stays bounded on
+long grids while every output row is the same sum.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_ORACLE_BLOCK = 64  # frequencies per phase matrix in the direct sum
 
 
 @dataclass(frozen=True)
@@ -142,11 +148,15 @@ def _fourier_sum(gammas: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> 
     gammas: (L+1, n, n) for lags 0..L; weights: (L+1,).
     """
     lags = np.arange(1, gammas.shape[0])
-    phases = np.exp(-1j * np.outer(freqs, lags))  # (F, L)
     weighted = weights[1:, None, None] * gammas[1:]
-    pos = np.einsum("fl,lij->fij", phases, weighted)
-    neg = np.einsum("fl,lji->fij", phases.conj(), weighted)
-    out = (weights[0] * gammas[0] + pos + neg) / _TWO_PI
+    lag0 = weights[0] * gammas[0]
+    out = np.empty((freqs.size, *gammas.shape[1:]), dtype=complex)
+    for start in range(0, freqs.size, _ORACLE_BLOCK):
+        block = slice(start, start + _ORACLE_BLOCK)
+        phases = np.exp(-1j * np.outer(freqs[block], lags))  # (block, L)
+        pos = np.einsum("fl,lij->fij", phases, weighted)
+        neg = np.einsum("fl,lji->fij", phases.conj(), weighted)
+        out[block] = (lag0 + pos + neg) / _TWO_PI
     return out
 
 
@@ -171,21 +181,30 @@ def _grid_rows(freqs: np.ndarray) -> tuple:
 def estimate_matrices(
     acov_stack: np.ndarray, kernel: Kernel, b_value: int, freqs: np.ndarray
 ) -> np.ndarray:
-    """Core estimator on a raw autocovariance stack (lags 0..max_lag).
+    """Core estimator on a raw autocovariance stack (..., lags 0..max_lag, n, n).
 
     ``freqs`` must lie on a grid pi*l/M (module docstring); returns the
-    (F, n, n) complex estimates by one real FFT of length 2M.
+    (..., F, n, n) complex estimates by one real FFT of length 2M per stack.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     m, rows = _grid_rows(freqs)
-    max_lag = min(acov_stack.shape[0] - 1, b_value)
+    max_lag = min(acov_stack.shape[-3] - 1, b_value)
     weights = kernel(np.arange(max_lag + 1) / b_value)
-    weighted = weights[:, None, None] * acov_stack[: max_lag + 1]
+    weighted = weights[:, None, None] * acov_stack[..., : max_lag + 1, :, :]
     # e^{-i u pi l/M} has period 2M in u: lag u goes to bin u mod 2M
-    folded = np.zeros((2 * m, *weighted.shape[1:]))
-    np.add.at(folded, np.arange(1, max_lag + 1) % (2 * m), weighted[1:])
-    pos = np.fft.rfft(folded, axis=0)[rows]
-    return (weighted[0] + pos + pos.conj().transpose(0, 2, 1)) / _TWO_PI
+    folded = np.zeros((*weighted.shape[:-3], 2 * m, *weighted.shape[-2:]))
+    bins = np.arange(1, max_lag + 1) % (2 * m)
+    np.add.at(folded, (..., bins, slice(None), slice(None)), weighted[..., 1:, :, :])
+    pos = np.fft.rfft(folded, axis=-3)
+    del folded  # lowers the call's peak memory on a stack of replications
+    if not np.array_equal(rows, np.arange(m + 1)):
+        pos = pos[..., rows, :, :]
+    # in place, in the order of the sum (w_0 C(0) + P) + P^H
+    herm = pos.conj().swapaxes(-1, -2)
+    pos += weighted[..., :1, :, :]
+    pos += herm
+    pos /= _TWO_PI
+    return pos
 
 
 def estimate_spectrum(

@@ -281,6 +281,17 @@ def test_verify_threads_below_one_exit_2(threads, capsys):
     assert err == [f"error: InvalidPlan: workers must be >= 1, got {threads}"]
 
 
+def test_verify_bias_rate_on_flat_spectrum_exit_2(capsys):
+    code = main(["verify", "--experiment", "bias-rate", "--kernel", "bartlett",
+                 "--t-grid", "1024,4096", "--reps", "100", "--seed", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidPlan: ")
+    assert "no smoothing bias" in err[0]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["estimate", "bands", "verify"])
 @pytest.mark.parametrize("c_const", ["inf", "nan", "0", "-1"])
 def test_bad_bandwidth_constant_exit_2_with_one_error_line(command, c_const, wn_csv, capsys):

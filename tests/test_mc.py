@@ -235,6 +235,15 @@ def test_determinism_across_worker_counts():
     assert r1.to_json() == r2.to_json()
 
 
+def test_pooled_runs_that_do_not_divide_reps_match_serial(monkeypatch):
+    # 101 reps on 2 workers: runs of 6 replications, the last one of 5
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    base = dict(experiment="gumbel", model_spec="white:dim=2", entry=(0, 1),
+                t_grid=(256, 512), reps=101, seed=11)
+    serial = run_experiment(ExperimentPlan(**base)).to_json()
+    assert run_experiment(ExperimentPlan(**base, workers=2)).to_json() == serial
+
+
 class _RecordingPool:
     """Stand-in for ProcessPoolExecutor that records its size and forks nothing."""
 
@@ -295,16 +304,22 @@ def test_bias_rate_truncated_and_bartlett():
     assert report.verdicts["slope_le_-0.7"]
     slope = report.rows[-1]["fitted_slope"]
     assert slope <= -0.7
-    # the truncated window's bias is exactly 0 on white noise, so the fitted
-    # slope is -inf, which the report writes as a string
+    # an infinite bias order is written as a string
     plan = ExperimentPlan(
-        experiment="bias_rate", model_spec="white", kernel_name="truncated",
+        experiment="bias_rate", model_spec="ar1:phi=0.5", kernel_name="truncated",
         t_grid=(4096,), reps=1,
     )
     payload = strict_json(run_experiment(plan).to_json())
-    assert payload["rows"][-1]["fitted_slope"] == "-inf"
     assert payload["rows"][-1]["kernel_q_claim"] == "inf"
-    assert payload["passed"] is True
+    # white noise has a flat spectrum: every bias is exactly 0, so there is
+    # no decay rate and the plan is rejected instead of reporting vacuous verdicts
+    for kernel_name in ("truncated", "bartlett"):
+        plan = ExperimentPlan(
+            experiment="bias_rate", model_spec="white", kernel_name=kernel_name,
+            t_grid=(4096,), reps=1,
+        )
+        with pytest.raises(InvalidPlan, match="no smoothing bias"):
+            run_experiment(plan)
 
 
 def test_coverage_smoke():

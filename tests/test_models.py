@@ -25,6 +25,41 @@ def test_white_noise_gamma_and_spectrum():
     np.testing.assert_allclose(spec[1], sigma / (2 * np.pi))
 
 
+class _OpRecorder:
+    """Innovations that record whether a path scaled them or took a matrix product."""
+
+    def __init__(self, eps):
+        self.eps, self.ops = eps, []
+
+    def __mul__(self, other):
+        self.ops.append("*")
+        return self.eps * other
+
+    def __matmul__(self, other):
+        self.ops.append("@")
+        return self.eps @ other
+
+
+@pytest.mark.parametrize(
+    "sigma, op",
+    [
+        (np.eye(1), "*"),
+        (np.array([[2.3]]), "*"),
+        (np.diag([2.0, 0.5, 3.0]), "*"),
+        (np.array([[2.0, 0.5], [0.5, 1.0]]), "@"),
+    ],
+)
+def test_white_noise_path_scales_a_diagonal_factor(sigma, op):
+    # a diagonal factor scales each column, bit for bit the product; a dense one multiplies
+    model = WhiteNoise(sigma=sigma)
+    eps = np.random.default_rng(6).standard_normal((3, 500, sigma.shape[0]))
+    want = eps @ np.linalg.cholesky(sigma).T
+    recorder = _OpRecorder(eps)
+    got = model.path(recorder)
+    assert recorder.ops == [op]
+    np.testing.assert_array_equal(got, want)
+
+
 def test_white_noise_sample_covariance():
     model = WhiteNoise(sigma=np.eye(2))
     s = simulate(model, 4096, seed=5)

@@ -93,20 +93,22 @@ def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):
     plan = ["--experiment", "gumbel", "--model", "white", "--t-grid", "64,128",
             "--reps", "100", "--seed", "3"]
     reports, errs = [], []
-    for level in ("info", "warning"):
+    for level in ("debug", "info", "warning"):
         out = tmp_path / f"{level}.json"
         argv = ["-m", "specband.cli", "--log-level", level, "verify", *plan]
         proc = _python([*argv, "--out", str(out)])
         reports.append(out.read_bytes())
         errs.append(proc.stderr)
-    assert reports[0] == reports[1]
-    info = [line for line in errs[0].splitlines() if line.startswith("INFO:")]
+    assert reports[0] == reports[1] == reports[2]
+    info = [line for line in errs[1].splitlines() if line.startswith("INFO:")]
     assert len(info) == 3  # the run's configuration, then one line per cell
     assert "numpy" in info[0] and "scipy" in info[0] and "reps=100" in info[0]
     assert "workers=1" in info[0] and "pool=0 processes" in info[0] and "seed=3" in info[0]
     assert "streams default_rng([seed, cell, rep])" in info[0]
     assert "T=64 B=" in info[1] and "T=128 B=" in info[2]
-    assert not any(line.startswith("INFO:") for line in errs[1].splitlines())
+    for line in info[1:]:  # each cell's time split by stage
+        assert all(f"{stage} " in line for stage in ("center", "reps", "statistic"))
+    assert not any(line.startswith("INFO:") for line in errs[2].splitlines())
 
 
 def test_csv_io_logs_to_stderr_and_outputs_ignore_log_level(tmp_path):

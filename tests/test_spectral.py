@@ -27,6 +27,7 @@ from specband.spectral import (
 )
 
 BART = get_kernel("bartlett")
+PARZEN = get_kernel("parzen")
 TWO_PI = 2.0 * np.pi
 
 
@@ -129,6 +130,39 @@ def test_fft_matches_direct_sum(n, kernel_name, tmp_path):
         got = estimate_matrices(stack, kernel, b_val, freqs)
         gap = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert gap <= 1e-12, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kernel_name", kernel_names())
+def test_stacked_estimates_equal_one_call_per_stack(n, kernel_name):
+    # leading replication axes change no bit of any estimate
+    kernel = get_kernel(kernel_name)
+    rng = np.random.default_rng(10 + n)
+    b_val = 37
+    grids = {
+        "theorem": theorem_grid(b_val),
+        "dense": np.pi * np.arange(4 * b_val + 1) / (4 * b_val),
+        # L = 37 lags on a period of 2M = 4 exercises the fold
+        "clt": np.array([0.0, np.pi / 2]),
+    }
+    for name, freqs in grids.items():
+        stacks = rng.standard_normal((2, 5, b_val + 1, n, n))
+        got = estimate_matrices(stacks, kernel, b_val, freqs)
+        assert got.shape == (2, 5, freqs.size, n, n), name
+        for idx in np.ndindex(2, 5):
+            want = estimate_matrices(stacks[idx], kernel, b_val, freqs)
+            assert np.array_equal(got[idx], want), (name, idx)
+
+
+def test_expected_spectrum_blocks_equal_one_frequency_at_a_time():
+    # a grid of several oracle blocks gives each row as a lone frequency does
+    model, bw = default_var1(), Bandwidth(4096, 0.5)
+    freqs = np.pi * np.arange(4 * bw.value + 1) / (4 * bw.value)
+    assert freqs.size > 2 * 64
+    got = expected_spectrum(model, PARZEN, bw, freqs).matrices
+    for k, freq in enumerate(freqs):
+        want = expected_spectrum(model, PARZEN, bw, [freq]).matrices[0]
+        assert np.array_equal(got[k], want), k
 
 
 def test_off_grid_frequency_raises():
