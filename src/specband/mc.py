@@ -10,16 +10,18 @@ All simulating experiments share one cell loop in ``run_experiment``: for
 each T in the plan's grid it builds one ``_Cell`` (bandwidth and the exact
 centering E fhat on the experiment's frequency grid), runs the replications,
 and stores the cell's row and per-replication statistics. Each replication
-contributes its autocovariance stack; a run of replications is estimated by
-one ``estimate_matrices`` call on the stacked autocovariances. A serial cell
-is one run; a pooled cell maps consecutive ranges of replications, one per
-worker task, and joins their estimates in replication order. The estimates
-come back as one ``SpectralGrid`` stacked on a leading replication axis, so
-each statistic (``max_deviation``, ``uniform_band``) runs once per cell on
-the whole stack, through the same code that ``bands`` uses. What
-differs is kept in the ``_EXPERIMENTS`` table: the frequency grid, the
-per-cell statistic and the verdicts. ``bias_rate`` is simulation-free and
-loops over bandwidths instead, so it has its own short loop.
+contributes its autocovariance stack, and a run of replications is estimated
+by one ``estimate_matrices`` call on the stacked autocovariances. Runs are
+consecutive ranges of at most 64 replications, shorter in a pool so that each
+worker gets several, one run per worker task. Each run's estimates are
+written into the cell's preallocated array in replication order, so the cell
+holds its result plus one run's work arrays. The estimates come back as one
+``SpectralGrid`` stacked on a leading replication axis, so each statistic
+(``max_deviation``, ``uniform_band``) runs once per cell on the whole stack,
+through the same code that ``bands`` uses. What differs is kept in the
+``_EXPERIMENTS`` table: the frequency grid, the per-cell statistic and the
+verdicts. ``bias_rate`` is simulation-free and loops over bandwidths
+instead, so it has its own short loop.
 
 Centering is by the exact finite-sample mean (closed form under the model),
 and autocovariances are taken on the raw simulated values without sample-mean
@@ -68,6 +70,10 @@ __all__ = [
 ]
 
 log = logging.getLogger("specband")
+
+# replications per estimator call: a call's work arrays are a few times the
+# size of its estimates, so this bounds them beside the cell's result
+_RUN_REPS = 64
 
 EXPERIMENTS = ("clt", "gumbel", "moments", "uniform_rate", "bias_rate", "coverage")
 
@@ -217,13 +223,17 @@ def _run_reps(cell: _Cell) -> SpectralGrid:
     """The cell's replication estimates, stacked as one (reps, F, n, n) grid."""
     reps = cell.plan.reps
     size = pool_size(cell.plan.workers)
+    run = min(_RUN_REPS, max(1, reps // (size * 8))) if size else _RUN_REPS
+    runs = [range(start, min(start + run, reps)) for start in range(0, reps, run)]
+    ests = np.empty((reps, *cell.center.matrices.shape), dtype=complex)
     if not size:
-        return replace(cell.center, matrices=_run_estimates(cell, range(reps)))
-    chunk = max(1, reps // (size * 8))
-    runs = [range(start, min(start + chunk, reps)) for start in range(0, reps, chunk)]
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        results = list(pool.map(partial(_run_estimates, cell), runs))
-    return replace(cell.center, matrices=np.concatenate(results))
+        for r in runs:
+            ests[r.start : r.stop] = _run_estimates(cell, r)
+    else:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            for r, est in zip(runs, pool.map(partial(_run_estimates, cell), runs)):
+                ests[r.start : r.stop] = est
+    return replace(cell.center, matrices=ests)
 
 
 def _limit_density(x: float) -> float:
@@ -527,22 +537,22 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     spec = _EXPERIMENTS[plan.experiment]
     rows, raw = [], {}
     for index, t_len in enumerate(plan.t_grid):
-        marks = [time.perf_counter()]
+        start = time.perf_counter()
         bw = Bandwidth(t_len, plan.b_exponent, plan.c_const)
         b_val = bw.value
         center = expected_spectrum(model, kernel, bw, spec.freqs(b_val))
         cell = _Cell(plan, model, kernel, index, t_len, b_val, center)
-        marks.append(time.perf_counter())
+        centered = time.perf_counter()
         ests = _run_reps(cell)
-        marks.append(time.perf_counter())
+        simulated = time.perf_counter()
         row, values = spec.statistic(cell, ests)
-        marks.append(time.perf_counter())
+        end = time.perf_counter()
         rows.append({"t_len": t_len, "bandwidth": b_val, **row})
         raw[f"{spec.raw_key}_T{t_len}"] = values
-        center_s, reps_s, stat_s = np.diff(marks)
         log.info(
             "cell T=%d B=%d: %.3f s (center %.3f s, reps %.3f s, statistic %.3f s)",
-            t_len, b_val, marks[-1] - marks[0], center_s, reps_s, stat_s,
+            t_len, b_val, end - start, centered - start, simulated - centered,
+            end - simulated,
         )
     return ExperimentReport(
         plan=plan, rows=tuple(rows), verdicts=spec.verdicts(plan, rows), raw=raw

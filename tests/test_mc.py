@@ -236,7 +236,7 @@ def test_determinism_across_worker_counts():
 
 
 def test_pooled_runs_that_do_not_divide_reps_match_serial(monkeypatch):
-    # 101 reps on 2 workers: runs of 6 replications, the last one of 5
+    # 101 reps: serial runs of 64 and 37; on 2 workers, runs of 6 and a last one of 5
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     base = dict(experiment="gumbel", model_spec="white:dim=2", entry=(0, 1),
                 t_grid=(256, 512), reps=101, seed=11)
