@@ -4,14 +4,15 @@ Subcommands: estimate, bands, depmeasure, simulate, verify, kernel-info.
 All structured output is JSON with a schema_version field and an echo of the
 fully resolved configuration; series and plot data travel as CSV.
 
-Exit codes: 0 success, 1 domain errors (bad data, unsupported model), 2
-usage errors (bad flags, plan validation, malformed model parameters).
+Exit codes: 0 success, otherwise the error's ``exit_code``: 1 for domain
+errors (bad data, unsupported model), 2 for usage errors (bad flags, plan
+validation, malformed model parameters); a stray ValueError exits 2 and an
+OSError 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
@@ -21,33 +22,30 @@ import numpy as np
 from . import __version__
 from .acov import sample_autocov
 from .dependence import check_conditions, profile
-from .errors import InvalidBandwidth, InvalidLevel, InvalidModel, InvalidPlan
-from .errors import SpecbandError, UnknownKernel
+from .errors import SpecbandError, UsageError
 from .inference import pointwise_ci, uniform_band
 from .kernels import get_kernel, tabulated_kernel
 from .mc import ExperimentPlan, pool_size, run_experiment
 from .models import parse_model, simulate
-from .series import _jsonable, center, load_csv, write_csv
+from .series import _json_text, _jsonable, center, load_csv, write_csv
 from .spectral import Bandwidth, estimate_spectrum, theorem_grid
 
 log = logging.getLogger("specband")
 
-SCHEMA_VERSION = 1
 
-
-class UsageError(Exception):
-    pass
-
-
-def _emit(payload: dict, path: str | None):
-    payload = {"schema_version": SCHEMA_VERSION, **_jsonable(payload)}
-    text = json.dumps(payload, sort_keys=True) + "\n"
+def _write(text: str, path: str | None):
+    """Write text to the file at path, or to stdout when there is none."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        log.info("wrote %s", path)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, path: str | None):
+    _write(_json_text(payload), path)
+    if path:
+        log.info("wrote %s", path)
 
 
 def _q_field(q: float):
@@ -107,7 +105,7 @@ def _estimate_input(args, grid_spec: str):
 
 def _cmd_estimate(args) -> int:
     _, grid = _estimate_input(args, args.grid)
-    payload = grid.to_dict()
+    payload = _jsonable(grid)
     payload["config"] = {
         "input": args.input,
         "kernel": args.kernel,
@@ -138,7 +136,7 @@ def _cmd_bands(args) -> int:
         band = uniform_band(grid, kernel, args.level, entries, args.bonferroni)
     else:
         band = pointwise_ci(grid, kernel, args.level, entries)
-    payload = band.to_dict()
+    payload = _jsonable(band)
     target = "true_spectrum" if args.assume_smooth else "expected_smoothed_spectrum"
     payload["target"] = target
     if args.assume_smooth:
@@ -174,7 +172,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_depmeasure(args) -> int:
     model = parse_model(args.model)
     prof = profile(model, args.p, args.horizon, args.reps, args.seed)
-    payload = prof.to_dict()
+    payload = _jsonable(prof)
     payload["model"] = args.model
     payload["seed"] = args.seed
     if args.check_conditions:
@@ -186,7 +184,7 @@ def _cmd_depmeasure(args) -> int:
             delta_param=args.delta_param,
             independent_components=args.independent_components,
         )
-        payload["conditions"] = report.to_dict()
+        payload["conditions"] = report
     _emit(payload, args.output)
     return 0
 
@@ -216,12 +214,7 @@ def _cmd_verify(args) -> int:
         pool_size(plan.workers), plan.seed,
     )
     report = run_experiment(plan)
-    text = report.to_json(include_raw=not args.no_raw)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(report.to_json(include_raw=not args.no_raw), args.out)
     if args.plot_data:
         with open(args.plot_data, "w", encoding="utf-8") as fh:
             fh.write("experiment,T,statistic,value,se\n")
@@ -342,13 +335,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
-    except (UsageError, InvalidBandwidth, InvalidLevel, InvalidModel, InvalidPlan,
-            UnknownKernel) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except SpecbandError as exc:  # before ValueError: InvalidSeries is both
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

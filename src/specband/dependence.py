@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DecayFitWarning
 from .models import ProcessModel
+from .series import _fields
 
 __all__ = [
     "DependenceProfile",
@@ -120,20 +121,7 @@ class DependenceProfile:
         return math.exp(self.decay_fit[1]) if self.decay_fit else None
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "horizon": self.horizon,
-            "reps": self.reps,
-            "delta": [[float(v) for v in row] for row in self.delta],
-            "delta_se": [[float(v) for v in row] for row in self.delta_se],
-            "theta": [float(v) for v in self.theta],
-            "psi": [float(v) for v in self.psi],
-            "d_seq": [float(v) for v in self.d_seq],
-            "theta_se": float(self.theta_se),
-            "decay_fit": list(self.decay_fit) if self.decay_fit else None,
-            "fitted_rho": self.fitted_rho,
-            "tail_remainder": self.tail_remainder,
-        }
+        return {**_fields(self), "fitted_rho": self.fitted_rho}
 
 
 def _geom_tail(log_a: float, log_rho: float, start: int) -> float:
@@ -249,24 +237,6 @@ class ConditionReport:
     independent_components: bool
     notes: tuple = field(default_factory=tuple)
 
-    def to_dict(self) -> dict:
-        return {
-            "geometric_pass": self.geometric_pass,
-            "fitted_rho": self.fitted_rho,
-            "rho_ci": list(self.rho_ci) if self.rho_ci else None,
-            "alpha1_fit": self.alpha1_fit,
-            "alpha1_threshold": self.alpha1_threshold,
-            "alpha1_pass": self.alpha1_pass,
-            "alpha2_fit": self.alpha2_fit,
-            "alpha2_threshold": self.alpha2_threshold,
-            "alpha2_pass": self.alpha2_pass,
-            "bandwidth_window_ok": self.bandwidth_window_ok,
-            "p": self.p,
-            "delta_param": self.delta_param,
-            "independent_components": self.independent_components,
-            "notes": list(self.notes),
-        }
-
 
 def _lin_rss(x: np.ndarray, y: np.ndarray) -> float:
     """Residual sum of squares of the least-squares line y ~ x."""
@@ -276,19 +246,18 @@ def _lin_rss(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _slope_ci(t: np.ndarray, y: np.ndarray):
-    """OLS slope with a 95% normal-theory confidence interval."""
+    """OLS slope, its 95% normal-theory confidence interval and the residual
+    sum of squares, over n >= 3 points."""
     t = t.astype(float)
     n = t.size
     slope, intercept = np.polyfit(t, y, 1)
     resid = y - (slope * t + intercept)
-    if n <= 2:
-        return float(slope), (float(slope), float(slope))
-    s2 = float(resid @ resid) / (n - 2)
-    se = math.sqrt(s2 / float(((t - t.mean()) ** 2).sum()))
+    rss = float(resid @ resid)
+    se = math.sqrt(rss / (n - 2) / float(((t - t.mean()) ** 2).sum()))
     from scipy.special import stdtrit
 
     q = stdtrit(n - 2, 0.975)
-    return float(slope), (float(slope - q * se), float(slope + q * se))
+    return float(slope), (float(slope - q * se), float(slope + q * se)), rss
 
 
 def _power_exponent(values: np.ndarray):
@@ -350,13 +319,12 @@ def check_conditions(
             notes.append("too few positive delta entries for a decay fit")
         else:
             y = np.log(delta_max[t_pos])
-            slope, ci = _slope_ci(t_pos, y)
+            slope, ci, rss_geom = _slope_ci(t_pos, y)
             fitted_rho = math.exp(slope)
             rho_ci = (math.exp(ci[0]), math.exp(ci[1]))
             # a power-law profile also shows a negative slope against t, so
             # additionally require the log-linear model to describe the decay
             # at least as well as a log-log (power-law) model
-            rss_geom = _lin_rss(t_pos.astype(float), y)
             rss_pow = _lin_rss(np.log(t_pos + 1.0), y)
             geometric_pass = bool(ci[1] < 0.0 and rss_geom <= rss_pow)
             if ci[1] < 0.0 and rss_geom > rss_pow:
@@ -374,10 +342,10 @@ def check_conditions(
         geometric_pass=geometric_pass,
         fitted_rho=fitted_rho,
         rho_ci=rho_ci,
-        alpha1_fit=None if alpha1_fit is None else float(alpha1_fit),
+        alpha1_fit=alpha1_fit,
         alpha1_threshold=alpha1_threshold,
         alpha1_pass=alpha1_pass,
-        alpha2_fit=None if alpha2_fit is None else float(alpha2_fit),
+        alpha2_fit=alpha2_fit,
         alpha2_threshold=alpha2_threshold,
         alpha2_pass=alpha2_pass,
         bandwidth_window_ok=bandwidth_ok,

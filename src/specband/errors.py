@@ -2,7 +2,19 @@
 
 
 class SpecbandError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    ``exit_code`` is the command line's exit status: 1 for bad data or an
+    unsupported request, 2 for a bad flag, plan or parameter.
+    """
+
+    exit_code = 1
+
+
+class UsageError(SpecbandError):
+    """A command-line value that does not parse, such as a grid or entry list."""
+
+    exit_code = 2
 
 
 class ParseError(SpecbandError):
@@ -37,6 +49,8 @@ class LagOutOfRange(SpecbandError):
 class InvalidBandwidth(SpecbandError, ValueError):
     """Bandwidth exponent outside (0, 1), or a constant not finite and positive."""
 
+    exit_code = 2
+
 
 class BandwidthTooLarge(SpecbandError):
     """Lag-window size must stay below the series length."""
@@ -49,6 +63,8 @@ class UnsupportedModel(SpecbandError):
 class InvalidModel(SpecbandError, ValueError):
     """Model parameters are malformed, non-finite or not positive definite."""
 
+    exit_code = 2
+
 
 class NonStationaryModel(SpecbandError):
     """Model parameters violate the stationarity region."""
@@ -57,11 +73,14 @@ class NonStationaryModel(SpecbandError):
 class UnknownKernel(SpecbandError, KeyError):
     """Kernel name not in the catalog; a KeyError, as for any failed lookup."""
 
+    exit_code = 2
     __str__ = Exception.__str__  # KeyError.__str__ would quote the message
 
 
 class InvalidLevel(SpecbandError):
     """Confidence level outside (0, 1)."""
+
+    exit_code = 2
 
 
 class DegenerateSpectrum(SpecbandError):
@@ -78,6 +97,8 @@ class BandUndefined(SpecbandError):
 
 class InvalidPlan(SpecbandError):
     """Monte Carlo experiment plan violates its validity constraints."""
+
+    exit_code = 2
 
 
 class OffGridFrequency(SpecbandError):

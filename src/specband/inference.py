@@ -88,15 +88,16 @@ class BandEntry:
     half_width: np.ndarray
 
     def to_dict(self) -> dict:
+        """The entry with 1-based indices and its band's lower and upper edges."""
         return {
             "i": self.i + 1,
             "j": self.j + 1,
-            "freqs": [float(f) for f in self.freqs],
-            "estimate_re": [float(v) for v in self.estimate.real],
-            "estimate_im": [float(v) for v in self.estimate.imag],
-            "half_width": [float(v) for v in self.half_width],
-            "lower": [float(v) for v in self.estimate.real - self.half_width],
-            "upper": [float(v) for v in self.estimate.real + self.half_width],
+            "freqs": self.freqs,
+            "estimate_re": self.estimate.real,
+            "estimate_im": self.estimate.imag,
+            "half_width": self.half_width,
+            "lower": self.estimate.real - self.half_width,
+            "upper": self.estimate.real + self.half_width,
         }
 
 
@@ -108,16 +109,6 @@ class BandResult:
     entries: tuple
     center_mode: str = "plugin"
     metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "method": self.method,
-            "bonferroni_m": self.bonferroni_m,
-            "center_mode": self.center_mode,
-            "metadata": self.metadata,
-            "entries": [e.to_dict() for e in self.entries],
-        }
 
 
 def _denominators(denom: SpectralGrid, i: int, j: int) -> np.ndarray:
@@ -194,8 +185,8 @@ def _band(
         out.append(BandEntry(i, j, est.freqs, est.entry(i, j), half))
     metadata = {
         "per_entry_level": 1.0 - (1.0 - level) / m,
-        "bandwidth": int(est.bandwidth),
-        "t_len": int(est.t_len),
+        "bandwidth": est.bandwidth,
+        "t_len": est.t_len,
         "kernel": kernel.name,
     }
     return BandResult(level, method, m, tuple(out), metadata=metadata)

@@ -10,13 +10,19 @@ Python's ``float`` reads it. An optional first line is a header (read with
 ``has_header``). Blank lines are skipped. There are no comments: ``#`` is a
 bad cell like any other.
 
-JSON payloads (CLI output and experiment reports) go through
-:func:`_jsonable`, which writes non-finite floats as strings.
+JSON payloads (CLI output and experiment reports) have one encoder.
+:func:`_jsonable` turns a result into plain JSON values: an object through
+its ``to_dict()`` if it has one, any other dataclass through its fields,
+numpy arrays and scalars through ``tolist()``, tuples as lists, and
+non-finite floats as the strings "inf", "-inf" and "nan". :func:`_json_text`
+adds ``schema_version`` and writes the payload with sorted keys, one line.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import json
 import logging
 import math
 import os
@@ -34,18 +40,35 @@ log = logging.getLogger(__name__)
 
 _WRITE_BLOCK_ROWS = 65536
 
+SCHEMA_VERSION = 1
+
+
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, values as they are."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
 
 def _jsonable(obj):
-    """Plain-Python copy of a payload, with non-finite floats as strings."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
+    """Plain JSON values of a payload (the encoding is in the module docstring)."""
+    if isinstance(obj, float):  # numpy's float64 too
+        return float(obj) if math.isfinite(obj) else str(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _jsonable(obj.tolist())
+    if hasattr(obj, "to_dict"):
+        return _jsonable(obj.to_dict())
+    if dataclasses.is_dataclass(obj):
+        return _jsonable(_fields(obj))
     return obj
+
+
+def _json_text(payload) -> str:
+    """The payload as one line of JSON with sorted keys and a schema version."""
+    payload = {"schema_version": SCHEMA_VERSION, **_jsonable(payload)}
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)

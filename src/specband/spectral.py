@@ -86,7 +86,7 @@ class SpectralGrid:
     ``matrices`` has shape (..., n_freqs, n, n). Leading axes stack estimates
     that share the grid, bandwidth and T, such as the replications of one
     Monte Carlo cell, so a statistic takes them in one call; ``entry`` keeps
-    those axes. ``to_dict`` serializes a single grid.
+    those axes. ``to_dict`` gives each matrix entry as a [real, imag] pair.
     """
 
     freqs: np.ndarray
@@ -116,14 +116,11 @@ class SpectralGrid:
 
     def to_dict(self) -> dict:
         return {
-            "freqs": [float(f) for f in self.freqs],
-            "bandwidth": int(self.bandwidth),
+            "freqs": self.freqs,
+            "bandwidth": self.bandwidth,
             "kernel": self.kernel_name,
-            "t_len": int(self.t_len),
-            "matrices": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-                for mat in self.matrices
-            ],
+            "t_len": self.t_len,
+            "matrices": np.stack([self.matrices.real, self.matrices.imag], axis=-1),
         }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import strict_json
+from specband import errors
 from specband.cli import main
 from specband.models import WhiteNoise, simulate
 from specband.series import write_csv
@@ -213,6 +214,52 @@ def test_bands_bad_entries_exit_2(wn_csv, capsys):
     assert main(["bands", "--input", wn_csv, "--entries", "9,9"]) == 2
 
 
+def test_bands_explicit_entries_echo_one_based(wn_csv, capsys):
+    code, payload = _run_json(capsys, ["bands", "--input", wn_csv, "--entries", "1,1;2,2"])
+    assert code == 0
+    assert [(e["i"], e["j"]) for e in payload["entries"]] == [(1, 1), (2, 2)]
+    assert payload["config"]["entries"] == "1,1;2,2"
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [("1", "bad entry '1'"), ("3,1", "entry '3,1' outside 1..2"), (";", "no entries")],
+)
+def test_bands_malformed_entries_exit_2_with_one_error_line(entries, message, wn_csv, capsys):
+    assert main(["bands", "--input", wn_csv, "--entries", entries]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: UsageError: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", ["uniform:1", "foo"])
+def test_estimate_bad_grid_exit_2(grid, wn_csv, capsys):
+    assert main(["estimate", "--input", wn_csv, "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UsageError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.UsageError, 2),
+        (errors.InvalidBandwidth, 2),
+        (errors.InvalidLevel, 2),
+        (errors.InvalidModel, 2),
+        (errors.InvalidPlan, 2),
+        (errors.UnknownKernel, 2),
+        (errors.InvalidSeries, 1),
+        (errors.MalformedArray, 1),
+        (errors.ParseError, 1),
+        (errors.UnsupportedModel, 1),
+    ],
+)
+def test_error_classes_carry_their_exit_code(error, code):
+    assert issubclass(error, errors.SpecbandError)
+    assert error.exit_code == code
+
+
 def test_simulate_estimate_round_trip(tmp_path, capsys):
     series_path = tmp_path / "x.csv"
     meta_path = tmp_path / "meta.json"
@@ -401,6 +448,16 @@ def test_verify_runs_and_writes_report(tmp_path, capsys):
     lines = plot.read_text().strip().splitlines()
     assert lines[0] == "experiment,T,statistic,value,se"
     assert len(lines) > 1
+
+
+def test_verify_writes_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
+    plan = ["verify", "--experiment", "gumbel", "--model", "white", "--t-grid", "256,512",
+            "--reps", "100", "--seed", "4"]
+    out = tmp_path / "report.json"
+    assert main([*plan, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(plan) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def _verify_reports_per_worker_count(tmp_path, plan):

@@ -14,6 +14,7 @@ from specband.inference import (
     uniform_band,
 )
 from specband.kernels import get_kernel
+from specband.series import _jsonable
 from specband.spectral import SpectralGrid, theorem_grid
 
 BART = get_kernel("bartlett")
@@ -233,7 +234,7 @@ def test_uniform_band_rejects_bad_level():
 def test_band_to_dict_one_based():
     est = _flat_grid(16, 1024, n=2)
     band = uniform_band(est, BART, 0.9, [(0, 1)])
-    d = band.to_dict()
+    d = _jsonable(band)
     assert d["entries"][0]["i"] == 1 and d["entries"][0]["j"] == 2
     e = d["entries"][0]
     np.testing.assert_allclose(

@@ -153,6 +153,32 @@ def test_vma_gamma_hand_value():
     assert model.gamma(2)[0, 0] == 0.0
 
 
+def _vma_direct(model, eps):
+    """Z_t = sum_k B_k w_{t-k} with w_t = chol(sigma) eps_t, one time point at a time."""
+    w = eps @ np.linalg.cholesky(model.sigma).T
+    out = np.zeros(w.shape)
+    for t in range(w.shape[-2]):
+        for k, b in enumerate(model.coeffs[: t + 1]):
+            out[..., t, :] += w[..., t - k, :] @ b.T
+    return out
+
+
+@pytest.mark.parametrize("shape", [(40, 2), (3, 25, 2), (3, 2, 2)])
+def test_vma_path_matches_direct_lag_sum(shape):
+    # the last shape has fewer steps than coefficient matrices
+    coeffs = (np.eye(2), np.array([[0.5, 0.2], [-0.1, 0.3]]), 0.25 * np.eye(2))
+    model = VMA(coeffs, sigma=np.array([[1.0, 0.3], [0.3, 2.0]]))
+    eps = np.random.default_rng(7).standard_normal(shape)
+    np.testing.assert_allclose(model.path(eps), _vma_direct(model, eps), rtol=1e-13, atol=1e-14)
+
+
+def test_vma_gamma_negative_lag_is_transpose():
+    model = VMA((np.eye(2), np.array([[0.5, 0.2], [-0.1, 0.3]])), sigma=np.eye(2) + 0.2)
+    for u in (1, 2):
+        np.testing.assert_array_equal(model.gamma(-u), model.gamma(u).T)
+    assert not np.allclose(model.gamma(1), model.gamma(1).T)
+
+
 def test_threshold_ar_no_closed_form():
     model = ThresholdAR1(0.4, -0.3)
     assert not model.has_closed_form

@@ -1,7 +1,10 @@
 import csv
 import io
+import json
+import math
 import logging
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from specband.errors import InsufficientData, InvalidSeries, ParseError, Specban
 from specband.series import (
     _WRITE_BLOCK_ROWS,
     MultivariateSeries,
+    _json_text,
+    _jsonable,
     _parse_cells,
     center,
     load_csv,
@@ -279,3 +284,44 @@ def test_write_csv_logs_size(tmp_path, caplog):
         write_csv(MultivariateSeries(np.array([[1.0, -0.0], [2.5, 3.0]])), path)
     assert path.read_bytes() == b"1.0,-0.0\r\n2.5,3.0\r\n"
     assert "2 rows x 2 columns, 19 bytes" in caplog.messages[0]
+
+
+@dataclass(frozen=True)
+class _Pair:
+    name: str
+    values: np.ndarray
+    extra: tuple = ()
+
+
+class _Renamed:
+    def to_dict(self):
+        return {"renamed": np.int64(3)}
+
+
+def test_jsonable_encodes_fields_to_dict_numpy_and_non_finite():
+    payload = {
+        "pair": _Pair("a", np.array([[1.5, np.inf], [-np.inf, np.nan]]), (np.float64(2.0),)),
+        "obj": _Renamed(),
+        "flags": np.array([True, False]),
+        "scalar": np.float64(0.25),
+        "tuple": (1, -math.inf),
+    }
+    out = _jsonable(payload)
+    assert out == {
+        "pair": {"name": "a", "values": [[1.5, "inf"], ["-inf", "nan"]], "extra": [2.0]},
+        "obj": {"renamed": 3},
+        "flags": [True, False],
+        "scalar": 0.25,
+        "tuple": [1, "-inf"],
+    }
+    assert type(out["obj"]["renamed"]) is int and type(out["scalar"]) is float
+    json.dumps(out, allow_nan=False)  # plain JSON values only
+
+
+def test_json_text_adds_schema_version_and_sorts_keys():
+    text = _json_text({"b": np.arange(2), "a": _Pair("x", np.zeros(1))})
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert text == (
+        '{"a": {"extra": [], "name": "x", "values": [0.0]}, "b": [0, 1], '
+        '"schema_version": 1}\n'
+    )

@@ -14,7 +14,7 @@ from specband.errors import (
 )
 from specband.kernels import get_kernel, kernel_names, tabulated_kernel
 from specband.models import AR1Scalar, ThresholdAR1, VMA, WhiteNoise, default_var1, simulate
-from specband.series import center
+from specband.series import _jsonable, center
 from specband.spectral import (
     Bandwidth,
     SpectralGrid,
@@ -267,7 +267,7 @@ def test_spectral_grid_accessors():
     acov = sample_autocov(s, bw.value)
     grid = estimate_spectrum(acov, BART, bw, theorem_grid(bw))
     assert grid.n_dim == 2
-    d = grid.to_dict()
+    d = _jsonable(grid)
     assert d["kernel"] == "bartlett"
     assert len(d["matrices"]) == grid.freqs.size
     assert d["matrices"][0][0][1] == [
