@@ -45,7 +45,6 @@ from .errors import (
     LagOutOfRange,
     MalformedArray,
     NotCentered,
-    UnsupportedModel,
 )
 from .series import MultivariateSeries
 
@@ -140,10 +139,6 @@ def expected_autocov(model, u: int, t_len: int) -> np.ndarray:
     where Gamma is the model autocovariance. Requires a model with closed-form
     Gamma (white noise, VAR(1), VMA).
     """
-    if not model.has_closed_form:
-        raise UnsupportedModel(
-            f"model {model.kind!r} has no closed-form autocovariance"
-        )
     if abs(u) >= t_len:
         return np.zeros((model.n_dim, model.n_dim))
     return (t_len - abs(u)) / t_len * model.gamma(u)

@@ -59,11 +59,19 @@ def _resolve_kernel(name: str):
     return get_kernel(name)
 
 
+def _int(text: str, flag: str, form: str) -> int:
+    """An integer from a flag's value; a malformed one names the flag."""
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{flag} takes {form}; {text!r} is not an integer") from None
+
+
 def _parse_grid(spec: str, bandwidth: Bandwidth):
     if spec == "theorem":
         return theorem_grid(bandwidth)
     if spec.startswith("uniform:"):
-        count = int(spec.split(":", 1)[1])
+        count = _int(spec.split(":", 1)[1], "--grid", "uniform:<count>")
         if count < 2:
             raise UsageError("uniform grid needs at least 2 points")
         return np.linspace(0.0, np.pi, count)
@@ -196,12 +204,12 @@ def _cmd_verify(args) -> int:
         experiment=args.experiment.replace("-", "_"),
         model_spec=args.model,
         kernel_name=args.kernel,
-        t_grid=tuple(int(t) for t in args.t_grid.split(",")),
+        t_grid=tuple(_int(t, "--t-grid", "T,T,...") for t in args.t_grid.split(",")),
         b_exponent=args.b_exponent,
         c_const=args.c_const,
         reps=args.reps,
         seed=args.seed,
-        entry=tuple(int(v) - 1 for v in args.entry.split(",")),
+        entry=tuple(_int(v, "--entry", "1-based i,j") - 1 for v in args.entry.split(",")),
         level=args.level,
         nu_star=args.nu_star,
         nu=args.nu,

@@ -10,8 +10,11 @@ delta_{t,p}. Tail aggregates:
     d_{m,p}     = sum_{t>=0} min(Psi_{m,p}, delta_{t,p})
 
 with the coordinate maximum taken last. The infinite sums are truncated at a
-horizon H and extended with a geometric tail fitted to the observed decay;
-the fitted (A, rho) and the truncation remainder are part of the profile.
+horizon H and extended with a geometric tail A rho^t fitted to each
+coordinate's decay; the fit to the coordinate maximum and its truncation
+remainder are part of the profile. d's tail beyond H is Theta's for every m
+(unless Psi_m underflows to 0): Psi_m^{p'} contains the fitted tail
+sum_{t>H} (A rho^t)^{p'} >= (A rho^{H+1})^{p'}, so min(Psi_m, A rho^t) = A rho^t.
 """
 
 from __future__ import annotations
@@ -64,6 +67,13 @@ def _delta_from_samples(diff_p: np.ndarray, p: float):
     return delta, se
 
 
+def _check_p_reps(p: float, reps: int):
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
+    if reps < 100:
+        raise ValueError("need at least 100 replications")
+
+
 def coupled_delta(model: ProcessModel, t: int, p: float, reps: int, seed):
     """Monte Carlo estimate of delta_{t,p} per coordinate.
 
@@ -71,12 +81,16 @@ def coupled_delta(model: ProcessModel, t: int, p: float, reps: int, seed):
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if not 1.0 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1")
-    if reps < 100:
-        raise ValueError("need at least 100 replications")
+    _check_p_reps(p, reps)
     diffs = _coupled_differences(model, t, reps, seed)[:, t, :]
     return _delta_from_samples(diffs**p, p)
+
+
+def _line(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, rss)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    return float(slope), float(intercept), float(resid @ resid)
 
 
 def _fit_geometric(delta: np.ndarray):
@@ -87,13 +101,12 @@ def _fit_geometric(delta: np.ndarray):
     t = np.nonzero(delta > _ZERO_TOL)[0]
     if t.size < 2:
         return None
-    y = np.log(delta[t])
-    slope, intercept = np.polyfit(t.astype(float), y, 1)
+    slope, intercept, _ = _line(t.astype(float), np.log(delta[t]))
     # a slope this close to zero (rho ~ 1) gives a meaningless tail sum;
     # treat it as non-decaying rather than divide by 1 - rho ~ 0
     if slope >= -1e-6:
         return None
-    return float(intercept), float(slope)
+    return intercept, slope
 
 
 @dataclass(frozen=True)
@@ -130,51 +143,16 @@ def _geom_tail(log_a: float, log_rho: float, start: int) -> float:
     return math.exp(log_a + start * log_rho) / (1.0 - rho)
 
 
-def _geom_tail_pow(log_a: float, log_rho: float, start: int, power: float) -> float:
-    """sum_{t >= start} (A rho^t)^power."""
-    return _geom_tail(power * log_a, power * log_rho, start)
-
-
-def _aggregate(delta_i: np.ndarray, p_prime: float, fit):
-    """Theta_m, Psi_m^{p'}, for one coordinate, m = 0..H, with geometric tail."""
-    h = delta_i.size - 1
-    tail1 = _geom_tail(*fit, h + 1) if fit else 0.0
-    tailp = _geom_tail_pow(*fit, h + 1, p_prime) if fit else 0.0
-    rev = delta_i[::-1]
-    theta = np.cumsum(rev)[::-1] + tail1
-    psi_pow = np.cumsum(rev**p_prime)[::-1] + tailp
-    return theta, psi_pow
-
-
-def _d_tail(psi_m: float, fit, start: int) -> float:
-    """sum_{t >= start} min(psi_m, A rho^t)."""
-    if fit is None:
-        return 0.0
-    log_a, log_rho = fit
-    if psi_m <= 0.0:
-        return 0.0
-    # first t >= start with A rho^t <= psi_m
-    t_cross = start
-    if math.exp(log_a + start * log_rho) > psi_m:
-        t_cross = math.ceil((math.log(psi_m) - log_a) / log_rho)
-        t_cross = max(t_cross, start)
-    return (t_cross - start) * psi_m + _geom_tail(log_a, log_rho, t_cross)
-
-
 def profile(
     model: ProcessModel, p: float, horizon: int, reps: int, seed
 ) -> DependenceProfile:
     """Estimate the dependence profile up to a horizon with tail extrapolation."""
     if horizon < 4:
         raise ValueError("horizon must be at least 4")
-    if reps < 100:
-        raise ValueError("need at least 100 replications")
-    if not 1.0 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1")
+    _check_p_reps(p, reps)
     diffs = _coupled_differences(model, horizon, reps, seed)
     delta, delta_se = _delta_from_samples(diffs**p, p)  # (H+1, n)
     p_prime = min(2.0, p)
-    n = delta.shape[1]
     delta_max = delta.max(axis=1)
     fit_max = _fit_geometric(delta_max)
     if fit_max is None and np.any(delta_max[1:] > _ZERO_TOL):
@@ -184,37 +162,32 @@ def profile(
             DecayFitWarning,
             stacklevel=2,
         )
-    fits = [_fit_geometric(delta[:, i]) for i in range(n)]
-    theta_i = np.empty((horizon + 1, n))
-    psi_pow_i = np.empty((horizon + 1, n))
-    for i in range(n):
-        theta_i[:, i], psi_pow_i[:, i] = _aggregate(delta[:, i], p_prime, fits[i])
+    fits = [_fit_geometric(col) for col in delta.T]
+    start = horizon + 1
+    tail = np.array([_geom_tail(*fit, start) if fit else 0.0 for fit in fits])
+    tail_pow = np.array(
+        [_geom_tail(p_prime * fit[0], p_prime * fit[1], start) if fit else 0.0
+         for fit in fits]
+    )
+    rev = delta[::-1]
+    theta_i = np.cumsum(rev, axis=0)[::-1] + tail  # (H+1, n), row m
+    psi_pow_i = np.cumsum(rev**p_prime, axis=0)[::-1] + tail_pow
     theta = theta_i.max(axis=1)
     psi = psi_pow_i.max(axis=1) ** (1.0 / p_prime)
-    d_seq = np.empty(horizon + 1)
-    for m in range(horizon + 1):
-        per_coord = np.empty(n)
-        for i in range(n):
-            psi_m_i = psi_pow_i[m, i] ** (1.0 / p_prime)
-            head = np.minimum(psi_m_i, delta[:, i]).sum()
-            per_coord[i] = head + _d_tail(psi_m_i, fits[i], horizon + 1)
-        d_seq[m] = per_coord.max()
-    tail_remainder = _geom_tail(*fit_max, horizon + 1) if fit_max else (
+    # head[i, m] = sum_t min(Psi_{m,i}, delta_{t,i}); C order keeps numpy's
+    # pairwise sum along t
+    psi_i = psi_pow_i.T ** (1.0 / p_prime)
+    head = np.minimum(psi_i[:, :, None], delta.T[:, None, :], order="C").sum(axis=2)
+    # Psi^{p'} underflows to 0 where delta and the fitted tail are below
+    # about 2e-162 (p' = 2); d's tail is min(0, A rho^t) = 0 there
+    d_seq = (head + np.where(psi_i > 0.0, tail[:, None], 0.0)).max(axis=0)
+    tail_remainder = _geom_tail(*fit_max, start) if fit_max else (
         0.0 if not np.any(delta_max[1:] > _ZERO_TOL) else None
     )
-    theta_se = float(delta_se.max(axis=1).sum())
     return DependenceProfile(
-        p=p,
-        horizon=horizon,
-        delta=delta,
-        delta_se=delta_se,
-        theta=theta,
-        psi=psi,
-        d_seq=d_seq,
-        theta_se=theta_se,
-        decay_fit=fit_max,
-        tail_remainder=tail_remainder,
-        reps=reps,
+        p=p, horizon=horizon, delta=delta, delta_se=delta_se, theta=theta,
+        psi=psi, d_seq=d_seq, theta_se=float(delta_se.max(axis=1).sum()),
+        decay_fit=fit_max, tail_remainder=tail_remainder, reps=reps,
     )
 
 
@@ -238,26 +211,17 @@ class ConditionReport:
     notes: tuple = field(default_factory=tuple)
 
 
-def _lin_rss(x: np.ndarray, y: np.ndarray) -> float:
-    """Residual sum of squares of the least-squares line y ~ x."""
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return float(resid @ resid)
-
-
 def _slope_ci(t: np.ndarray, y: np.ndarray):
     """OLS slope, its 95% normal-theory confidence interval and the residual
     sum of squares, over n >= 3 points."""
     t = t.astype(float)
     n = t.size
-    slope, intercept = np.polyfit(t, y, 1)
-    resid = y - (slope * t + intercept)
-    rss = float(resid @ resid)
+    slope, _, rss = _line(t, y)
     se = math.sqrt(rss / (n - 2) / float(((t - t.mean()) ** 2).sum()))
     from scipy.special import stdtrit
 
     q = stdtrit(n - 2, 0.975)
-    return float(slope), (float(slope - q * se), float(slope + q * se)), rss
+    return slope, (float(slope - q * se), float(slope + q * se)), rss
 
 
 def _power_exponent(values: np.ndarray):
@@ -268,8 +232,8 @@ def _power_exponent(values: np.ndarray):
         return math.inf
     if pos.sum() < 2:
         return None
-    slope, _ = np.polyfit(np.log(m[pos].astype(float)), np.log(values[1:][pos]), 1)
-    return float(-slope)
+    slope, _, _ = _line(np.log(m[pos].astype(float)), np.log(values[1:][pos]))
+    return -slope
 
 
 def check_conditions(
@@ -325,7 +289,7 @@ def check_conditions(
             # a power-law profile also shows a negative slope against t, so
             # additionally require the log-linear model to describe the decay
             # at least as well as a log-log (power-law) model
-            rss_pow = _lin_rss(np.log(t_pos + 1.0), y)
+            rss_pow = _line(np.log(t_pos + 1.0), y)[2]
             geometric_pass = bool(ci[1] < 0.0 and rss_geom <= rss_pow)
             if ci[1] < 0.0 and rss_geom > rss_pow:
                 notes.append(

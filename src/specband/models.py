@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_MEMORY_TOL = 1e-14
 
 
 def _as_cov(sigma, n):
@@ -81,14 +82,13 @@ class ProcessModel:
     """Common surface of all generative models."""
 
     kind: str = "abstract"
-    has_closed_form: bool = False
 
     @property
     def n_dim(self) -> int:
         raise NotImplementedError
 
-    def decay_horizon(self, tol: float = 1e-14) -> int:
-        """Lags after which the causal map's memory is below tol."""
+    def decay_horizon(self) -> int:
+        """Lags after which the causal map's memory is below _MEMORY_TOL."""
         raise NotImplementedError
 
     def path(self, eps: np.ndarray) -> np.ndarray:
@@ -113,7 +113,6 @@ class WhiteNoise(ProcessModel):
 
     sigma: np.ndarray = field(default_factory=lambda: np.eye(1))
     kind = "white_noise"
-    has_closed_form = True
 
     def __post_init__(self):
         sigma, chol = _as_cov(self.sigma, np.atleast_2d(self.sigma).shape[0])
@@ -126,7 +125,7 @@ class WhiteNoise(ProcessModel):
     def n_dim(self):
         return self.sigma.shape[0]
 
-    def decay_horizon(self, tol: float = 1e-14) -> int:
+    def decay_horizon(self) -> int:
         return 0
 
     def path(self, eps):
@@ -152,7 +151,6 @@ class VAR1(ProcessModel):
     coeff: np.ndarray
     sigma: np.ndarray | None = None
     kind = "var1"
-    has_closed_form = True
 
     def __post_init__(self):
         from scipy.linalg import schur, solve_discrete_lyapunov
@@ -179,10 +177,10 @@ class VAR1(ProcessModel):
     def n_dim(self):
         return self.coeff.shape[0]
 
-    def decay_horizon(self, tol: float = 1e-14) -> int:
+    def decay_horizon(self) -> int:
         if self._radius == 0.0:
             return 1
-        return int(np.ceil(np.log(tol) / np.log(self._radius))) + 1
+        return int(np.ceil(np.log(_MEMORY_TOL) / np.log(self._radius))) + 1
 
     def path(self, eps):
         from scipy.linalg.lapack import ztbtrs  # not stored: the pool pickles models
@@ -250,7 +248,6 @@ class VMA(ProcessModel):
     coeffs: tuple
     sigma: np.ndarray | None = None
     kind = "vma"
-    has_closed_form = True
 
     def __post_init__(self):
         coeffs = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in self.coeffs)
@@ -275,7 +272,7 @@ class VMA(ProcessModel):
     def order(self):
         return len(self.coeffs) - 1
 
-    def decay_horizon(self, tol: float = 1e-14) -> int:
+    def decay_horizon(self) -> int:
         return self.order
 
     def path(self, eps):
@@ -334,10 +331,10 @@ class ThresholdAR1(ProcessModel):
     def n_dim(self):
         return 1
 
-    def decay_horizon(self, tol: float = 1e-14) -> int:
+    def decay_horizon(self) -> int:
         if self._contraction == 0.0:
             return 1
-        return int(np.ceil(np.log(tol) / np.log(self._contraction))) + 1
+        return int(np.ceil(np.log(_MEMORY_TOL) / np.log(self._contraction))) + 1
 
     def path(self, eps):
         w = np.sqrt(self.sigma2) * eps[..., 0]

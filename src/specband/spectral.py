@@ -39,7 +39,6 @@ from .errors import (
     InvalidBandwidth,
     MalformedArray,
     OffGridFrequency,
-    UnsupportedModel,
 )
 from .kernels import Kernel
 
@@ -237,8 +236,6 @@ def expected_spectrum(
     freqs = _check_freqs(freqs)
     t_len = bandwidth.t_len if t_len is None else t_len
     b_val = bandwidth.value
-    if not model.has_closed_form:
-        raise UnsupportedModel(f"model {model.kind!r} has no closed-form Gamma(u)")
     max_lag = min(b_val, t_len - 1)
     gammas = np.stack(
         [expected_autocov(model, u, t_len) for u in range(max_lag + 1)]

@@ -515,3 +515,38 @@ def test_unknown_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--input", "x.csv", "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "experiment, message",
+    [("gumbel", "no closed-form Gamma(u)"), ("bias-rate", "no closed-form spectrum")],
+)
+def test_verify_on_threshold_ar_exit_1_without_report(experiment, message, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [
+        "verify", "--experiment", experiment, "--model", "tar:a=0.5,b=-0.5",
+        "--t-grid", "512", "--reps", "100", "--out", str(out),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: UnsupportedModel: model 'threshold_ar1' has {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--grid", "uniform:x", "--grid takes uniform:<count>; 'x'"),
+        ("--entry", "1,x", "--entry takes 1-based i,j; 'x'"),
+        ("--t-grid", "256,abc", "--t-grid takes T,T,...; 'abc'"),
+    ],
+)
+def test_malformed_integer_flag_exit_2_names_the_flag(flag, value, message, wn_csv, capsys):
+    if flag == "--grid":
+        argv = ["estimate", "--input", wn_csv]
+    else:
+        argv = ["verify", "--experiment", "gumbel"]
+    assert main([*argv, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: UsageError: {message} is not an integer"]
+    assert captured.out == ""

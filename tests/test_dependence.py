@@ -9,7 +9,7 @@ from specband.dependence import (
     profile,
 )
 from specband.errors import DecayFitWarning
-from specband.models import AR1Scalar, WhiteNoise
+from specband.models import VMA, AR1Scalar, WhiteNoise, parse_model
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,6 +80,59 @@ def test_profile_monotone_aggregates():
     assert np.all(prof.delta >= 0.0)
 
 
+def _aggregates_by_definition(prof):
+    """Theta, Psi and d summed term by term over delta extended with each
+    coordinate's fitted A rho^t until the terms fall below 1e-300."""
+    from specband.dependence import _fit_geometric
+
+    p_prime = min(2.0, prof.p)
+    ms = range(prof.horizon + 1)
+    per_coord = []
+    for col in prof.delta.T:
+        terms = list(col)
+        fit = _fit_geometric(col)
+        t = prof.horizon + 1
+        while fit and math.exp(fit[0] + t * fit[1]) >= 1e-300:
+            terms.append(math.exp(fit[0] + t * fit[1]))
+            t += 1
+        terms = np.array(terms)
+        theta = [terms[m:].sum() for m in ms]
+        psi = [(terms[m:] ** p_prime).sum() ** (1.0 / p_prime) for m in ms]
+        d = [np.minimum(psi[m], terms).sum() for m in ms]
+        per_coord.append((theta, psi, d))
+    return np.array(per_coord).max(axis=0)  # (3, H + 1): coordinate max
+
+
+_VMA3 = VMA(
+    coeffs=(
+        np.eye(3),
+        [[0.5, 0.2, 0.0], [-0.3, 0.4, 0.1], [0.0, 0.2, -0.6]],
+        [[0.2, 0.0, 0.1], [0.0, -0.25, 0.0], [0.1, 0.0, 0.3]],
+    )
+)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize(
+    "model, horizon",
+    [
+        (parse_model("ar1:phi=0.5"), 12),
+        (parse_model("tar:a=0.5,b=-0.5"), 12),
+        (parse_model("var1:default"), 12),
+        (_VMA3, 12),
+        # delta is 0 from t = 7 and (A rho^61)^2 underflows: Psi_m = 0 there
+        (parse_model("tar:a=1e-3,b=1e-3"), 60),
+    ],
+    ids=["ar1", "tar", "var1", "vma2", "tar-underflow"],
+)
+def test_profile_aggregates_match_their_definitions(model, horizon, p):
+    prof = profile(model, p, horizon=horizon, reps=400, seed=21)
+    theta, psi, d_seq = _aggregates_by_definition(prof)
+    np.testing.assert_allclose(prof.theta, theta, rtol=1e-12)
+    np.testing.assert_allclose(prof.psi, psi, rtol=1e-12)
+    np.testing.assert_allclose(prof.d_seq, d_seq, rtol=1e-12)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         profile(WhiteNoise(), 2.0, horizon=2, reps=500, seed=0)
@@ -130,6 +183,31 @@ def test_check_conditions_synthetic_power_law_fails_geometric():
     assert report.alpha1_fit is not None and report.alpha2_fit is not None
 
 
+def test_check_conditions_two_positive_deltas_give_no_fits():
+    from specband.dependence import DependenceProfile
+
+    # delta = (1, 0.5, 0, ...): Theta = (1.5, 0.5, 0, ...), d = (1.5, 1, 0, ...)
+    delta = np.zeros((9, 1))
+    delta[:2, 0] = (1.0, 0.5)
+    theta = np.zeros(9)
+    theta[:2] = (1.5, 0.5)
+    psi = np.zeros(9)
+    psi[:2] = (math.sqrt(1.25), 0.5)
+    d_seq = np.zeros(9)
+    d_seq[:2] = (1.5, 1.0)
+    prof = DependenceProfile(
+        p=2.0, horizon=8, delta=delta, delta_se=np.zeros_like(delta),
+        theta=theta, psi=psi, d_seq=d_seq, theta_se=0.0,
+        decay_fit=None, tail_remainder=None, reps=0,
+    )
+    report = check_conditions(prof, p=2.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    assert report.geometric_pass is None and report.fitted_rho is None
+    assert report.notes == ("too few positive delta entries for a decay fit",)
+    # one positive value beyond m = 0 is too few for a power-law exponent
+    assert report.alpha1_fit is None and report.alpha1_pass is None
+    assert report.alpha2_fit is None and report.alpha2_pass is None
+
+
 def test_check_conditions_independent_components_note():
     prof = profile(WhiteNoise(), 8.0, horizon=8, reps=1000, seed=12)
     report = check_conditions(
@@ -152,7 +230,7 @@ def test_decay_fit_warning_on_nondecaying_profile():
             )
             return np.array(out)
 
-        def decay_horizon(self, tol=1e-14):
+        def decay_horizon(self):
             return 0
 
     with pytest.warns(DecayFitWarning):

@@ -163,8 +163,10 @@ def test_quadrature_oracles():
         np.sqrt(4.0 * np.pi**2 / 6.0 + 4.0 * np.euler_gamma**2), abs=1e-9
     )
     assert g2 == pytest.approx(2.8129, abs=1e-4)
-    # independent oracle for E|G|: G = 2 Y with Y standard Gumbel
-    g1_ref = 2.0 * gumbel_r.expect(lambda y: abs(y))
+    # independent oracle for E|G|: G = 2 Y with Y standard Gumbel; scipy's
+    # own quadrature overflows exp(-y) in its far left tail, where the pdf is 0
+    with np.errstate(over="ignore"):
+        g1_ref = 2.0 * gumbel_r.expect(lambda y: abs(y))
     assert gumbel_abs_norm(1.0) == pytest.approx(g1_ref, abs=1e-8)
 
 

@@ -181,7 +181,6 @@ def test_vma_gamma_negative_lag_is_transpose():
 
 def test_threshold_ar_no_closed_form():
     model = ThresholdAR1(0.4, -0.3)
-    assert not model.has_closed_form
     with pytest.raises(UnsupportedModel):
         model.gamma(0)
     with pytest.raises(UnsupportedModel):
