@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ from .acov import sample_autocov
 from .dependence import check_conditions, profile
 from .errors import SpecbandError, UsageError
 from .inference import pointwise_ci, uniform_band
-from .kernels import get_kernel, tabulated_kernel
+from .kernels import get_kernel
 from .mc import ExperimentPlan, pool_size, run_experiment
 from .models import parse_model, simulate
 from .series import _json_text, _jsonable, center, load_csv, write_csv
@@ -46,17 +45,6 @@ def _emit(payload: dict, path: str | None):
     _write(_json_text(payload), path)
     if path:
         log.info("wrote %s", path)
-
-
-def _q_field(q: float):
-    """A kernel's bias order for a report; _jsonable writes infinity as "inf"."""
-    return "unknown" if math.isnan(q) else q
-
-
-def _resolve_kernel(name: str):
-    if name.startswith("file:"):
-        return tabulated_kernel(name[5:])
-    return get_kernel(name)
 
 
 def _int(text: str, flag: str, form: str) -> int:
@@ -104,7 +92,7 @@ def _parse_entries(spec: str, n: int):
 def _estimate_input(args, grid_spec: str):
     """(kernel, estimate) of the centered --input series on the named grid."""
     series = center(load_csv(args.input, has_header=args.has_header))
-    kernel = _resolve_kernel(args.kernel)
+    kernel = get_kernel(args.kernel)
     bandwidth = Bandwidth(series.t_len, args.b_exponent, args.c_const)
     freqs = _parse_grid(grid_spec, bandwidth)
     acov = sample_autocov(series, bandwidth.value)
@@ -148,12 +136,10 @@ def _cmd_bands(args) -> int:
     target = "true_spectrum" if args.assume_smooth else "expected_smoothed_spectrum"
     payload["target"] = target
     if args.assume_smooth:
-        q = kernel.q_exponent
-        # a tabulated window has an unknown bias order (q is NaN)
-        check = None if math.isnan(q) else bool(args.b_exponent * (q + 1.0) > 1.0)
+        check = kernel.undersmooths(args.b_exponent)
         payload["undersmoothing_check"] = {
             "b_exponent_times_q_plus_1_gt_1": check,
-            "q": _q_field(q),
+            "q": kernel.q,
         }
         verdict = {None: "unknown (bias order unknown)", True: "ok", False: "VIOLATED"}
         print(f"undersmoothing check b*(q+1) > 1: {verdict[check]}", file=sys.stderr)
@@ -235,17 +221,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kernel_info(args) -> int:
-    kernel = _resolve_kernel(args.kernel)
-    q, k_q = kernel.q_exponent, kernel.k_q
-    payload = {
-        "name": kernel.name,
-        "kappa": kernel.kappa,
-        "q": _q_field(q),
-        "k_q": k_q,
-        "psd_guarantee": kernel.psd_guarantee,
-        "note": kernel.note,
-    }
-    _emit(payload, args.output)
+    _emit(get_kernel(args.kernel).to_dict(), args.output)
     return 0
 
 

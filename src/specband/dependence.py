@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayFitWarning
+from .errors import DecayFitWarning, InvalidArgument
 from .models import ProcessModel
 from .series import _fields
 
@@ -69,9 +69,9 @@ def _delta_from_samples(diff_p: np.ndarray, p: float):
 
 def _check_p_reps(p: float, reps: int):
     if not 1.0 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1")
+        raise InvalidArgument("p must be finite and >= 1")
     if reps < 100:
-        raise ValueError("need at least 100 replications")
+        raise InvalidArgument("need at least 100 replications")
 
 
 def coupled_delta(model: ProcessModel, t: int, p: float, reps: int, seed):
@@ -80,7 +80,7 @@ def coupled_delta(model: ProcessModel, t: int, p: float, reps: int, seed):
     Returns (estimate, se), each an array of length n_dim.
     """
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise InvalidArgument("t must be nonnegative")
     _check_p_reps(p, reps)
     diffs = _coupled_differences(model, t, reps, seed)[:, t, :]
     return _delta_from_samples(diffs**p, p)
@@ -148,7 +148,7 @@ def profile(
 ) -> DependenceProfile:
     """Estimate the dependence profile up to a horizon with tail extrapolation."""
     if horizon < 4:
-        raise ValueError("horizon must be at least 4")
+        raise InvalidArgument("horizon must be at least 4")
     _check_p_reps(p, reps)
     diffs = _coupled_differences(model, horizon, reps, seed)
     delta, delta_se = _delta_from_samples(diffs**p, p)  # (H+1, n)
@@ -257,7 +257,7 @@ def check_conditions(
     the series components are mutually independent.
     """
     if not 0.0 < delta_param < math.inf:
-        raise ValueError("delta_param must be finite and positive")
+        raise InvalidArgument("delta_param must be finite and positive")
     notes = []
     p_eff = p / 2.0 if independent_components else p
     if independent_components:

@@ -17,6 +17,12 @@ class UsageError(SpecbandError):
     exit_code = 2
 
 
+class InvalidArgument(SpecbandError, ValueError):
+    """A parameter outside its domain, such as p < 1 or an asymmetric kernel table."""
+
+    exit_code = 2
+
+
 class ParseError(SpecbandError):
     """Malformed CSV input. Carries 1-based (row, col) when known."""
 
@@ -46,10 +52,8 @@ class LagOutOfRange(SpecbandError):
     """Requested autocovariance lag is >= T."""
 
 
-class InvalidBandwidth(SpecbandError, ValueError):
+class InvalidBandwidth(InvalidArgument):
     """Bandwidth exponent outside (0, 1), or a constant not finite and positive."""
-
-    exit_code = 2
 
 
 class BandwidthTooLarge(SpecbandError):
@@ -60,10 +64,8 @@ class UnsupportedModel(SpecbandError):
     """The process model has no closed-form autocovariance/spectrum."""
 
 
-class InvalidModel(SpecbandError, ValueError):
+class InvalidModel(InvalidArgument):
     """Model parameters are malformed, non-finite or not positive definite."""
-
-    exit_code = 2
 
 
 class NonStationaryModel(SpecbandError):

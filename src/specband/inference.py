@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandUndefined, DegenerateSpectrum, InvalidLevel
+from .errors import BandUndefined, DegenerateSpectrum, InvalidArgument, InvalidLevel
 from .kernels import Kernel
 from .spectral import SpectralGrid
 
@@ -147,14 +147,9 @@ def max_deviation(
     modulus, which covers cross-spectra.
     """
     i, j = entry
-    if est.freqs.shape != center.freqs.shape or not np.allclose(
-        est.freqs, center.freqs
-    ):
-        raise ValueError("estimate and center grids differ")
-    if est.freqs.shape != denom.freqs.shape or not np.allclose(
-        est.freqs, denom.freqs
-    ):
-        raise ValueError("estimate and denominator grids differ")
+    for other, name in ((center, "center"), (denom, "denominator")):
+        if other.freqs.shape != est.freqs.shape or not np.allclose(est.freqs, other.freqs):
+            raise InvalidArgument(f"estimate and {name} grids differ")
     dev2 = np.abs(est.entry(i, j) - center.entry(i, j)) ** 2
     scale = kernel.kappa * _denominators(denom, i, j)
     ratio = (est.t_len / est.bandwidth) * dev2 / scale

@@ -1,38 +1,44 @@
-"""Lag-window kernel catalog.
+"""Lag-window kernels: the catalog, tabulated windows and their metadata.
 
-Each kernel K is even, equals 1 at 0, and vanishes outside [-1, 1]. The
-metadata carried alongside the window function:
+``get_kernel`` resolves every kernel name: a catalog name or alias, or
+``file:<path>`` for a tabulated window. Each kernel K is even, equals 1 at
+0, and vanishes outside [-1, 1]. The metadata carried alongside the window
+function:
 
 * ``kappa``    -- integral of K^2 over the support; the variance constant in
   the CLT and extreme-value normalizations.
 * ``q_exponent`` / ``k_q`` -- order and limit constant of 1 - K(x) ~ K_q |x|^q
   near 0, which governs the smoothing-bias order O(B^-q). ``k_q`` is None
-  when the constant is unavailable (truncated window: q is infinite).
+  when the constant is unavailable (truncated window: q is infinite;
+  tabulated window: q is unknown, stored as NaN).
 * ``psd_guarantee`` -- whether the window's Fourier transform is nonnegative,
   so spectral estimates built from it are positive semidefinite.
 
-Bartlett is first order: 1 - K(x) = |x| exactly, so q = 1 and K_q = 1, and
-the exact bias decays like B^-1 (the bias-rate experiment fits a log-log
-slope of about -1). ``bands --assume-smooth`` reads q in its
-undersmoothing check b (q + 1) > 1.
+``Kernel.q`` is the one report encoding of q: "unknown" for NaN, "inf" for
+an infinite order and the float otherwise. It serves kernel-info
+(``Kernel.to_dict``), the ``bands --assume-smooth`` check b (q + 1) > 1
+(``Kernel.undersmooths``) and bias-rate's ``kernel_q_claim``. Bartlett is
+first order: 1 - K(x) = |x| exactly, so q = 1, K_q = 1 and its exact bias
+decays like B^-1.
+
+A tabulated window is a series CSV (``load_csv``) of two columns, u and
+K(u), on a grid symmetric about 0 with K(0) = 1. Its window function is a
+``partial`` of ``np.interp``, so it pickles into a worker pool.
 """
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownKernel
+from .errors import InvalidArgument, UnknownKernel
+from .series import load_csv
 
-__all__ = [
-    "Kernel",
-    "get_kernel",
-    "kernel_names",
-    "tabulated_kernel",
-]
+__all__ = ["Kernel", "get_kernel", "kernel_names", "tabulated_kernel"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,22 @@ class Kernel:
         u = np.asarray(u, dtype=float)
         out = np.where(np.abs(u) <= 1.0, self.fn(np.abs(u)), 0.0)
         return out if out.ndim else float(out)
+
+    @property
+    def q(self):
+        """The bias order as reports give it: "unknown", "inf" or a float."""
+        q = self.q_exponent
+        return "unknown" if math.isnan(q) else q if math.isfinite(q) else "inf"
+
+    def undersmooths(self, b_exponent: float) -> bool | None:
+        """Whether B ~ T^b undersmooths, b (q + 1) > 1; None when q is unknown."""
+        q = self.q_exponent
+        return None if math.isnan(q) else bool(b_exponent * (q + 1.0) > 1.0)
+
+    def to_dict(self) -> dict:
+        """The kernel-info payload."""
+        keep = ("name", "kappa", "k_q", "psd_guarantee", "note")
+        return {"q": self.q, **{key: getattr(self, key) for key in keep}}
 
 
 def _bartlett(a):
@@ -111,7 +133,9 @@ def kernel_names():
 
 
 def get_kernel(name: str) -> Kernel:
-    """Look up a catalog kernel by name (a few aliases accepted)."""
+    """A catalog kernel by name or alias, or the tabulated window of ``file:<path>``."""
+    if name.startswith("file:"):
+        return tabulated_kernel(name[5:])
     key = _ALIASES.get(name, name)
     try:
         return _CATALOG[key]
@@ -124,36 +148,25 @@ def get_kernel(name: str) -> Kernel:
 def tabulated_kernel(path) -> Kernel:
     """Build a kernel from a two-column CSV of (u, K(u)) samples.
 
-    The grid must be symmetric about 0 and include u = 0 with K(0) = 1;
-    evaluation interpolates linearly and kappa comes from quadrature on the
-    tabulated grid. The shift-sum admissibility condition is not checked for
-    user-supplied windows.
+    The file follows ``load_csv``'s rules, and the grid must be symmetric
+    about 0 and include u = 0 with K(0) = 1. Evaluation interpolates
+    linearly, kappa comes from quadrature on the tabulated grid, and the
+    shift-sum admissibility condition is not checked.
     """
-    us, ks = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            us.append(float(row[0]))
-            ks.append(float(row[1]))
-    u = np.asarray(us, dtype=float)
-    k = np.asarray(ks, dtype=float)
-    order = np.argsort(u)
-    u, k = u[order], k[order]
+    table = load_csv(path).values
+    if table.shape[1] != 2:
+        raise InvalidArgument(f"kernel table needs 2 columns, got {table.shape[1]}")
+    u, k = table[np.argsort(table[:, 0])].T
     if not np.allclose(u, -u[::-1]) or not np.allclose(k, k[::-1]):
-        raise ValueError("tabulated kernel grid must be symmetric about 0")
+        raise InvalidArgument("tabulated kernel grid must be symmetric about 0")
     if abs(np.interp(0.0, u, k) - 1.0) > 1e-8:
-        raise ValueError("tabulated kernel must satisfy K(0) = 1")
-
-    def fn(a, _u=np.abs(u[u >= 0]), _k=k[u >= 0]):
-        return np.interp(a, _u, _k)
-
+        raise InvalidArgument("tabulated kernel must satisfy K(0) = 1")
+    fn = partial(np.interp, xp=np.abs(u[u >= 0]), fp=k[u >= 0])
     grid = np.linspace(-1.0, 1.0, 20001)
-    kappa = float(np.trapezoid(np.interp(np.abs(grid), np.abs(u[u >= 0]), k[u >= 0]) ** 2, grid))
     return Kernel(
         name="tabulated",
         fn=fn,
-        kappa=kappa,
+        kappa=float(np.trapezoid(fn(np.abs(grid)) ** 2, grid)),
         q_exponent=np.nan,
         k_q=None,
         psd_guarantee=False,

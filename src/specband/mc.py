@@ -453,10 +453,7 @@ def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
     f_true = model.spectral_density(freq)[0, i, j]
     rows = []
     for b_val in plan.b_grid:
-        # exponent log B / log T gives Bandwidth.value == b_val for every B
-        # in [2, T-1], the range plan validation enforces
-        bw = Bandwidth(t_len, math.log(b_val) / math.log(t_len), 1.0)
-        exp_mat = expected_spectrum(model, kernel, bw, freq).matrices[0, i, j]
+        exp_mat = expected_spectrum(model, kernel, b_val, t_len, freq).matrices[0, i, j]
         rows.append(
             {
                 "t_len": t_len,
@@ -478,7 +475,6 @@ def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
         if positive.sum() >= 2
         else -math.inf
     )
-    q_claim = kernel.q_exponent
     verdicts = {}
     if kernel.name == "truncated":
         idx = plan.b_grid.index(64) if 64 in plan.b_grid else len(plan.b_grid) - 1
@@ -490,8 +486,8 @@ def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
         {
             "t_len": t_len,
             "fitted_slope": slope,
-            # a string, so plot_rows leaves an infinite order out of the plot data
-            "kernel_q_claim": float(q_claim) if math.isfinite(q_claim) else "inf",
+            # an infinite or unknown order is a string, which plot_rows leaves out
+            "kernel_q_claim": kernel.q,
         },
     )
     return ExperimentReport(plan=plan, rows=rows_out, verdicts=verdicts)
@@ -515,9 +511,8 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     rows, raw = [], {}
     for index, t_len in enumerate(plan.t_grid):
         start = time.perf_counter()
-        bw = Bandwidth(t_len, plan.b_exponent, plan.c_const)
-        b_val = bw.value
-        center = expected_spectrum(model, kernel, bw, spec.freqs(b_val))
+        b_val = Bandwidth(t_len, plan.b_exponent, plan.c_const).value
+        center = expected_spectrum(model, kernel, b_val, t_len, spec.freqs(b_val))
         cell = _Cell(plan, model, kernel, index, t_len, b_val, center)
         centered = time.perf_counter()
         ests = _run_reps(cell)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidModel, NonStationaryModel, UnsupportedModel
+from .errors import InvalidArgument, InvalidModel, NonStationaryModel, UnsupportedModel
 from .series import MultivariateSeries
 
 __all__ = [
@@ -64,8 +64,6 @@ _MEMORY_TOL = 1e-14
 def _as_cov(sigma, n):
     """The innovation covariance as an (n, n) array, and its lower Cholesky factor."""
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if sigma.shape == (1, 1) and n > 1:
-        sigma = sigma[0, 0] * np.eye(n)
     if n < 1 or sigma.shape != (n, n):
         raise InvalidModel(f"innovation covariance must be {n}x{n} with n >= 1")
     if not np.all(np.isfinite(sigma)):
@@ -358,18 +356,24 @@ def default_var1() -> VAR1:
 def simulate(model: ProcessModel, t_len: int, seed) -> MultivariateSeries:
     """Deterministic draw of T observations after burn-in."""
     if t_len < 2:
-        raise ValueError("t_len must be at least 2")
+        raise InvalidArgument("t_len must be at least 2")
     rng = np.random.default_rng(seed)
     values = model.simulate_values(t_len, rng)
     return MultivariateSeries(values, centered=False)
 
 
-def _parse_kv(body: str) -> dict:
+def _parse_kv(head: str, body: str, keys: tuple) -> dict:
+    """The key=value options of a model spec; each key in ``keys``, at most once."""
     out = {}
-    if body:
-        for item in body.split(","):
-            key, _, value = item.partition("=")
-            out[key.strip()] = value.strip()
+    for item in body.split(",") if body else ():
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in keys or key in out:
+            what = "repeated" if key in out else "unknown"
+            raise InvalidModel(
+                f"{head} model: {what} key {key!r}; it takes {', '.join(keys)}"
+            )
+        out[key] = value.strip()
     return out
 
 
@@ -392,21 +396,21 @@ def _parse_model(text: str) -> ProcessModel:
     head, _, body = text.partition(":")
     head = head.strip().lower()
     if head in ("white", "white_noise", "wn"):
-        kv = _parse_kv(body)
+        kv = _parse_kv(head, body, ("dim", "sigma2"))
         dim = int(kv.get("dim", 1))
         if dim < 1:
             raise InvalidModel(f"white noise needs dim >= 1, got {dim}")
         sigma2 = float(kv.get("sigma2", 1.0))
         return WhiteNoise(sigma=sigma2 * np.eye(dim))
     if head == "ar1":
-        kv = _parse_kv(body)
+        kv = _parse_kv(head, body, ("phi", "sigma2"))
         if "phi" not in kv:
             raise InvalidModel("ar1 model needs phi=, e.g. ar1:phi=0.5")
         return AR1Scalar(phi=float(kv["phi"]), sigma2=float(kv.get("sigma2", 1.0)))
     if head == "var1":
         if body.strip() == "default":
             return default_var1()
-        kv = _parse_kv(body)
+        kv = _parse_kv(head, body, ("file", "sigma"))
         if "file" not in kv:
             raise InvalidModel("var1 model needs file=A.csv (or var1:default)")
         coeff = np.loadtxt(kv["file"], delimiter=",", ndmin=2)
@@ -415,7 +419,8 @@ def _parse_model(text: str) -> ProcessModel:
         )
         return VAR1(coeff=coeff, sigma=sigma)
     if head == "vma":
-        kv = _parse_kv(body)  # file paths are ;-separated, commas split options
+        # file paths are ;-separated, commas split options
+        kv = _parse_kv(head, body, ("file", "sigma"))
         files = kv.get("file", "")
         if not files:
             raise InvalidModel("vma model needs file=B0.csv;B1.csv;...")
@@ -427,7 +432,7 @@ def _parse_model(text: str) -> ProcessModel:
         )
         return VMA(coeffs=coeffs, sigma=sigma)
     if head == "tar":
-        kv = _parse_kv(body)
+        kv = _parse_kv(head, body, ("a", "b", "sigma2"))
         if "a" not in kv or "b" not in kv:
             raise InvalidModel("tar model needs a= and b=")
         return ThresholdAR1(

@@ -19,10 +19,10 @@ of one Monte Carlo run: the fold and the FFT then cover them all in one call,
 and each estimate is bit for bit what a call on its own stack returns.
 
 The direct sum ``_fourier_sum`` is the oracle only: ``expected_spectrum``
-uses it at arbitrary frequencies, so the Monte Carlo centering stays
-independent of the production FFT path it checks. It forms its phase
-matrix for a block of frequencies at a time, so its memory stays bounded on
-long grids while every output row is the same sum.
+uses it at arbitrary frequencies, with the window size B and length T given
+as integers, so the Monte Carlo centering stays independent of the
+production FFT path it checks. Its phase matrix covers a block of
+frequencies at a time: memory stays bounded, and every row is the same sum.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .acov import AutocovSequence, expected_autocov
 from .errors import (
     BandwidthTooLarge,
     InsufficientData,
+    InvalidArgument,
     InvalidBandwidth,
     MalformedArray,
     OffGridFrequency,
@@ -127,14 +128,14 @@ def theorem_grid(bandwidth: Bandwidth | int) -> np.ndarray:
     """The B + 1 frequencies pi*l/B, l = 0..B, over which maxima are taken."""
     b_val = bandwidth.value if isinstance(bandwidth, Bandwidth) else int(bandwidth)
     if b_val < 2:
-        raise ValueError("grid needs bandwidth >= 2")
+        raise InvalidArgument("grid needs bandwidth >= 2")
     return np.pi * np.arange(b_val + 1) / b_val
 
 
 def _check_freqs(freqs) -> np.ndarray:
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if not np.all((freqs >= 0.0) & (freqs <= np.pi + 1e-12)):  # NaN fails too
-        raise ValueError("frequencies must lie in [0, pi]")
+        raise InvalidArgument("frequencies must lie in [0, pi]")
     return freqs
 
 
@@ -212,7 +213,7 @@ def estimate_spectrum(
     if b_val >= acov.t_len:
         raise BandwidthTooLarge(f"bandwidth {b_val} >= series length {acov.t_len}")
     if acov.max_lag < b_val:
-        raise ValueError(
+        raise InvalidArgument(
             f"autocovariances cover lags up to {acov.max_lag}, need {b_val}"
         )
     matrices = estimate_matrices(acov.matrices, kernel, b_val, freqs)
@@ -226,21 +227,20 @@ def estimate_spectrum(
 
 
 def expected_spectrum(
-    model, kernel: Kernel, bandwidth: Bandwidth, freqs, t_len: int | None = None
+    model, kernel: Kernel, b_val: int, t_len: int, freqs
 ) -> SpectralGrid:
     """Exact finite-sample mean of the estimator under a known model.
 
-    Uses E C(u) = ((T - |u|)/T) Gamma(u); serves as the centering oracle for
-    Monte Carlo verification.
+    With B = b_val and T = t_len, uses E C(u) = ((T - |u|)/T) Gamma(u); it is
+    the centering oracle for Monte Carlo verification.
     """
     freqs = _check_freqs(freqs)
-    t_len = bandwidth.t_len if t_len is None else t_len
-    b_val = bandwidth.value
-    max_lag = min(b_val, t_len - 1)
+    if not 1 <= b_val < t_len:
+        raise InvalidArgument(f"window size {b_val} must lie in [1, {t_len - 1}]")
     gammas = np.stack(
-        [expected_autocov(model, u, t_len) for u in range(max_lag + 1)]
+        [expected_autocov(model, u, t_len) for u in range(b_val + 1)]
     )
-    weights = np.atleast_1d(kernel(np.arange(max_lag + 1) / b_val))
+    weights = np.atleast_1d(kernel(np.arange(b_val + 1) / b_val))
     matrices = _fourier_sum(gammas, weights, freqs)
     return SpectralGrid(
         freqs=freqs,

@@ -64,7 +64,7 @@ def test_criterion_01_estimator_oracle_equivalence():
             stack = autocov_matrices(values, bw.value)
             ests.append(estimate_matrices(stack, kernel, bw.value, freqs))
         ests = np.stack(ests)
-        target = expected_spectrum(model, kernel, bw, freqs, t_len=t_len).matrices
+        target = expected_spectrum(model, kernel, bw.value, t_len, freqs).matrices
         for part in (np.real, np.imag):
             dev = np.abs(part(ests.mean(axis=0)) - part(target))
             se = part(ests).std(axis=0, ddof=1) / math.sqrt(reps)

@@ -244,6 +244,7 @@ def test_estimate_bad_grid_exit_2(grid, wn_csv, capsys):
     "error, code",
     [
         (errors.UsageError, 2),
+        (errors.InvalidArgument, 2),
         (errors.InvalidBandwidth, 2),
         (errors.InvalidLevel, 2),
         (errors.InvalidModel, 2),
@@ -297,6 +298,12 @@ _BAD_MODELS = [
     ("tar:a=0.5,b=0.2,sigma2=0", "0 < sigma2"),
     ("ar1:phi=abc", "could not convert"),
     ("white:dim=1.5", "invalid literal"),
+    ("ar1:phi=0.5,sigma=4", "ar1 model: unknown key 'sigma'; it takes phi, sigma2"),
+    ("white:dim=2,dim=3", "white model: repeated key 'dim'; it takes dim, sigma2"),
+    ("ar1:sigma2=2", "ar1 model needs phi=, e.g. ar1:phi=0.5"),
+    ("var1:sigma=S.csv", "var1 model needs file=A.csv (or var1:default)"),
+    ("vma:sigma=S.csv", "vma model needs file=B0.csv;B1.csv;..."),
+    ("tar:a=0.5", "tar model needs a= and b="),
 ]
 
 
@@ -379,8 +386,8 @@ def test_depmeasure(capsys):
 _VERIFY = ["verify", "--t-grid", "64", "--reps", "100"]
 _DEPMEASURE = ["depmeasure", "--model", "ar1:phi=0.5", "--horizon", "4", "--reps", "100"]
 _NU = "InvalidPlan: nu_star and nu must be finite and >= 1"
-_P = "ValueError: p must be finite and >= 1"
-_DELTA = "ValueError: delta_param must be finite and positive"
+_P = "InvalidArgument: p must be finite and >= 1"
+_DELTA = "InvalidArgument: delta_param must be finite and positive"
 
 
 @pytest.mark.parametrize(
@@ -396,6 +403,12 @@ _DELTA = "ValueError: delta_param must be finite and positive"
         ([*_DEPMEASURE, "--check-conditions", "--delta-param", "-1"], _DELTA),
         ([*_DEPMEASURE, "--check-conditions", "--delta-param", "nan"], _DELTA),
         ([*_DEPMEASURE, "--check-conditions", "--delta-param", "inf"], _DELTA),
+        ([*_DEPMEASURE, "--reps", "50"], "InvalidArgument: need at least 100 replications"),
+        ([*_DEPMEASURE, "--horizon", "3"], "InvalidArgument: horizon must be at least 4"),
+        (
+            ["simulate", "--model", "white", "--out", "unused.csv", "--t-len", "1"],
+            "InvalidArgument: t_len must be at least 2",
+        ),
     ],
     ids=lambda v: " ".join(v[-2:]) if isinstance(v, list) else "",
 )
@@ -494,16 +507,21 @@ def test_kernel_info(capsys):
     assert payload["q"] == "inf"
 
 
-def test_tabulated_kernel_bias_order_unknown(wn_csv, tmp_path, capsys):
+@pytest.fixture
+def kernel_csv(tmp_path):
+    """Bartlett's window tabulated at 21 points, as a kernel table."""
     path = tmp_path / "kernel.csv"
     u = np.linspace(-1.0, 1.0, 21)
     np.savetxt(path, np.column_stack([u, 1.0 - np.abs(u)]), delimiter=",")
-    code, payload = _run_json(capsys, ["kernel-info", "--kernel", f"file:{path}"])
+    return str(path)
+
+
+def test_tabulated_kernel_bias_order_unknown(wn_csv, kernel_csv, capsys):
+    kernel = f"file:{kernel_csv}"
+    code, payload = _run_json(capsys, ["kernel-info", "--kernel", kernel])
     assert code == 0
     assert payload["q"] == "unknown"
-    code = main(
-        ["bands", "--input", wn_csv, "--kernel", f"file:{path}", "--assume-smooth"]
-    )
+    code = main(["bands", "--input", wn_csv, "--kernel", kernel, "--assume-smooth"])
     captured = capsys.readouterr()
     assert code == 0
     check = strict_json(captured.out)["undersmoothing_check"]
@@ -549,4 +567,42 @@ def test_malformed_integer_flag_exit_2_names_the_flag(flag, value, message, wn_c
     assert main([*argv, flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: UsageError: {message} is not an integer"]
+    assert captured.out == ""
+
+
+def test_verify_tabulated_kernel_determinism_across_threads(kernel_csv, tmp_path):
+    plan = ["--experiment", "gumbel", "--kernel", f"file:{kernel_csv}", "--t-grid", "512,1024"]
+    serial, parallel = _verify_reports_per_worker_count(tmp_path, plan)
+    assert serial == parallel
+    assert strict_json(serial.decode())["plan"]["kernel"] == f"file:{kernel_csv}"
+
+
+def test_bias_rate_tabulated_kernel_q_claim_unknown(kernel_csv, tmp_path, capsys):
+    plot = tmp_path / "plot.csv"
+    argv = [
+        "verify", "--experiment", "bias-rate", "--model", "ar1:phi=0.5",
+        "--kernel", f"file:{kernel_csv}", "--t-grid", "4096", "--plot-data", str(plot),
+    ]
+    code, report = _run_json(capsys, argv)
+    assert code == 0
+    assert report["rows"][-1]["kernel_q_claim"] == "unknown"
+    assert "kernel_q_claim" not in plot.read_text()
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        ("-1,0\n0\n1,0\n", "ParseError: row 2 has 1 columns, expected 2"),
+        ("-1,0\n0,1,2\n1,0\n", "ParseError: row 2 has 3 columns, expected 2"),
+        ("", "InsufficientData: need at least 2 data rows, got 0 (data starts at row 1)"),
+        ("u,K\n-1,0\n0,1\n1,0\n", "ParseError: non-numeric cell 'u' at row 1, col 1"),
+    ],
+    ids=["one-cell row", "three-cell row", "empty file", "header row"],
+)
+def test_kernel_table_format_error_exit_1_with_one_error_line(table, error, tmp_path, capsys):
+    path = tmp_path / "kernel.csv"
+    path.write_text(table)
+    assert main(["kernel-info", "--kernel", f"file:{path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
     assert captured.out == ""

@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from specband.errors import InvalidArgument
 from specband.kernels import get_kernel, kernel_names, tabulated_kernel
 
 ALL = ["bartlett", "parzen", "tukey_hanning", "truncated"]
@@ -125,4 +128,51 @@ def test_tabulated_kernel_requires_unit_peak(tmp_path):
     path = tmp_path / "k.csv"
     path.write_text("-1,0\n0,0.9\n1,0\n")
     with pytest.raises(ValueError):
+        tabulated_kernel(path)
+
+
+def _write_bartlett_table(path, points=201):
+    u = np.linspace(-1.0, 1.0, points)
+    np.savetxt(path, np.column_stack([u, 1.0 - np.abs(u)]), delimiter=",")
+
+
+def test_get_kernel_resolves_a_table_that_pickles(tmp_path):
+    path = tmp_path / "k.csv"
+    _write_bartlett_table(path)
+    tab = get_kernel(f"file:{path}")
+    assert tab.name == "tabulated"
+    # a worker pool pickles the kernel with each task
+    clone = pickle.loads(pickle.dumps(tab))
+    u = np.linspace(-1.2, 1.2, 49)
+    assert np.array_equal(clone(u), tab(u))
+    assert clone.kappa == tab.kappa
+
+
+def test_q_encoding_and_undersmoothing_check(tmp_path):
+    path = tmp_path / "k.csv"
+    _write_bartlett_table(path)
+    tab = tabulated_kernel(path)
+    assert [get_kernel(name).q for name in ALL] == [1.0, 2.0, 2.0, "inf"]
+    assert tab.q == "unknown"
+    # b (q + 1) > 1 at b = 0.4: first order fails, second order and above pass
+    checks = [get_kernel(name).undersmooths(0.4) for name in ALL]
+    assert checks == [False, True, True, True]
+    assert tab.undersmooths(0.4) is None
+
+
+def test_kernel_info_payload():
+    assert get_kernel("truncated").to_dict() == {
+        "name": "truncated",
+        "kappa": 2.0,
+        "q": "inf",
+        "k_q": None,
+        "psd_guarantee": False,
+        "note": "",
+    }
+
+
+def test_tabulated_kernel_needs_two_columns(tmp_path):
+    path = tmp_path / "k.csv"
+    path.write_text("-1,0,0\n0,1,0\n1,0,0\n")
+    with pytest.raises(InvalidArgument, match="2 columns"):
         tabulated_kernel(path)

@@ -288,3 +288,12 @@ def test_parse_model_grammar(tmp_path):
 def test_parse_model_rejects_unknown():
     with pytest.raises(ValueError):
         parse_model("garch:omega=0.1")
+
+
+def test_var1_scalar_innovation_file_is_not_broadcast(tmp_path):
+    a_path = tmp_path / "A.csv"
+    s_path = tmp_path / "S.csv"
+    a_path.write_text("0.4,0.1\n0.0,0.3\n")
+    s_path.write_text("2.0\n")
+    with pytest.raises(InvalidModel, match="innovation covariance must be 2x2"):
+        parse_model(f"var1:file={a_path},sigma={s_path}")

@@ -6,6 +6,7 @@ import pytest
 from specband.acov import AutocovSequence, sample_autocov
 from specband.errors import (
     BandwidthTooLarge,
+    InvalidArgument,
     InvalidBandwidth,
     MalformedArray,
     OffGridFrequency,
@@ -159,9 +160,9 @@ def test_expected_spectrum_blocks_equal_one_frequency_at_a_time():
     model, bw = default_var1(), Bandwidth(4096, 0.5)
     freqs = np.pi * np.arange(4 * bw.value + 1) / (4 * bw.value)
     assert freqs.size > 2 * 64
-    got = expected_spectrum(model, PARZEN, bw, freqs).matrices
+    got = expected_spectrum(model, PARZEN, bw.value, bw.t_len, freqs).matrices
     for k, freq in enumerate(freqs):
-        want = expected_spectrum(model, PARZEN, bw, [freq]).matrices[0]
+        want = expected_spectrum(model, PARZEN, bw.value, bw.t_len, [freq]).matrices[0]
         assert np.array_equal(got[k], want), k
 
 
@@ -200,7 +201,7 @@ def test_frequencies_restricted_to_0_pi():
     with pytest.raises(ValueError):
         estimate_spectrum(acov, BART, Bandwidth(64, 0.4), [np.nan])
     with pytest.raises(ValueError):
-        expected_spectrum(WhiteNoise(), BART, Bandwidth(64, 0.4), [np.nan])
+        expected_spectrum(WhiteNoise(), BART, 5, 64, [np.nan])
 
 
 def test_scale_equivariance():
@@ -214,8 +215,14 @@ def test_scale_equivariance():
     np.testing.assert_allclose(b, 4.0 * a, rtol=1e-12)
 
 
+@pytest.mark.parametrize("b_val", [0, 64])
+def test_expected_spectrum_rejects_window_outside_series(b_val):
+    with pytest.raises(InvalidArgument, match=r"\[1, 63\]"):
+        expected_spectrum(WhiteNoise(), BART, b_val, 64, [0.0])
+
+
 def test_expected_spectrum_white_noise_flat():
-    grid = expected_spectrum(WhiteNoise(), BART, Bandwidth(64, 0.5), [0.0, 1.0, np.pi])
+    grid = expected_spectrum(WhiteNoise(), BART, 8, 64, [0.0, 1.0, np.pi])
     np.testing.assert_allclose(grid.entry(0, 0).real, 1.0 / TWO_PI, rtol=1e-14)
 
 
@@ -224,7 +231,7 @@ def test_expected_spectrum_ma1_hand_value():
     model = VMA((np.eye(1), np.array([[0.5]])))
     bw = Bandwidth(64, 0.5)
     assert bw.value == 8
-    grid = expected_spectrum(model, BART, bw, [0.0])
+    grid = expected_spectrum(model, BART, bw.value, bw.t_len, [0.0])
     expected = (1.25 + 2.0 * BART(1.0 / 8.0) * (63.0 / 64.0) * 0.5) / TWO_PI
     assert grid.entry(0, 0)[0].real == pytest.approx(expected, rel=1e-12)
 
@@ -235,7 +242,7 @@ def test_expected_spectrum_approaches_truth():
     truth = true_spectrum(model, lam).entry(0, 0)[0].real
     gaps = []
     for t_len in (2**10, 2**13, 2**16):
-        grid = expected_spectrum(model, BART, Bandwidth(t_len, 0.4), lam)
+        grid = expected_spectrum(model, BART, Bandwidth(t_len, 0.4).value, t_len, lam)
         gaps.append(abs(grid.entry(0, 0)[0].real - truth))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] < 1e-2
@@ -243,7 +250,7 @@ def test_expected_spectrum_approaches_truth():
 
 def test_expected_spectrum_rejects_nonclosed_form():
     with pytest.raises(UnsupportedModel):
-        expected_spectrum(ThresholdAR1(0.3, 0.3), BART, Bandwidth(64, 0.5), [0.0])
+        expected_spectrum(ThresholdAR1(0.3, 0.3), BART, 8, 64, [0.0])
 
 
 def test_psd_for_bartlett_and_parzen():
