@@ -184,8 +184,6 @@ def _cmd_depmeasure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import scipy
-
     plan = ExperimentPlan(
         experiment=args.experiment.replace("-", "_"),
         model_spec=args.model,
@@ -201,12 +199,15 @@ def _cmd_verify(args) -> int:
         nu=args.nu,
         workers=args.threads,
     )
-    log.info(
-        "verify %s: numpy %s, scipy %s, reps=%d, workers=%d, pool=%d processes,"
-        " seed=%d, streams default_rng([seed, cell, rep])",
-        plan.experiment, np.__version__, scipy.__version__, plan.reps, plan.workers,
-        pool_size(plan.workers), plan.seed,
-    )
+    if log.isEnabledFor(logging.INFO):  # looking up the scipy version costs an import
+        from importlib.metadata import version  # `import scipy` loads its submodules
+
+        log.info(
+            "verify %s: numpy %s, scipy %s, reps=%d, workers=%d, pool=%d processes,"
+            " seed=%d, streams default_rng([seed, cell, rep])",
+            plan.experiment, np.__version__, version("scipy"), plan.reps, plan.workers,
+            pool_size(plan.workers), plan.seed,
+        )
     report = run_experiment(plan)
     _write(report.to_json(include_raw=not args.no_raw), args.out)
     if args.plot_data:

@@ -22,8 +22,9 @@ first order: 1 - K(x) = |x| exactly, so q = 1, K_q = 1 and its exact bias
 decays like B^-1.
 
 A tabulated window is a series CSV (``load_csv``) of two columns, u and
-K(u), on a grid symmetric about 0 with K(0) = 1. Its window function is a
-``partial`` of ``np.interp``, so it pickles into a worker pool.
+K(u), on a grid symmetric about 0 that reaches |u| = 1, with K(0) = 1. Its
+window function is a ``partial`` of ``np.interp``, so it pickles into a
+worker pool.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def tabulated_kernel(path) -> Kernel:
     """Build a kernel from a two-column CSV of (u, K(u)) samples.
 
     The file follows ``load_csv``'s rules, and the grid must be symmetric
-    about 0 and include u = 0 with K(0) = 1. Evaluation interpolates
-    linearly, kappa comes from quadrature on the tabulated grid, and the
-    shift-sum admissibility condition is not checked.
+    about 0, include u = 0 with K(0) = 1, and reach |u| = 1. Evaluation
+    interpolates linearly, kappa comes from quadrature on the tabulated grid,
+    and the shift-sum admissibility condition is not checked.
     """
     table = load_csv(path).values
     if table.shape[1] != 2:
@@ -161,6 +162,10 @@ def tabulated_kernel(path) -> Kernel:
         raise InvalidArgument("tabulated kernel grid must be symmetric about 0")
     if abs(np.interp(0.0, u, k) - 1.0) > 1e-8:
         raise InvalidArgument("tabulated kernel must satisfy K(0) = 1")
+    if u[-1] < 1.0:  # np.interp would hold the last value out to |u| = 1
+        raise InvalidArgument(
+            f"tabulated kernel grid must reach |u| = 1, it stops at {u[-1]:g}"
+        )
     fn = partial(np.interp, xp=np.abs(u[u >= 0]), fp=k[u >= 0])
     grid = np.linspace(-1.0, 1.0, 20001)
     return Kernel(

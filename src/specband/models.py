@@ -5,18 +5,22 @@ vectors to observations. ``path`` runs that map from a zero initial state,
 which is what the dependence-measure couplings need; ``simulate`` adds a burn
 -in long enough that the truncated start is invisible at double precision.
 
-VAR(1) paths are an exact linear filter with no loop over time. The complex
-Schur form A = U S U^H is computed once per model, so y_t = U^H Z_t obeys
-y_t = S y_{t-1} + U^H w_t with S upper triangular. Row i of that recursion,
-y_t - S_ii y_{t-1} = drive_t with the rows j > i at lag 1 in the drive, is a
-unit lower-bidiagonal system in time: one LAPACK banded triangular solve
-(``ztbtrs``) with the replications as right-hand sides. Rows are solved from
-last to first, and Z_t = Re(U y_t). The mixing by U and U^H is written as
-elementwise sums over the n columns, which keeps every replication's
-arithmetic independent of the batch around it. For a 1x1 A the solve is the
-scalar AR(1) recursion bit for bit; with complex poles LAPACK may fuse each
-multiply-add, so paths differ from a two-rounding filter such as
-``scipy.signal.lfilter`` in the last bits (about 2e-16 relative).
+VAR(1) paths are a blocked linear-recurrence scan (Blelloch 1990, "Prefix
+sums and their applications") written as numpy matrix products, with no
+loop over time. Time is cut into blocks of s steps (s n <= 32 columns).
+One product with a cached block-triangular matrix of powers of A' gives
+every block's states from zero state. The true end states of the blocks
+obey the same recursion with A^s in place of A, so the same scan, one level
+down, gives them. Then one product with the tail [A' ... A'^s] adds each
+block's carry, the end state of the block before. Levels are cached at
+construction until their spans cover 2^16 steps; a longer path ends in a
+short sequential loop over the top level's block ends. Every dgemm is sized
+to run on one BLAS thread (m n k <= 2^16, as in ``acov``), and each
+replication's rows go through dgemms of their own, so a path does not
+depend on the batch around it. The blocked sums round differently from the
+one-step recursion: paths differ from it, and from ``scipy.signal.lfilter``
+for a 1x1 A, by a few units of 1e-16 relative (at most 4e-15 on the test
+models, which include Jordan blocks and strongly non-normal A).
 
 White noise with a diagonal Cholesky factor (one-dimensional, or
 ``white:dim=n``) scales each innovation column by its entry instead of
@@ -25,9 +29,9 @@ for bit, since every off-diagonal term of the product is an exact zero. A
 dense factor keeps the product.
 
 Covariances are factored by numpy's Cholesky; bad parameters raise
-``InvalidModel`` at construction. scipy is imported where it is called, so
-importing the package loads numpy alone, and only ``VAR1`` loads
-``scipy.linalg`` (Schur form, Lyapunov solve, banded solve).
+``InvalidModel`` at construction. No model loads scipy: the VAR(1) spectral
+radius comes from ``np.linalg.eigvals`` and Gamma(0) from a numpy Lyapunov
+solve (``_lyapunov``).
 
 Linear models (white noise, scalar AR(1), VAR(1), VMA) expose closed-form
 autocovariances Gamma(u) and spectral densities; the threshold AR model is
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, InvalidModel, NonStationaryModel, UnsupportedModel
-from .series import MultivariateSeries
+from .series import MultivariateSeries, load_matrix
 
 __all__ = [
     "ProcessModel",
@@ -59,6 +63,9 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _MEMORY_TOL = 1e-14
+_SCAN_COLS = 32  # at most s * n columns per block row (s >= 2)
+_SCAN_STEPS = 2**16  # steps the cached scan levels cover
+_GEMM_SIZE = 2**16  # largest m * n * k of one dgemm: one BLAS thread
 
 
 def _as_cov(sigma, n):
@@ -74,6 +81,87 @@ def _as_cov(sigma, n):
         return sigma, np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise InvalidModel("innovation covariance must be positive definite") from None
+
+
+def _lyapunov(coeff, sigma):
+    """Gamma(0) of a VAR(1): the solution X of X = A X A' + sigma.
+
+    Below n = 10 it solves the n^2 x n^2 Kronecker system, which is what
+    scipy's ``solve_discrete_lyapunov`` does there. From n = 10 it sums the
+    series by doubling, X += A_j X A_j' with A_{j+1} = A_j^2, in O(n^2) memory,
+    until a term is below rounding.
+    """
+    n = coeff.shape[0]
+    if n < 10:
+        lhs = np.eye(n * n) - np.kron(coeff, coeff)
+        return np.linalg.solve(lhs, sigma.ravel()).reshape(n, n)
+    gamma, power = sigma, coeff
+    for _ in range(64):  # A_j = A^(2^j): enough squarings for any radius < 1
+        term = power @ gamma @ power.T
+        gamma = gamma + term
+        if np.max(np.abs(term)) <= np.finfo(float).eps * np.max(np.abs(gamma)):
+            break
+        power = power @ power
+    return gamma
+
+
+def _scan_levels(coeff, chol):
+    """The cached matrices of the blocked scan: one (impulse, tail) per level.
+
+    Level k runs z_t = z_{t-1} M' + x_t with M = A^(s^k) over blocks of s
+    steps. Its impulse is the (s n, s n) block-triangular matrix whose block
+    (q, p) is M'^(p - q) for q <= p: a row of s drives x_q times it is the
+    block's states from zero state. Level 0's impulse has chol' in front of
+    every block, so it takes the innovations. The tail [M' ... M'^s] carries
+    the previous block's end state into the block. Levels are added until
+    their spans cover _SCAN_STEPS steps; the M' of the next level, returned
+    last, drives the loop that ends longer scans.
+    """
+    n = coeff.shape[0]
+    span = max(2, _SCAN_COLS // n)
+    step, left, levels, covered = coeff.T, chol.T, [], 1
+    while covered < _SCAN_STEPS:
+        powers = [np.eye(n)]
+        for _ in range(span):
+            powers.append(powers[-1] @ step)
+        impulse = np.zeros((span, n, span, n))
+        for q in range(span):
+            for p in range(q, span):
+                impulse[q, :, p, :] = left @ powers[p - q]
+        levels.append((impulse.reshape(span * n, span * n), np.hstack(powers[1:])))
+        step, left, covered = powers[-1], np.eye(n), covered * span
+    return tuple(levels), step
+
+
+def _scan(scan, x, level=0):
+    """States from zero state of scan level ``level`` driven by x (..., steps, n).
+
+    Each replication's rows go through their own dgemms, of one shape that
+    depends only on ``steps``, so a path does not depend on its batch.
+    """
+    levels, last = scan
+    lead, (steps, n) = x.shape[:-2], x.shape[-2:]
+    if level == len(levels):  # past the cached levels: a short sequential loop
+        out, state = np.empty_like(x), np.zeros(lead + (n,))
+        for t in range(steps):
+            state = x[..., t, :] + sum(state[..., i, None] * last[i] for i in range(n))
+            out[..., t, :] = state
+        return out
+    impulse, tail = levels[level]
+    width = impulse.shape[0]
+    span = width // n
+    n_blocks = max(1, -(-steps // span))
+    batches = -(-n_blocks // max(1, _GEMM_SIZE // width**2))
+    rows = -(-n_blocks // batches)  # block rows per dgemm
+    blocks = np.zeros(lead + (batches * rows * span, n))
+    blocks[..., :steps, :] = x
+    out = blocks.reshape(lead + (batches, rows, width)) @ impulse
+    if n_blocks > 1:  # add each block's carry: the end state of the block before
+        ends = out.reshape(lead + (batches * rows, width))[..., : n_blocks - 1, -n:]
+        carry = np.zeros(lead + (batches * rows, n))
+        carry[..., 1:n_blocks, :] = _scan(scan, ends, level + 1)
+        out += carry.reshape(lead + (batches, rows, n)) @ tail
+    return out.reshape(lead + (-1, n))[..., :steps, :]
 
 
 class ProcessModel:
@@ -151,25 +239,20 @@ class VAR1(ProcessModel):
     kind = "var1"
 
     def __post_init__(self):
-        from scipy.linalg import schur, solve_discrete_lyapunov
-
         coeff = np.atleast_2d(np.asarray(self.coeff, dtype=float))
         n = coeff.shape[0]
         if coeff.shape != (n, n) or not np.all(np.isfinite(coeff)):
             raise InvalidModel("VAR(1) coefficient must be a finite square matrix")
         sigma, chol = _as_cov(self.sigma if self.sigma is not None else np.eye(n), n)
-        tri, unitary = schur(coeff, output="complex")
-        radius = np.max(np.abs(np.diag(tri)))
+        radius = np.max(np.abs(np.linalg.eigvals(coeff)))
         if radius >= 1.0:
             raise NonStationaryModel(f"VAR(1) spectral radius {radius:.4f} >= 1")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_schur", (tri, unitary))
         object.__setattr__(self, "_radius", float(radius))
-        object.__setattr__(
-            self, "_gamma0", solve_discrete_lyapunov(coeff, sigma)
-        )
+        object.__setattr__(self, "_gamma0", _lyapunov(coeff, sigma))
+        object.__setattr__(self, "_scan_levels", _scan_levels(coeff, chol))
 
     @property
     def n_dim(self):
@@ -181,32 +264,7 @@ class VAR1(ProcessModel):
         return int(np.ceil(np.log(_MEMORY_TOL) / np.log(self._radius))) + 1
 
     def path(self, eps):
-        from scipy.linalg.lapack import ztbtrs  # not stored: the pool pickles models
-
-        tri, unitary = self._schur
-        n = self.n_dim
-        w = eps @ self._chol.T
-        steps = w.shape[-2]
-        band = np.ones((2, steps), dtype=complex)  # unit diagonal, then -S_ii below
-        y = [None] * n  # y[i]: (..., steps) complex, time on the last axis
-        for i in reversed(range(n)):
-            drive = sum(unitary[k, i].conjugate() * w[..., k] for k in range(n))
-            for j in range(i + 1, n):
-                drive[..., 1:] += tri[i, j] * y[j][..., :-1]
-            band[1] = -tri[i, i]
-            sol, info = ztbtrs(  # overwrites drive, a temporary, in place
-                band, drive.reshape(-1, steps).T, uplo="L", diag="U", overwrite_b=1
-            )
-            if info != 0:
-                raise np.linalg.LinAlgError(f"banded solve failed (info={info})")
-            y[i] = sol.T.reshape(drive.shape)
-        out = np.empty_like(w)
-        for k in range(n):
-            out[..., k] = sum(
-                unitary[k, j].real * y[j].real - unitary[k, j].imag * y[j].imag
-                for j in range(n)
-            )
-        return out
+        return _scan(self._scan_levels, eps)
 
     def gamma(self, u):
         power = np.linalg.matrix_power(self.coeff.T, abs(u))
@@ -383,12 +441,13 @@ def parse_model(text: str) -> ProcessModel:
     ``white[:dim=k,sigma2=v]``, ``ar1:phi=0.5[,sigma2=1]``,
     ``var1:file=A.csv,sigma=S.csv`` (or ``var1:default``),
     ``vma:file=B0.csv;B1.csv[,sigma=S.csv]``, ``tar:a=0.5,b=-0.3[,sigma2=1]``.
+    Matrix files are read by ``load_matrix``, so a bad cell is a ParseError.
     """
     try:
         return _parse_model(text)
     except InvalidModel:
         raise
-    except ValueError as exc:  # a non-numeric parameter or matrix file entry
+    except ValueError as exc:  # a non-numeric parameter
         raise InvalidModel(f"model {text!r}: {exc}") from None
 
 
@@ -413,23 +472,16 @@ def _parse_model(text: str) -> ProcessModel:
         kv = _parse_kv(head, body, ("file", "sigma"))
         if "file" not in kv:
             raise InvalidModel("var1 model needs file=A.csv (or var1:default)")
-        coeff = np.loadtxt(kv["file"], delimiter=",", ndmin=2)
-        sigma = (
-            np.loadtxt(kv["sigma"], delimiter=",", ndmin=2) if "sigma" in kv else None
-        )
-        return VAR1(coeff=coeff, sigma=sigma)
+        sigma = load_matrix(kv["sigma"]) if "sigma" in kv else None
+        return VAR1(coeff=load_matrix(kv["file"]), sigma=sigma)
     if head == "vma":
         # file paths are ;-separated, commas split options
         kv = _parse_kv(head, body, ("file", "sigma"))
         files = kv.get("file", "")
         if not files:
             raise InvalidModel("vma model needs file=B0.csv;B1.csv;...")
-        coeffs = tuple(
-            np.loadtxt(f, delimiter=",", ndmin=2) for f in files.split(";") if f
-        )
-        sigma = (
-            np.loadtxt(kv["sigma"], delimiter=",", ndmin=2) if "sigma" in kv else None
-        )
+        coeffs = tuple(load_matrix(f) for f in files.split(";") if f)
+        sigma = load_matrix(kv["sigma"]) if "sigma" in kv else None
         return VMA(coeffs=coeffs, sigma=sigma)
     if head == "tar":
         kv = _parse_kv(head, body, ("a", "b", "sigma2"))

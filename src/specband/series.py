@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidSeries, ParseError
 
-__all__ = ["MultivariateSeries", "load_csv", "center", "write_csv"]
+__all__ = ["MultivariateSeries", "load_csv", "load_matrix", "center", "write_csv"]
 
 log = logging.getLogger(__name__)
 
@@ -172,11 +172,20 @@ def _checked(reader):
         ) from None
 
 
-def _parse_cells(path, has_header: bool) -> np.ndarray:
+def load_matrix(path) -> np.ndarray:
+    """A matrix file, such as a model's coefficient or covariance, as an array.
+
+    The file follows the CSV format above, with no header, and may have a
+    single row.
+    """
+    return _parse_cells(path, False, min_rows=1)
+
+
+def _parse_cells(path, has_header: bool, min_rows: int = 2) -> np.ndarray:
     """Per-cell reader: the reference semantics of the CSV format.
 
     Raises ParseError(row, col) at the first bad cell or ragged row, and
-    InsufficientData below 2 data rows.
+    InsufficientData below ``min_rows`` data rows.
     """
     rows = []
     width = None
@@ -214,9 +223,10 @@ def _parse_cells(path, has_header: bool) -> np.ndarray:
                 parsed.append(value)
             rows.append(parsed)
     data_row = 2 if has_header else 1
-    if len(rows) < 2:
+    if len(rows) < min_rows:
         raise InsufficientData(
-            f"need at least 2 data rows, got {len(rows)} (data starts at row {data_row})"
+            f"need at least {min_rows} data {'row' if min_rows == 1 else 'rows'},"
+            f" got {len(rows)} (data starts at row {data_row})"
         )
     return np.array(rows, dtype=float)
 

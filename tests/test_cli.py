@@ -606,3 +606,31 @@ def test_kernel_table_format_error_exit_1_with_one_error_line(table, error, tmp_
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {error}"]
     assert captured.out == ""
+
+
+def test_kernel_table_short_of_one_exit_2(tmp_path, capsys):
+    path = tmp_path / "kernel.csv"
+    path.write_text("-0.5,0.5\n0,1\n0.5,0.5\n")
+    assert main(["kernel-info", "--kernel", f"file:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: InvalidArgument: tabulated kernel grid must reach |u| = 1, it stops at 0.5"
+    ]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("commented", ["A", "B1", "S"])
+def test_model_matrix_file_comment_line_is_a_parse_error(commented, tmp_path, capsys):
+    # model matrix files follow the series CSV rules: "#" is a bad cell
+    files = {"A": "0.4,0.1\n0.0,0.3\n", "B1": "0.5,0.0\n0.2,0.5\n", "S": "1.0,0.2\n0.2,1.0\n"}
+    files[commented] = "# coefficient\n" + files[commented]
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    a, b1, s = (tmp_path / f"{name}.csv" for name in ("A", "B1", "S"))
+    model = f"var1:file={a},sigma={s}" if commented != "B1" else f"vma:file={a};{b1}"
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--model", model, "--t-len", "64", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ParseError: non-numeric cell '# coefficient' at row 1, col 1"
+    ]
+    assert not out.exists()

@@ -131,6 +131,15 @@ def test_tabulated_kernel_requires_unit_peak(tmp_path):
         tabulated_kernel(path)
 
 
+def test_tabulated_kernel_grid_must_reach_one(tmp_path):
+    # np.interp would hold K(0.5) = 0.5 out to |u| = 1, then jump to 0
+    path = tmp_path / "k.csv"
+    path.write_text("-0.5,0.5\n0,1\n0.5,0.5\n")
+    for build in (tabulated_kernel, lambda p: get_kernel(f"file:{p}")):
+        with pytest.raises(InvalidArgument, match=r"reach \|u\| = 1, it stops at 0.5"):
+            build(path)
+
+
 def _write_bartlett_table(path, points=201):
     u = np.linspace(-1.0, 1.0, points)
     np.savetxt(path, np.column_stack([u, 1.0 - np.abs(u)]), delimiter=",")

@@ -228,27 +228,64 @@ def _oracle_models():
             coeff=q4 @ (upper + np.diag([0.92, 0.93, 0.94, 0.95])) @ q4.T,
             sigma=np.eye(4) + 0.5 * np.ones((4, 4)),
         ),
+        "jordan4_0.95": VAR1(coeff=0.95 * np.eye(4) + np.eye(4, k=1)),
+        "nonnormal_0.99": VAR1(coeff=np.array([[0.99, 20.0], [0.0, 0.99]])),
     }
 
 
 @pytest.mark.parametrize("name", list(_oracle_models()))
 def test_var1_filter_matches_sequential_oracle(name):
     model = _oracle_models()[name]
-    eps = np.random.default_rng(8).standard_normal((3, 2000, model.n_dim))
-    expected = _sequential_path(model, eps)
-    got = model.path(eps)
-    assert got.shape == expected.shape
-    rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
-    assert rel <= 1e-12, rel
+    # 17, 1,025 and 66,536 are no multiple of a block (s = 32 // n steps),
+    # 2,000 is; 66,536 passes the cached scan levels for n = 2 and ends in
+    # their sequential loop
+    for steps in (17, 1025, 2000, 66536):
+        eps = np.random.default_rng(8).standard_normal((3, steps, model.n_dim))
+        expected = _sequential_path(model, eps)
+        got = model.path(eps)
+        assert got.shape == expected.shape
+        rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+        assert rel <= 1e-13, (steps, rel)
 
 
 @pytest.mark.parametrize("phi,sigma2", [(0.5, 1.0), (-0.7, 2.3), (0.6, 1.0)])
 def test_ar1_path_is_scalar_filter(phi, sigma2):
-    # a 1x1 A reduces the Schur filter to the scalar AR(1) recursion, bit for bit
+    # a 1x1 A runs the same blocked scan; its sums round unlike the recursion's
     model = AR1Scalar(phi, sigma2)
     eps = np.random.default_rng(4).standard_normal((3, 400, 1))
     expected = lfilter([1.0], [1.0, -phi], eps * np.sqrt(sigma2), axis=-2)
-    np.testing.assert_array_equal(model.path(eps), expected)
+    got = model.path(eps)
+    assert got.shape == expected.shape
+    rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+    assert rel <= 1e-15, rel
+
+
+def _stationary_var1(n, radius, seed):
+    """A non-normal VAR(1) of spectral radius ``radius`` and a dense sigma."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    upper = np.triu(0.3 * rng.standard_normal((n, n)), 1)
+    coeff = q @ (np.diag(np.linspace(-radius, radius, n)) + upper) @ q.T
+    root = rng.standard_normal((n, n))
+    return coeff, root @ root.T + np.eye(n)
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_var1_gamma0_and_radius_match_scipy(n, radius):
+    from scipy.linalg import eigvals, solve_discrete_lyapunov
+
+    coeff, sigma = _stationary_var1(n, radius, seed=n)
+    model = VAR1(coeff=coeff, sigma=sigma)
+    # scipy's default from n = 10, the bilinear method, is the less accurate
+    # one: 1e-11 from the Kronecker solve at n = 12, radius 0.99
+    expected = solve_discrete_lyapunov(coeff, sigma, method="direct")
+    if n == 2:  # the same Kronecker system as scipy's
+        np.testing.assert_array_equal(model.gamma(0), expected)
+    rel = np.max(np.abs(model.gamma(0) - expected)) / np.max(np.abs(expected))
+    assert rel <= 1e-12, rel
+    assert model._radius == pytest.approx(np.max(np.abs(eigvals(coeff))), rel=1e-12)
+    assert model._radius == pytest.approx(radius, rel=1e-12)
 
 
 @pytest.mark.parametrize("reps", [1, 7, 64])

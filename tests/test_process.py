@@ -69,14 +69,11 @@ from specband.cli import main
 from specband.models import parse_model
 
 parse_model('var1:default').path(__import__('numpy').zeros((5, 2)))
-parse_model('ar1:phi=0.5')
+parse_model('ar1:phi=0.5').path(__import__('numpy').zeros((5, 1)))
 assert main(["verify", "--experiment", "coverage", "--model", "var1:default",
              "--t-grid", "64,128", "--reps", "100", "--out", {out!r}]) == 0
 """
-    loaded = _scipy_submodules(code)
-    assert "linalg" in loaded  # the Schur form and the banded solve
-    assert "signal" not in loaded
-    assert "stats" not in loaded
+    assert _scipy_submodules(code) == set()  # not even scipy.linalg
 
 
 def test_white_noise_and_vma_construction_load_no_scipy_submodule():
