@@ -16,7 +16,6 @@ from .dependence import (
 )
 from .inference import (
     BandResult,
-    MaxDeviationStat,
     gumbel_cdf,
     gumbel_quantile,
     max_deviation,

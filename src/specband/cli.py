@@ -199,15 +199,12 @@ def _cmd_verify(args) -> int:
         nu=args.nu,
         workers=args.threads,
     )
-    if log.isEnabledFor(logging.INFO):  # looking up the scipy version costs an import
-        from importlib.metadata import version  # `import scipy` loads its submodules
-
-        log.info(
-            "verify %s: numpy %s, scipy %s, reps=%d, workers=%d, pool=%d processes,"
-            " seed=%d, streams default_rng([seed, cell, rep])",
-            plan.experiment, np.__version__, version("scipy"), plan.reps, plan.workers,
-            pool_size(plan.workers), plan.seed,
-        )
+    log.info(
+        "verify %s: numpy %s, reps=%d, workers=%d, pool=%d processes,"
+        " seed=%d, streams default_rng([seed, cell, rep])",
+        plan.experiment, np.__version__, plan.reps, plan.workers,
+        pool_size(plan.workers), plan.seed,
+    )
     report = run_experiment(plan)
     _write(report.to_json(include_raw=not args.no_raw), args.out)
     if args.plot_data:

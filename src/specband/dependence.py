@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecayFitWarning, InvalidArgument
+from .inference import _bisect
 from .models import ProcessModel
 from .series import _fields
 
@@ -211,6 +212,23 @@ class ConditionReport:
     notes: tuple = field(default_factory=tuple)
 
 
+def _t_two_sided(df: int, level: float) -> float:
+    """The t with P(|T| <= t) = level for Student's T on integer df: bisection
+    on theta in t = sqrt(df) tan(theta) of the exact cdf (Abramowitz & Stegun
+    26.7.3-4), a finite series in cos(theta)."""
+    ratios = [j / (j + 1.0) for j in range(1 + df % 2, df - 2, 2)]
+
+    def prob(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        term = total = c * (df > 1) if df % 2 else 1.0
+        for r in ratios:
+            term *= r * c * c
+            total += term
+        return (theta + s * total) * 2.0 / math.pi if df % 2 else s * total
+
+    return math.sqrt(df) * math.tan(_bisect(lambda theta: prob(theta) < level, math.pi / 2))
+
+
 def _slope_ci(t: np.ndarray, y: np.ndarray):
     """OLS slope, its 95% normal-theory confidence interval and the residual
     sum of squares, over n >= 3 points."""
@@ -218,9 +236,7 @@ def _slope_ci(t: np.ndarray, y: np.ndarray):
     n = t.size
     slope, _, rss = _line(t, y)
     se = math.sqrt(rss / (n - 2) / float(((t - t.mean()) ** 2).sum()))
-    from scipy.special import stdtrit
-
-    q = stdtrit(n - 2, 0.975)
+    q = _t_two_sided(n - 2, 0.95)
     return slope, (float(slope - q * se), float(slope + q * se)), rss
 
 

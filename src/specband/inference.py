@@ -25,7 +25,6 @@ from .kernels import Kernel
 from .spectral import SpectralGrid
 
 __all__ = [
-    "MaxDeviationStat",
     "BandResult",
     "BandEntry",
     "gumbel_cdf",
@@ -65,21 +64,6 @@ def _centering(grid_b: int) -> float:
 
 
 @dataclass(frozen=True)
-class MaxDeviationStat:
-    """Max over the grid of (T/B) |dev|^2 / (kappa f_ii f_jj), plus centering.
-
-    For a stacked estimate the three statistics are arrays over its leading
-    axes; for a single grid they are floats.
-    """
-
-    entry: tuple
-    raw_max: float
-    centered: float
-    argmax_freq: float
-    grid_size: int
-
-
-@dataclass(frozen=True)
 class BandEntry:
     i: int
     j: int
@@ -107,7 +91,6 @@ class BandResult:
     method: str
     bonferroni_m: int
     entries: tuple
-    center_mode: str = "plugin"
     metadata: dict = field(default_factory=dict)
 
 
@@ -138,12 +121,14 @@ def max_deviation(
     denom: SpectralGrid,
     kernel: Kernel,
     entry: tuple,
-) -> MaxDeviationStat:
-    """The normalized maximum squared deviation over the theorem grid.
+) -> np.ndarray | float:
+    """Max over the grid of (T/B) |dev|^2 / (kappa f_ii f_jj), centered by
+    2 log B - log(pi log B).
 
     ``est``, ``center`` and ``denom`` must share the same frequency grid;
     ``est`` may stack replications on leading axes, and the maximum is taken
-    over the last (frequency) axis. The squared deviation is the complex
+    over the last (frequency) axis: the result is an array over the leading
+    axes, or a float for a single grid. The squared deviation is the complex
     modulus, which covers cross-spectra.
     """
     i, j = entry
@@ -153,14 +138,16 @@ def max_deviation(
     dev2 = np.abs(est.entry(i, j) - center.entry(i, j)) ** 2
     scale = kernel.kappa * _denominators(denom, i, j)
     ratio = (est.t_len / est.bandwidth) * dev2 / scale
-    raw = ratio.max(axis=-1)
-    return MaxDeviationStat(
-        entry=(i, j),
-        raw_max=raw,
-        centered=raw - _centering(est.bandwidth),
-        argmax_freq=est.freqs[ratio.argmax(axis=-1)],
-        grid_size=est.freqs.size,
-    )
+    return ratio.max(axis=-1) - _centering(est.bandwidth)
+
+
+def _bisect(below, hi: float) -> float:
+    """Bisect (0, hi) down to the adjacent floats where ``below`` turns false."""
+    lo, x = 0.0, 0.5 * hi
+    while lo < x < hi:
+        lo, hi = (x, hi) if below(x) else (lo, x)
+        x = 0.5 * (lo + hi)
+    return x
 
 
 def _band(
@@ -217,7 +204,7 @@ def pointwise_ci(
     same (conservative per-component) half-width.
     """
     _check_level(level)
-    from scipy.special import ndtri
-
-    crit = ndtri(0.5 * (1.0 + level)) ** 2 * omega_factor(est.freqs)
+    tail = 1.0 - 0.5 * (1.0 + level)  # P(Z > z): exact, as 0.5 * (1 + level) >= 0.5
+    z = _bisect(lambda x: 0.5 * math.erfc(x * math.sqrt(0.5)) > tail, 40.0)
+    crit = z**2 * omega_factor(est.freqs)
     return _band(est, kernel, level, entries, crit, "clt_pointwise", 1)

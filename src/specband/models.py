@@ -29,9 +29,8 @@ for bit, since every off-diagonal term of the product is an exact zero. A
 dense factor keeps the product.
 
 Covariances are factored by numpy's Cholesky; bad parameters raise
-``InvalidModel`` at construction. No model loads scipy: the VAR(1) spectral
-radius comes from ``np.linalg.eigvals`` and Gamma(0) from a numpy Lyapunov
-solve (``_lyapunov``).
+``InvalidModel`` at construction. The VAR(1) spectral radius comes from
+``np.linalg.eigvals`` and Gamma(0) from a numpy Lyapunov solve (``_lyapunov``).
 
 Linear models (white noise, scalar AR(1), VAR(1), VMA) expose closed-form
 autocovariances Gamma(u) and spectral densities; the threshold AR model is

@@ -143,6 +143,7 @@ def test_criterion_04_gumbel_limit():
         c_const=6.0,
         reps=500,
         seed=0,
+        workers=2,  # reports are the same for every worker count (criterion 10)
     )
     report = run_experiment(plan)
     ks_vals = [row["ks_gumbel"] for row in report.rows]
@@ -167,6 +168,7 @@ def test_criterion_05_moment_convergence():
         reps=5000,
         seed=0,
         nu_star=2.0,
+        workers=2,
     )
     report = run_experiment(plan)
     mean_final = report.rows[-1]["mean_centered"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specband.dependence import (
+    _t_two_sided,
     check_conditions,
     coupled_delta,
     profile,
@@ -237,10 +238,9 @@ def test_decay_fit_warning_on_nondecaying_profile():
         profile(Flat(), 2.0, horizon=6, reps=200, seed=13)
 
 
-def test_stdtrit_matches_t_ppf():
-    # _slope_ci takes its t quantile from stdtrit, the function t.ppf evaluates
+def test_t_two_sided_matches_stdtrit():
+    # _slope_ci's t quantile, against the one-sided 0.975 quantile of scipy
     from scipy.special import stdtrit
-    from scipy.stats import t
 
     for df in range(1, 201):
-        assert stdtrit(df, 0.975) == t.ppf(0.975, df)
+        assert _t_two_sided(df, 0.95) == pytest.approx(stdtrit(df, 0.975), rel=1e-14, abs=0.0)

@@ -66,13 +66,17 @@ def test_omega_factor():
     assert omega_factor(1.0) == 1.0
 
 
+def _raw(stat, b_val):
+    """The uncentered maximum: stat + 2 log B - log(pi log B)."""
+    return stat + 2.0 * math.log(b_val) - math.log(math.pi * math.log(b_val))
+
+
 def test_max_deviation_center_equals_estimate():
     est = _flat_grid(10, 1000)
     stat = max_deviation(est, est, est, BART, (0, 0))
-    assert stat.raw_max == 0.0
+    assert _raw(stat, 10) == pytest.approx(0.0, abs=1e-15)
     # -(2 ln 10 - ln(pi ln 10)) by direct arithmetic
-    assert stat.centered == pytest.approx(-2.6264079, abs=1e-6)
-    assert stat.grid_size == 11
+    assert stat == pytest.approx(-2.6264079, abs=1e-6)
 
 
 def test_max_deviation_single_spike():
@@ -85,8 +89,7 @@ def test_max_deviation_single_spike():
     est2 = SpectralGrid(est.freqs, mats, b_val, "bartlett", t_len)
     stat = max_deviation(est2, center, center, BART, (0, 0))
     expected = 100.0 * d**2 / ((2.0 / 3.0) * (1.0 / TWO_PI) ** 2)
-    assert stat.raw_max == pytest.approx(expected, rel=1e-12)
-    assert stat.argmax_freq == pytest.approx(est.freqs[3])
+    assert _raw(stat, b_val) == pytest.approx(expected, rel=1e-12)
 
 
 def test_max_deviation_imaginary_spike_same_value():
@@ -107,7 +110,7 @@ def test_max_deviation_imaginary_spike_same_value():
         SpectralGrid(base.freqs, im_m, b_val, "bartlett", t_len),
         base, base, BART, (0, 1),
     )
-    assert re_stat.raw_max == pytest.approx(im_stat.raw_max, rel=1e-12)
+    assert _raw(re_stat, b_val) == pytest.approx(_raw(im_stat, b_val), rel=1e-12)
 
 
 def test_max_deviation_grid_mismatch():
@@ -144,14 +147,12 @@ def test_stacked_statistics_equal_single_grid_calls(n, entry):
     entries = [(i, j) for i in range(n) for j in range(i, n)]
     stat = max_deviation(ests, center, denom, BART, entry)
     band = uniform_band(ests, BART, 0.9, entries, bonferroni=True)
-    assert stat.raw_max.shape == stat.centered.shape == (24,)
+    assert stat.shape == (24,)
     for r in range(24):
         one = replace(ests, matrices=ests.matrices[r])
         single = max_deviation(one, center, denom, BART, entry)
-        assert isinstance(single.raw_max, float)
-        assert single.raw_max == stat.raw_max[r]
-        assert single.centered == stat.centered[r]
-        assert single.argmax_freq == stat.argmax_freq[r]
+        assert isinstance(single, float)
+        assert single == stat[r]
         single_band = uniform_band(one, BART, 0.9, entries, bonferroni=True)
         for stacked_e, single_e in zip(band.entries, single_band.entries):
             np.testing.assert_array_equal(stacked_e.half_width[r], single_e.half_width)
@@ -258,13 +259,18 @@ def test_pointwise_ci_z_value_and_omega():
     assert band.metadata["per_entry_level"] == 0.95
 
 
-def test_ndtri_matches_norm_ppf():
-    # pointwise_ci takes z from ndtri, the function norm.ppf evaluates
+def test_pointwise_z_matches_ndtri():
+    # (B/T) kappa f^2 = 1 exactly, so the half-width away from 0 and pi is z
     from scipy.special import ndtri
-    from scipy.stats import norm
 
-    q = 0.5 * (1.0 + np.linspace(0.001, 0.999, 999))
-    assert np.array_equal(ndtri(q), norm.ppf(q))
+    est = _flat_grid(32, 64, value=1.0)
+    levels = np.linspace(0.001, 0.999, 999)
+    trunc = get_kernel("truncated")
+    z = [pointwise_ci(est, trunc, lv, [(0, 0)]).entries[0].half_width[1] for lv in levels]
+    ref = ndtri(0.5 * (1.0 + levels))
+    # the bisection on the upper tail loses relative accuracy as z -> 0
+    np.testing.assert_allclose(z, ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(np.array(z)[levels >= 0.5], ref[levels >= 0.5], rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n, entry", [(1, (0, 0)), (2, (1, 1)), (2, (0, 1))])

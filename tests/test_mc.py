@@ -170,6 +170,24 @@ def test_quadrature_oracles():
     assert gumbel_abs_norm(1.0) == pytest.approx(g1_ref, abs=1e-8)
 
 
+def test_limit_law_matches_30_digit_references():
+    # |x|^nu has a kink at 0 that adaptive quadrature resolves to about 1e-12
+    # only; the exp-sinh rule on each half-line has no node there
+    assert gumbel_abs_norm(0.5) == pytest.approx(1.6412097686946650667, rel=1e-15, abs=0.0)
+    assert gumbel_abs_norm(1.5) == pytest.approx(2.4206278799783562719, rel=1e-15, abs=0.0)
+    # E|G| = 2 gamma + 4 E1(1), since E max(-Y, 0) = E1(1) for standard Gumbel Y
+    assert gumbel_abs_norm(1.0) == pytest.approx(
+        2.0 * np.euler_gamma + 4.0 * 0.21938393439552027368, rel=1e-15, abs=0.0
+    )
+    assert gumbel_mean() == pytest.approx(2.0 * np.euler_gamma, rel=1e-15, abs=0.0)
+
+
+def test_normal_cdf_matches_ndtr_into_the_lower_tail():
+    # 0.5 erfc(-x/sqrt 2) keeps its relative accuracy where 1 + erf cancels
+    x = np.linspace(-30.0, 8.0, 20001)
+    np.testing.assert_allclose(mc._normal_cdf(x), ndtr(x), rtol=5e-14, atol=0.0)
+
+
 @pytest.mark.parametrize(
     "cdf, oracle_cdf",
     [(gumbel_cdf, gumbel_cdf), (ndtr, norm.cdf)],

@@ -1,13 +1,12 @@
 """Tests that run specband in a fresh interpreter.
 
-Import guards: scipy is imported where it is called, so a stray module-level
-import would only show as a slower start-up. These tests pin which scipy
-submodules each entry point loads. The logging tests check that telemetry
+The package runs on numpy and the standard library alone: one test runs
+every command and checks that no scipy module was loaded, which would only
+show as a slower start-up otherwise. The logging tests check that telemetry
 (``verify`` cells, CSV reads and writes) goes to stderr and never into the
 outputs.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -29,61 +28,38 @@ def _python(args):
     )
 
 
-def _scipy_submodules(code: str) -> set:
-    """Top-level scipy submodules loaded after running ``code``."""
-    script = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules"
-        " if m.startswith('scipy.')})))"
-    )
-    return set(json.loads(_python(["-c", script]).stdout.splitlines()[-1]))
-
-
-def test_import_cli_loads_no_scipy_submodule():
-    assert _scipy_submodules("import specband.cli") == set()
-
-
-def test_white_noise_commands_load_neither_stats_nor_signal(tmp_path):
+def test_cli_commands_load_no_scipy_module(tmp_path):
     code = f"""
+import sys
 import numpy as np
 from specband.cli import main
-from specband.mc import ExperimentPlan, run_experiment
-from specband.models import WhiteNoise, simulate
-from specband.series import write_csv
+from specband.models import VMA
 
-run_experiment(ExperimentPlan("gumbel", t_grid=(64, 128), reps=100))
-path = {str(tmp_path / "wn.csv")!r}
-write_csv(simulate(WhiteNoise(sigma=np.eye(2)), 512, seed=1), path)
-assert main(["estimate", "--input", path, "--output", path + ".est.json"]) == 0
-assert main(["bands", "--input", path, "--output", path + ".bands.json"]) == 0
+VMA((np.eye(2), 0.5 * np.eye(2)), sigma=np.eye(2) + 0.1).path(np.zeros((5, 2)))
+d = {str(tmp_path)!r}
+commands = [
+    ["simulate", "--model", "ar1:phi=0.5", "--t-len", "64", "--out", d + "/ar1.csv"],
+    ["simulate", "--model", "var1:default", "--t-len", "512", "--seed", "1",
+     "--out", d + "/x.csv"],
+    ["estimate", "--input", d + "/x.csv", "--output", d + "/est.json"],
+    ["bands", "--input", d + "/x.csv", "--output", d + "/uniform.json"],
+    ["bands", "--input", d + "/x.csv", "--method", "pointwise", "--output", d + "/pw.json"],
+    ["depmeasure", "--model", "tar:a=0.5,b=-0.5", "--horizon", "8", "--reps", "200",
+     "--check-conditions", "--output", d + "/dep.json"],
+    ["kernel-info", "--kernel", "parzen", "--output", d + "/kernel.json"],
+]
+for experiment, model, t_grid in [
+    ("clt", "white", "64,128"), ("gumbel", "white", "64,128"), ("moments", "white", "64,128"),
+    ("uniform-rate", "white", "64,128"), ("coverage", "var1:default", "64,128"),
+    ("bias-rate", "ar1:phi=0.5", "4096"),  # simulation-free; its B grid reaches 128
+]:
+    commands.append(["verify", "--experiment", experiment, "--model", model, "--t-grid",
+                     t_grid, "--reps", "100", "--out", d + "/" + experiment + ".json"])
+for argv in commands:
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    loaded = _scipy_submodules(code)
-    assert "stats" not in loaded
-    assert "signal" not in loaded
-
-
-def test_var1_and_ar1_load_neither_signal_nor_stats(tmp_path):
-    out = str(tmp_path / "cov.json")
-    code = f"""
-from specband.cli import main
-from specband.models import parse_model
-
-parse_model('var1:default').path(__import__('numpy').zeros((5, 2)))
-parse_model('ar1:phi=0.5').path(__import__('numpy').zeros((5, 1)))
-assert main(["verify", "--experiment", "coverage", "--model", "var1:default",
-             "--t-grid", "64,128", "--reps", "100", "--out", {out!r}]) == 0
-"""
-    assert _scipy_submodules(code) == set()  # not even scipy.linalg
-
-
-def test_white_noise_and_vma_construction_load_no_scipy_submodule():
-    code = (
-        "import numpy as np\n"
-        "from specband.models import VMA, parse_model\n"
-        "parse_model('white:dim=2').path(np.zeros((5, 2)))\n"
-        "VMA((np.eye(2), 0.5 * np.eye(2)), sigma=np.eye(2) + 0.1).path(np.zeros((5, 2)))"
-    )
-    assert _scipy_submodules(code) == set()
+    assert _python(["-c", code]).stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):
@@ -99,7 +75,7 @@ def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):
     assert reports[0] == reports[1] == reports[2]
     info = [line for line in errs[1].splitlines() if line.startswith("INFO:")]
     assert len(info) == 3  # the run's configuration, then one line per cell
-    assert "numpy" in info[0] and "scipy" in info[0] and "reps=100" in info[0]
+    assert "numpy" in info[0] and "reps=100" in info[0]
     assert "workers=1" in info[0] and "pool=0 processes" in info[0] and "seed=3" in info[0]
     assert "streams default_rng([seed, cell, rep])" in info[0]
     assert "T=64 B=" in info[1] and "T=128 B=" in info[2]
