@@ -1,8 +1,8 @@
 """Tests that run specband in a fresh interpreter.
 
-The package runs on numpy and the standard library alone: one test runs
-every command and checks that no scipy module was loaded, which would only
-show as a slower start-up otherwise. The logging tests check that telemetry
+The package runs on numpy and the standard library alone: the import tests
+run every command, grouped by entry point, and check that no scipy module
+was loaded, which would only show as a slower start-up otherwise. The logging tests check that telemetry
 (``verify`` cells, CSV reads and writes) goes to stderr and never into the
 outputs.
 """
@@ -28,38 +28,68 @@ def _python(args):
     )
 
 
-def test_cli_commands_load_no_scipy_module(tmp_path):
+def _scipy_modules(commands=(), setup=""):
+    """scipy modules loaded after ``setup`` runs and each CLI command exits 0."""
     code = f"""
 import sys
 import numpy as np
 from specband.cli import main
-from specband.models import VMA
-
-VMA((np.eye(2), 0.5 * np.eye(2)), sigma=np.eye(2) + 0.1).path(np.zeros((5, 2)))
-d = {str(tmp_path)!r}
-commands = [
-    ["simulate", "--model", "ar1:phi=0.5", "--t-len", "64", "--out", d + "/ar1.csv"],
-    ["simulate", "--model", "var1:default", "--t-len", "512", "--seed", "1",
-     "--out", d + "/x.csv"],
-    ["estimate", "--input", d + "/x.csv", "--output", d + "/est.json"],
-    ["bands", "--input", d + "/x.csv", "--output", d + "/uniform.json"],
-    ["bands", "--input", d + "/x.csv", "--method", "pointwise", "--output", d + "/pw.json"],
-    ["depmeasure", "--model", "tar:a=0.5,b=-0.5", "--horizon", "8", "--reps", "200",
-     "--check-conditions", "--output", d + "/dep.json"],
-    ["kernel-info", "--kernel", "parzen", "--output", d + "/kernel.json"],
-]
-for experiment, model, t_grid in [
-    ("clt", "white", "64,128"), ("gumbel", "white", "64,128"), ("moments", "white", "64,128"),
-    ("uniform-rate", "white", "64,128"), ("coverage", "var1:default", "64,128"),
-    ("bias-rate", "ar1:phi=0.5", "4096"),  # simulation-free; its B grid reaches 128
-]:
-    commands.append(["verify", "--experiment", experiment, "--model", model, "--t-grid",
-                     t_grid, "--reps", "100", "--out", d + "/" + experiment + ".json"])
-for argv in commands:
+{setup}
+for argv in {commands!r}:
     assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    assert _python(["-c", code]).stdout.splitlines()[-1] == "[]"
+    return _python(["-c", code]).stdout.splitlines()[-1]
+
+
+def _verify(experiment, model, t_grid, out_dir):
+    return ["verify", "--experiment", experiment, "--model", model, "--t-grid", t_grid,
+            "--reps", "100", "--out", str(out_dir / (experiment + ".json"))]
+
+
+def test_import_cli_loads_no_scipy_submodule():
+    assert _scipy_modules() == "[]"
+
+
+def test_white_noise_commands_load_neither_stats_nor_signal(tmp_path):
+    x = str(tmp_path / "x.csv")
+    commands = [
+        ["simulate", "--model", "white:dim=2", "--t-len", "512", "--seed", "1", "--out", x],
+        ["estimate", "--input", x, "--output", x + ".est.json"],
+        ["bands", "--input", x, "--output", x + ".uniform.json"],
+        ["bands", "--input", x, "--method", "pointwise", "--output", x + ".pw.json"],
+    ] + [_verify(e, "white", "64,128", tmp_path)
+         for e in ("clt", "gumbel", "moments", "uniform-rate")]
+    assert _scipy_modules(commands) == "[]"
+
+
+def test_var1_and_ar1_load_neither_signal_nor_stats(tmp_path):
+    commands = [
+        ["simulate", "--model", "ar1:phi=0.5", "--t-len", "64", "--out", str(tmp_path / "ar1.csv")],
+        ["simulate", "--model", "var1:default", "--t-len", "512", "--seed", "1",
+         "--out", str(tmp_path / "var1.csv")],
+        _verify("coverage", "var1:default", "64,128", tmp_path),
+        _verify("bias-rate", "ar1:phi=0.5", "4096", tmp_path),  # simulation-free; B reaches 128
+    ]
+    assert _scipy_modules(commands) == "[]"  # not even scipy.linalg
+
+
+def test_white_noise_and_vma_construction_load_no_scipy_submodule():
+    setup = (
+        "from specband.models import VMA, parse_model\n"
+        "parse_model('white:dim=2').path(np.zeros((5, 2)))\n"
+        "VMA((np.eye(2), 0.5 * np.eye(2)), sigma=np.eye(2) + 0.1).path(np.zeros((5, 2)))"
+    )
+    assert _scipy_modules(setup=setup) == "[]"
+
+
+def test_depmeasure_and_kernel_info_load_no_scipy_module(tmp_path):
+    commands = [
+        ["depmeasure", "--model", "tar:a=0.5,b=-0.5", "--horizon", "8", "--reps", "200",
+         "--check-conditions", "--output", str(tmp_path / "dep.json")],
+        ["kernel-info", "--kernel", "parzen", "--output", str(tmp_path / "kernel.json")],
+    ]
+    assert _scipy_modules(commands) == "[]"
 
 
 def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):
