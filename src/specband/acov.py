@@ -31,6 +31,11 @@ and 3.0-3.3 s of wall time per operation, against 2.6-2.7 s and 2.0-2.2 s
 with the sizing above. The result differs from the per-lag loop only in
 summation order: by at most 6e-16 normwise relative for T up to 70001 and
 L up to 999.
+
+A caller that computes many stacks of one shape passes a workspace (see
+``series._buffer``): the zero-padded block array and the per-offset
+product, 256 KB at T = 65536, are then reused instead of allocated per call.
+The padding rows are zeroed on every call, so reuse gives the same bits.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .errors import (
     MalformedArray,
     NotCentered,
 )
-from .series import MultivariateSeries
+from .series import MultivariateSeries, _buffer
 
 __all__ = ["AutocovSequence", "sample_autocov", "expected_autocov", "autocov_matrices"]
 
@@ -87,10 +92,12 @@ class AutocovSequence:
         return self.matrices[-u].T
 
 
-def autocov_matrices(values: np.ndarray, max_lag: int) -> np.ndarray:
+def autocov_matrices(values: np.ndarray, max_lag: int, workspace=None) -> np.ndarray:
     """Divisor-T autocovariance stack of a raw (T, n) array, lags 0..max_lag.
 
-    Raises LagOutOfRange unless 0 <= max_lag <= T - 1.
+    Raises LagOutOfRange unless 0 <= max_lag <= T - 1. With a ``workspace``
+    (see ``series._buffer``) the zero-padded block array and the per-offset
+    products are its buffers; the result is a new array either way.
     """
     values = np.asarray(values, dtype=float)
     t_len, n_dim = values.shape
@@ -104,13 +111,15 @@ def autocov_matrices(values: np.ndarray, max_lag: int) -> np.ndarray:
     n_rows = -(-t_len // span)
     batch = min(_BATCH_ROWS, n_rows)
     n_rows = -(-n_rows // batch) * batch  # whole batches; the padding is zeros
-    blocks = np.zeros((n_rows + offsets - 1, width))
+    blocks = _buffer(workspace, "acov_blocks", (n_rows + offsets - 1, width))
     blocks.reshape(-1, n_dim)[:t_len] = values
+    blocks.reshape(-1, n_dim)[t_len:] = 0.0
     left = blocks[:n_rows].reshape(-1, batch, width).transpose(0, 2, 1)
+    product = _buffer(workspace, "acov_product", (n_rows // batch, width, width))
     grams = np.empty((width, offsets, width))  # [(p, i), k, (q, j)]
     for k in range(offsets):
         right = blocks[k : k + n_rows].reshape(-1, batch, width)
-        np.sum(left @ right, axis=0, out=grams[:, k, :])
+        np.sum(np.matmul(left, right, out=product), axis=0, out=grams[:, k, :])
     row, _, col = grams.strides
     diag = as_strided(  # diag[u, p, i, j] = grams[(p, i), (p + u, j)]
         grams,

@@ -12,10 +12,18 @@ centering E fhat on the experiment's frequency grid), runs the replications,
 and stores the cell's row and per-replication statistics. Each replication
 contributes its autocovariance stack, and a run of replications is estimated
 by one ``estimate_matrices`` call on the stacked autocovariances. Runs are
-consecutive ranges of at most 64 replications, shorter in a pool so that each
-worker gets several, one run per worker task. Each run's estimates are
-written into the cell's preallocated array in replication order, so the cell
-holds its result plus one run's work arrays. The estimates come back as one
+consecutive ranges of at most 64 replications, shorter in a pool so that
+each worker gets several. With ``workers`` >= 2, one process pool serves
+every cell of the experiment, one run per task, and is shut down after the
+last cell; on closing it logs its processes, tasks and seconds open.
+``bias_rate`` and serial plans start no pool. A run simulates its
+replications and takes their autocovariances through one workspace (see
+``series._buffer``), so the draws and the large work arrays of the scan and
+of ``autocov_matrices`` are allocated once per run, not returned to the
+allocator and faulted back in by every replication. The workspace is freed
+before the run's estimator call. Each run's estimates are written into the
+cell's preallocated array in replication order, so the cell holds its
+result plus one run's work arrays. The estimates come back as one
 ``SpectralGrid`` stacked on a leading replication axis, so each statistic
 (``max_deviation``, ``uniform_band``) runs once per cell on the whole stack,
 through the same code that ``bands`` uses. What differs is kept in the
@@ -40,6 +48,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -184,16 +193,20 @@ class _Cell(NamedTuple):
     center: SpectralGrid  # exact mean E fhat on the experiment's grid
 
 
-def _rep_acov(cell: _Cell, rep: int) -> np.ndarray:
-    """One replication's (B+1, n, n) autocovariance stack from its own stream."""
-    rng = np.random.default_rng([cell.plan.seed, cell.index, rep])
-    values = cell.model.simulate_values(cell.t_len, rng)
-    return autocov_matrices(values, cell.b_val)
+def _run_acovs(cell: _Cell, reps: range) -> np.ndarray:
+    """A run's (len(reps), B+1, n, n) autocovariance stacks, each replication
+    from its own stream, all through one workspace that dies on return."""
+    workspace, stacks = {}, []
+    for rep in reps:
+        rng = np.random.default_rng([cell.plan.seed, cell.index, rep])
+        values = cell.model.simulate_values(cell.t_len, rng, workspace=workspace)
+        stacks.append(autocov_matrices(values, cell.b_val, workspace=workspace))
+    return np.stack(stacks)
 
 
 def _run_estimates(cell: _Cell, reps: range) -> np.ndarray:
     """The (len(reps), F, n, n) estimates of a run of replications, in one call."""
-    stacks = np.stack([_rep_acov(cell, r) for r in reps])
+    stacks = _run_acovs(cell, reps)
     return estimate_matrices(stacks, cell.kernel, cell.b_val, cell.center.freqs)
 
 
@@ -203,20 +216,35 @@ def pool_size(workers: int) -> int:
     return size if size > 1 else 0
 
 
-def _run_reps(cell: _Cell) -> SpectralGrid:
-    """The cell's replication estimates, stacked as one (reps, F, n, n) grid."""
-    reps = cell.plan.reps
-    size = pool_size(cell.plan.workers)
+def _runs(reps: int, size: int) -> list:
+    """Consecutive ranges of replications: at most _RUN_REPS, and on a pool of
+    ``size`` processes short enough that each gets several."""
     run = min(_RUN_REPS, max(1, reps // (size * 8))) if size else _RUN_REPS
-    runs = [range(start, min(start + run, reps)) for start in range(0, reps, run)]
-    ests = np.empty((reps, *cell.center.matrices.shape), dtype=complex)
+    return [range(start, min(start + run, reps)) for start in range(0, reps, run)]
+
+
+@contextmanager
+def _pool(size: int, tasks: int):
+    """The experiment's worker processes, shared by every cell, or None when
+    ``size`` is 0. On close it logs its processes, tasks and seconds open."""
     if not size:
-        for r in runs:
-            ests[r.start : r.stop] = _run_estimates(cell, r)
-    else:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            for r, est in zip(runs, pool.map(partial(_run_estimates, cell), runs)):
-                ests[r.start : r.stop] = est
+        yield None
+        return
+    opened = time.perf_counter()
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield pool
+    log.info(
+        "pool: %d processes, %d tasks, open %.3f s",
+        size, tasks, time.perf_counter() - opened,
+    )
+
+
+def _run_reps(cell: _Cell, runs: list, pool) -> SpectralGrid:
+    """The cell's replication estimates, stacked as one (reps, F, n, n) grid."""
+    ests = np.empty((cell.plan.reps, *cell.center.matrices.shape), dtype=complex)
+    run = partial(_run_estimates, cell)
+    for r, est in zip(runs, map(run, runs) if pool is None else pool.map(run, runs)):
+        ests[r.start : r.stop] = est
     return replace(cell.center, matrices=ests)
 
 
@@ -510,24 +538,27 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     if plan.experiment == "bias_rate":
         return _bias_rate(plan, model, kernel)
     spec = _EXPERIMENTS[plan.experiment]
+    size = pool_size(plan.workers)
+    runs = _runs(plan.reps, size)
     rows, raw = [], {}
-    for index, t_len in enumerate(plan.t_grid):
-        start = time.perf_counter()
-        b_val = Bandwidth(t_len, plan.b_exponent, plan.c_const).value
-        center = expected_spectrum(model, kernel, b_val, t_len, spec.freqs(b_val))
-        cell = _Cell(plan, model, kernel, index, t_len, b_val, center)
-        centered = time.perf_counter()
-        ests = _run_reps(cell)
-        simulated = time.perf_counter()
-        row, values = spec.statistic(cell, ests)
-        end = time.perf_counter()
-        rows.append({"t_len": t_len, "bandwidth": b_val, **row})
-        raw[f"{spec.raw_key}_T{t_len}"] = values
-        log.info(
-            "cell T=%d B=%d: %.3f s (center %.3f s, reps %.3f s, statistic %.3f s)",
-            t_len, b_val, end - start, centered - start, simulated - centered,
-            end - simulated,
-        )
+    with _pool(size, len(runs) * len(plan.t_grid)) as pool:
+        for index, t_len in enumerate(plan.t_grid):
+            start = time.perf_counter()
+            b_val = Bandwidth(t_len, plan.b_exponent, plan.c_const).value
+            center = expected_spectrum(model, kernel, b_val, t_len, spec.freqs(b_val))
+            cell = _Cell(plan, model, kernel, index, t_len, b_val, center)
+            centered = time.perf_counter()
+            ests = _run_reps(cell, runs, pool)
+            simulated = time.perf_counter()
+            row, values = spec.statistic(cell, ests)
+            end = time.perf_counter()
+            rows.append({"t_len": t_len, "bandwidth": b_val, **row})
+            raw[f"{spec.raw_key}_T{t_len}"] = values
+            log.info(
+                "cell T=%d B=%d: %.3f s (center %.3f s, reps %.3f s, statistic %.3f s)",
+                t_len, b_val, end - start, centered - start, simulated - centered,
+                end - simulated,
+            )
     return ExperimentReport(
         plan=plan, rows=tuple(rows), verdicts=spec.verdicts(plan, rows), raw=raw
     )

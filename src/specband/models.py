@@ -28,6 +28,14 @@ taking a matrix product: for finite innovations the values are the same bit
 for bit, since every off-diagonal term of the product is an exact zero. A
 dense factor keeps the product.
 
+``simulate_values`` and ``path`` take an optional workspace, a dict of
+buffers that a caller reuses across replications of one shape (see
+``series._buffer``). With it, the draws are filled in place by
+``standard_normal(out=...)``, diagonal white noise is scaled in place, and
+level 0 of the VAR(1) scan keeps its padded blocks, output, carry and carry
+product there; the values are the same bit for bit, and the result is a view
+of a workspace buffer, valid until the workspace is next used.
+
 Covariances are factored by numpy's Cholesky; bad parameters raise
 ``InvalidModel`` at construction. The VAR(1) spectral radius comes from
 ``np.linalg.eigvals`` and Gamma(0) from a numpy Lyapunov solve (``_lyapunov``).
@@ -46,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, InvalidModel, NonStationaryModel, UnsupportedModel
-from .series import MultivariateSeries, load_matrix
+from .series import MultivariateSeries, _buffer, load_matrix
 
 __all__ = [
     "ProcessModel",
@@ -132,11 +140,13 @@ def _scan_levels(coeff, chol):
     return tuple(levels), step
 
 
-def _scan(scan, x, level=0):
+def _scan(scan, x, level=0, workspace=None):
     """States from zero state of scan level ``level`` driven by x (..., steps, n).
 
     Each replication's rows go through their own dgemms, of one shape that
-    depends only on ``steps``, so a path does not depend on its batch.
+    depends only on ``steps``, so a path does not depend on its batch. Level
+    0 takes its padded blocks, output, carry and carry product from
+    ``workspace`` when one is given; padding is zeroed on every call.
     """
     levels, last = scan
     lead, (steps, n) = x.shape[:-2], x.shape[-2:]
@@ -152,14 +162,19 @@ def _scan(scan, x, level=0):
     n_blocks = max(1, -(-steps // span))
     batches = -(-n_blocks // max(1, _GEMM_SIZE // width**2))
     rows = -(-n_blocks // batches)  # block rows per dgemm
-    blocks = np.zeros(lead + (batches * rows * span, n))
+    blocks = _buffer(workspace, "scan_blocks", lead + (batches * rows * span, n))
     blocks[..., :steps, :] = x
-    out = blocks.reshape(lead + (batches, rows, width)) @ impulse
+    blocks[..., steps:, :] = 0.0
+    out = _buffer(workspace, "scan_out", lead + (batches, rows, width))
+    np.matmul(blocks.reshape(out.shape), impulse, out=out)
     if n_blocks > 1:  # add each block's carry: the end state of the block before
         ends = out.reshape(lead + (batches * rows, width))[..., : n_blocks - 1, -n:]
-        carry = np.zeros(lead + (batches * rows, n))
+        carry = _buffer(workspace, "scan_carry", lead + (batches * rows, n))
+        carry[..., :1, :] = 0.0
         carry[..., 1:n_blocks, :] = _scan(scan, ends, level + 1)
-        out += carry.reshape(lead + (batches, rows, n)) @ tail
+        carry[..., n_blocks:, :] = 0.0
+        prod = _buffer(workspace, "scan_carry_product", out.shape)
+        out += np.matmul(carry.reshape(lead + (batches, rows, n)), tail, out=prod)
     return out.reshape(lead + (-1, n))[..., :steps, :]
 
 
@@ -176,8 +191,12 @@ class ProcessModel:
         """Lags after which the causal map's memory is below _MEMORY_TOL."""
         raise NotImplementedError
 
-    def path(self, eps: np.ndarray) -> np.ndarray:
-        """Run the causal map over innovations (..., steps, b) from zero state."""
+    def path(self, eps: np.ndarray, workspace=None) -> np.ndarray:
+        """Run the causal map over innovations (..., steps, b) from zero state.
+
+        With a ``workspace`` a model may overwrite ``eps`` and return a view
+        of a workspace buffer (see the module docstring).
+        """
         raise NotImplementedError
 
     def gamma(self, u: int) -> np.ndarray:
@@ -186,10 +205,17 @@ class ProcessModel:
     def spectral_density(self, freqs) -> np.ndarray:
         raise UnsupportedModel(f"model {self.kind!r} has no closed-form spectrum")
 
-    def simulate_values(self, t_len: int, rng: np.random.Generator) -> np.ndarray:
+    def simulate_values(
+        self, t_len: int, rng: np.random.Generator, workspace=None
+    ) -> np.ndarray:
+        """T values after burn-in, the same bit for bit with or without a
+        ``workspace`` (see the module docstring)."""
+        # white noise has no memory, so its 1000 burn-in rows change no law:
+        # they only fix which draws of each stream it uses, and so every report
         burn = max(1000, self.decay_horizon())
-        eps = rng.standard_normal((burn + t_len, self.n_dim))
-        return self.path(eps)[burn:]
+        eps = _buffer(workspace, "draws", (burn + t_len, self.n_dim))
+        rng.standard_normal(out=eps)
+        return self.path(eps, workspace)[burn:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,10 +239,13 @@ class WhiteNoise(ProcessModel):
     def decay_horizon(self) -> int:
         return 0
 
-    def path(self, eps):
-        if self._scale is not None:
+    def path(self, eps, workspace=None):
+        if self._scale is None:
+            return eps @ self._chol.T
+        if workspace is None:
             return eps * self._scale
-        return eps @ self._chol.T
+        eps *= self._scale  # in place, on what is then the workspace's draws
+        return eps
 
     def gamma(self, u):
         if u == 0:
@@ -262,8 +291,8 @@ class VAR1(ProcessModel):
             return 1
         return int(np.ceil(np.log(_MEMORY_TOL) / np.log(self._radius))) + 1
 
-    def path(self, eps):
-        return _scan(self._scan_levels, eps)
+    def path(self, eps, workspace=None):
+        return _scan(self._scan_levels, eps, workspace=workspace)
 
     def gamma(self, u):
         power = np.linalg.matrix_power(self.coeff.T, abs(u))
@@ -330,7 +359,7 @@ class VMA(ProcessModel):
     def decay_horizon(self) -> int:
         return self.order
 
-    def path(self, eps):
+    def path(self, eps, workspace=None):
         w = eps @ self._chol.T
         out = np.zeros(w.shape[:-1] + (self.n_dim,))
         steps = w.shape[-2]
@@ -391,7 +420,7 @@ class ThresholdAR1(ProcessModel):
             return 1
         return int(np.ceil(np.log(_MEMORY_TOL) / np.log(self._contraction))) + 1
 
-    def path(self, eps):
+    def path(self, eps, workspace=None):
         w = np.sqrt(self.sigma2) * eps[..., 0]
         out = np.empty_like(w)
         state = np.zeros(w.shape[:-1])

@@ -16,6 +16,10 @@ its ``to_dict()`` if it has one, any other dataclass through its fields,
 numpy arrays and scalars through ``tolist()``, tuples as lists, and
 non-finite floats as the strings "inf", "-inf" and "nan". :func:`_json_text`
 adds ``schema_version`` and writes the payload with sorted keys, one line.
+
+:func:`_buffer` hands out work arrays from a workspace, a dict that the
+Monte Carlo loop passes to ``simulate_values`` and ``autocov_matrices`` so
+that replications of one shape reuse them.
 """
 
 from __future__ import annotations
@@ -69,6 +73,21 @@ def _json_text(payload) -> str:
     """The payload as one line of JSON with sorted keys and a schema version."""
     payload = {"schema_version": SCHEMA_VERSION, **_jsonable(payload)}
     return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _buffer(workspace, key: str, shape: tuple) -> np.ndarray:
+    """A float array of ``shape`` with unspecified contents.
+
+    A workspace is a dict of such buffers that one caller reuses across calls
+    of the same shapes. With one, the buffer is ``workspace[key]``, replaced
+    when its shape differs; with None it is a new array.
+    """
+    buf = None if workspace is None else workspace.get(key)
+    if buf is None or buf.shape != shape:
+        buf = np.empty(shape)
+        if workspace is not None:
+            workspace[key] = buf
+    return buf
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def test_expected_autocov_ar1():
     model = AR1Scalar(0.5)
     # (T-|u|)/T * phi^u / (1 - phi^2) at u=2, T=8
     val = expected_autocov(model, 2, 8)[0, 0]
-    assert val == pytest.approx((6.0 / 8.0) * 0.25 / 0.75, rel=1e-12)
+    assert val == pytest.approx((6.0 / 8.0) * 0.25 / 0.75, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(
         expected_autocov(model, -2, 8), expected_autocov(model, 2, 8).T
     )

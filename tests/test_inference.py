@@ -30,7 +30,7 @@ def _flat_grid(b_val, t_len, value=1.0 / TWO_PI, n=1):
 
 
 def test_gumbel_cdf_values():
-    assert gumbel_cdf(0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert gumbel_cdf(0.0) == pytest.approx(math.exp(-1.0), rel=1e-15, abs=0.0)
     assert gumbel_cdf(200.0) == pytest.approx(1.0)
     assert gumbel_cdf(-50.0) == pytest.approx(0.0, abs=1e-12)
 

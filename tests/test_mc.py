@@ -279,7 +279,7 @@ class _RecordingPool:
 
 @pytest.mark.parametrize(
     "cpus, workers, expected",
-    [(3, 10**6, [3, 3]), (3, 2, [2, 2]), (1, 8, []), (None, 8, []), (4, 1, [])],
+    [(3, 10**6, [3]), (3, 2, [2]), (1, 8, []), (None, 8, []), (4, 1, [])],
 )
 def test_pool_is_capped_at_cpu_count(monkeypatch, cpus, workers, expected):
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
@@ -287,9 +287,31 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, cpus, workers, expected):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     base = dict(experiment="clt", model_spec="white", t_grid=(64, 128), reps=100, seed=7)
     report = run_experiment(ExperimentPlan(**base, workers=workers))
-    assert _RecordingPool.sizes == expected  # one pool per cell, or serial
+    assert _RecordingPool.sizes == expected  # one pool per experiment, or serial
     assert pool_size(workers) == (expected[0] if expected else 0)
     assert report.to_json() == run_experiment(ExperimentPlan(**base)).to_json()
+
+
+def test_bias_rate_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    plan = ExperimentPlan("bias_rate", model_spec="ar1:phi=0.5", workers=4)
+    run_experiment(plan)
+    assert _RecordingPool.sizes == []
+
+
+def test_three_cells_on_one_real_pool_match_serial(monkeypatch, caplog):
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    caplog.set_level(logging.INFO, logger="specband")
+    base = dict(experiment="coverage", model_spec="var1:default",
+                t_grid=(128, 256, 512), reps=100, seed=13)
+    serial = run_experiment(ExperimentPlan(**base)).to_json()
+    assert not any(m.startswith("pool:") for m in caplog.messages)
+    assert run_experiment(ExperimentPlan(**base, workers=2)).to_json() == serial
+    pools = [m for m in caplog.messages if m.startswith("pool:")]
+    # 100 reps on 2 processes: 17 runs of at most 6 per cell, one line per experiment
+    assert len(pools) == 1 and pools[0].startswith("pool: 2 processes, 51 tasks, open ")
 
 
 def test_verify_logs_the_pool_it_starts(monkeypatch, caplog, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from specband.acov import autocov_matrices
 from specband.errors import InvalidModel, NonStationaryModel, UnsupportedModel
 from specband.models import (
     AR1Scalar,
@@ -87,8 +88,10 @@ def test_ar1_gamma_closed_form():
 def test_ar1_spectrum_values():
     model = AR1Scalar(0.5)
     spec = model.spectral_density([0.0, np.pi])
-    assert spec[0][0, 0].real == pytest.approx(2.0 / np.pi, rel=1e-12)
-    assert spec[1][0, 0].real == pytest.approx(1.0 / (2 * np.pi * 2.25), rel=1e-12)
+    assert spec[0][0, 0].real == pytest.approx(2.0 / np.pi, rel=1e-12, abs=0.0)
+    assert spec[1][0, 0].real == pytest.approx(
+        1.0 / (2 * np.pi * 2.25), rel=1e-12, abs=0.0
+    )
 
 
 def test_spectrum_matches_gamma_sum():
@@ -284,8 +287,10 @@ def test_var1_gamma0_and_radius_match_scipy(n, radius):
         np.testing.assert_array_equal(model.gamma(0), expected)
     rel = np.max(np.abs(model.gamma(0) - expected)) / np.max(np.abs(expected))
     assert rel <= 1e-12, rel
-    assert model._radius == pytest.approx(np.max(np.abs(eigvals(coeff))), rel=1e-12)
-    assert model._radius == pytest.approx(radius, rel=1e-12)
+    assert model._radius == pytest.approx(
+        np.max(np.abs(eigvals(coeff))), rel=1e-12, abs=0.0
+    )
+    assert model._radius == pytest.approx(radius, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("reps", [1, 7, 64])
@@ -334,3 +339,42 @@ def test_var1_scalar_innovation_file_is_not_broadcast(tmp_path):
     s_path.write_text("2.0\n")
     with pytest.raises(InvalidModel, match="innovation covariance must be 2x2"):
         parse_model(f"var1:file={a_path},sigma={s_path}")
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        WhiteNoise(sigma=np.diag([2.0, 0.5])),
+        WhiteNoise(sigma=np.array([[2.0, 0.5], [0.5, 1.0]])),
+        AR1Scalar(phi=0.7),
+        default_var1(),
+        VMA(coeffs=(np.eye(2), np.array([[0.5, 0.2], [-0.1, 0.3]])), sigma=np.eye(2)),
+        ThresholdAR1(a=0.5, b=-0.3),
+    ],
+    ids=["white-diagonal", "white-dense", "ar1", "var1-default", "vma", "tar"],
+)
+def test_workspace_reuse_is_bit_identical(model):
+    # T = 3001 then 2501: neither T nor T + 1000 burn-in rows is a multiple of the
+    # scan span (16 or 32 steps) or of acov's 16- or 32-step block rows, and both
+    # pad acov's block array to the same 128 (n = 1) or 192 (n = 2) rows, so
+    # the second T reuses it over the first T's values
+    max_lag, workspace, reused = 40, {}, {}
+    for t_len in (3001, 2501):
+        for rep in range(3):
+            seed = [t_len, rep]
+            values = model.simulate_values(
+                t_len, np.random.default_rng(seed), workspace=workspace
+            )
+            got = autocov_matrices(values, max_lag, workspace=workspace)
+            fresh = model.simulate_values(t_len, np.random.default_rng(seed))
+            burn = max(1000, model.decay_horizon())
+            eps = np.random.default_rng(seed).standard_normal((burn + t_len, model.n_dim))
+            assert np.array_equal(fresh, model.path(eps)[burn:])
+            assert np.array_equal(values, fresh)
+            assert np.array_equal(got, autocov_matrices(fresh, max_lag))
+            if rep == 0:
+                reused = {k: (id(v), v.shape) for k, v in workspace.items()}
+            assert reused == {k: (id(v), v.shape) for k, v in workspace.items()}
+        if t_len == 3001:
+            acov_blocks = workspace["acov_blocks"]
+    assert workspace["acov_blocks"] is acov_blocks

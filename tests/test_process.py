@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import specband
+from specband.mc import pool_size
 
 SRC = str(Path(specband.__file__).resolve().parents[1])
 
@@ -112,6 +113,28 @@ def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):
     for line in info[1:]:  # each cell's time split by stage
         assert all(f"{stage} " in line for stage in ("center", "reps", "statistic"))
     assert not any(line.startswith("INFO:") for line in errs[2].splitlines())
+
+
+def test_pooled_verify_logs_its_pool_once_and_report_ignores_log_level(tmp_path):
+    plan = ["--experiment", "coverage", "--model", "var1:default", "--t-grid",
+            "64,128,256", "--reps", "100", "--seed", "3", "--threads", "2"]
+    reports, errs = [], []
+    for level in ("info", "warning"):
+        out = tmp_path / f"{level}.json"
+        proc = _python(["-m", "specband.cli", "--log-level", level, "verify", *plan,
+                        "--out", str(out)])
+        reports.append(out.read_bytes())
+        errs.append(proc.stderr)
+    assert reports[0] == reports[1]
+    lines = errs[0].splitlines()
+    pools = [line for line in lines if line.startswith("INFO:specband:pool:")]
+    size = pool_size(2)
+    if size:  # 3 cells of 17 runs on one pool, logged once when it closes
+        assert len(pools) == 1 and f"pool: {size} processes, 51 tasks, open " in pools[0]
+        assert lines.index(pools[0]) == 4  # after the configuration and cell lines
+    else:
+        assert pools == []
+    assert "INFO:" not in errs[1]
 
 
 def test_csv_io_logs_to_stderr_and_outputs_ignore_log_level(tmp_path):

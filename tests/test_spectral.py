@@ -82,7 +82,7 @@ def test_three_term_hand_value():
     # C(0)=1, C(+-1)=0.5, Bartlett B=2, lambda=0: (1/2pi)(1 + 2*K(1/2)*0.5)
     stack = np.array([[[1.0]], [[0.5]]])
     out = estimate_matrices(stack, BART, 2, np.array([0.0]))
-    assert out[0, 0, 0].real == pytest.approx(1.5 / TWO_PI, rel=1e-12)
+    assert out[0, 0, 0].real == pytest.approx(1.5 / TWO_PI, rel=1e-12, abs=0.0)
     assert out[0, 0, 0].real == pytest.approx(0.238732, abs=1e-6)
 
 
@@ -233,7 +233,7 @@ def test_expected_spectrum_ma1_hand_value():
     assert bw.value == 8
     grid = expected_spectrum(model, BART, bw.value, bw.t_len, [0.0])
     expected = (1.25 + 2.0 * BART(1.0 / 8.0) * (63.0 / 64.0) * 0.5) / TWO_PI
-    assert grid.entry(0, 0)[0].real == pytest.approx(expected, rel=1e-12)
+    assert grid.entry(0, 0)[0].real == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_expected_spectrum_approaches_truth():
