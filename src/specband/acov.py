@@ -31,11 +31,6 @@ and 3.0-3.3 s of wall time per operation, against 2.6-2.7 s and 2.0-2.2 s
 with the sizing above. The result differs from the per-lag loop only in
 summation order: by at most 6e-16 normwise relative for T up to 70001 and
 L up to 999.
-
-A caller that computes many stacks of one shape passes a workspace (see
-``series._buffer``): the zero-padded block array and the per-offset
-product, 256 KB at T = 65536, are then reused instead of allocated per call.
-The padding rows are zeroed on every call, so reuse gives the same bits.
 """
 
 from __future__ import annotations
@@ -95,9 +90,11 @@ class AutocovSequence:
 def autocov_matrices(values: np.ndarray, max_lag: int, workspace=None) -> np.ndarray:
     """Divisor-T autocovariance stack of a raw (T, n) array, lags 0..max_lag.
 
-    Raises LagOutOfRange unless 0 <= max_lag <= T - 1. With a ``workspace``
-    (see ``series._buffer``) the zero-padded block array and the per-offset
-    products are its buffers; the result is a new array either way.
+    Raises LagOutOfRange unless 0 <= max_lag <= T - 1. A caller computing
+    many stacks of one shape passes a ``workspace`` (see ``series._buffer``):
+    the zero-padded block array and the per-offset product (256 KB at
+    T = 65536) are then reused, with the padding zeroed on every call, and
+    the result is a new array either way.
     """
     values = np.asarray(values, dtype=float)
     t_len, n_dim = values.shape

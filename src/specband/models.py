@@ -32,9 +32,9 @@ dense factor keeps the product.
 buffers that a caller reuses across replications of one shape (see
 ``series._buffer``). With it, the draws are filled in place by
 ``standard_normal(out=...)``, diagonal white noise is scaled in place, and
-level 0 of the VAR(1) scan keeps its padded blocks, output, carry and carry
-product there; the values are the same bit for bit, and the result is a view
-of a workspace buffer, valid until the workspace is next used.
+level 0 of the VAR(1) scan keeps its padded blocks, output and carry there;
+the values are the same bit for bit, and the result is a view of a
+workspace buffer, valid until the workspace is next used.
 
 Covariances are factored by numpy's Cholesky; bad parameters raise
 ``InvalidModel`` at construction. The VAR(1) spectral radius comes from
@@ -145,8 +145,8 @@ def _scan(scan, x, level=0, workspace=None):
 
     Each replication's rows go through their own dgemms, of one shape that
     depends only on ``steps``, so a path does not depend on its batch. Level
-    0 takes its padded blocks, output, carry and carry product from
-    ``workspace`` when one is given; padding is zeroed on every call.
+    0 takes its padded blocks, output and carry from ``workspace`` when one
+    is given; padding is zeroed on every call.
     """
     levels, last = scan
     lead, (steps, n) = x.shape[:-2], x.shape[-2:]
@@ -173,7 +173,7 @@ def _scan(scan, x, level=0, workspace=None):
         carry[..., :1, :] = 0.0
         carry[..., 1:n_blocks, :] = _scan(scan, ends, level + 1)
         carry[..., n_blocks:, :] = 0.0
-        prod = _buffer(workspace, "scan_carry_product", out.shape)
+        prod = blocks.reshape(out.shape)  # the blocks are spent: hold the product
         out += np.matmul(carry.reshape(lead + (batches, rows, n)), tail, out=prod)
     return out.reshape(lead + (-1, n))[..., :steps, :]
 

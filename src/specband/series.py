@@ -16,10 +16,6 @@ its ``to_dict()`` if it has one, any other dataclass through its fields,
 numpy arrays and scalars through ``tolist()``, tuples as lists, and
 non-finite floats as the strings "inf", "-inf" and "nan". :func:`_json_text`
 adds ``schema_version`` and writes the payload with sorted keys, one line.
-
-:func:`_buffer` hands out work arrays from a workspace, a dict that the
-Monte Carlo loop passes to ``simulate_values`` and ``autocov_matrices`` so
-that replications of one shape reuse them.
 """
 
 from __future__ import annotations
