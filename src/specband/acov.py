@@ -28,9 +28,10 @@ offset over all rows is faster alone, but it makes each Monte Carlo pool
 worker run multi-threaded dgemms on cores the other worker needs: on the
 2-worker VAR(1) coverage plan (perfbench mc-var1) it took 4.3-5.3 s of CPU
 and 3.0-3.3 s of wall time per operation, against 2.6-2.7 s and 2.0-2.2 s
-with the sizing above. The result differs from the per-lag loop only in
-summation order: by at most 6e-16 normwise relative for T up to 70001 and
-L up to 999.
+with the sizing above. The VAR(1) scan in ``models`` sizes its dgemms by
+the same ``_BLOCK_COLS`` and ``_GEMM_SIZE``. The result differs from the
+per-lag loop only in summation order: by at most 6e-16 normwise relative for
+T up to 70001 and L up to 999.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from .series import MultivariateSeries, _buffer
 __all__ = ["AutocovSequence", "sample_autocov", "expected_autocov", "autocov_matrices"]
 
 _BLOCK_COLS = 32  # at most s * n columns per block row
-_BATCH_ROWS = 64  # block rows summed by one dgemm
+_GEMM_SIZE = 2**16  # largest m * n * k of one dgemm: one BLAS thread
+_BATCH_ROWS = _GEMM_SIZE // _BLOCK_COLS**2  # block rows summed by one dgemm (64)
 
 
 @dataclass(frozen=True)

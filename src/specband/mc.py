@@ -381,7 +381,7 @@ def _moments_verdicts(plan, rows):
 def _dense_grid(b_val: int) -> np.ndarray:
     # theorem grid refined 4x: trig-polynomial structure makes a finite
     # grid control the continuum supremum
-    return np.pi * np.arange(4 * b_val + 1) / (4 * b_val)
+    return theorem_grid(4 * b_val)
 
 
 def _uniform_rate_cell(c: _Cell, ests: SpectralGrid):

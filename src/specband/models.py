@@ -15,12 +15,13 @@ down, gives them. Then one product with the tail [A' ... A'^s] adds each
 block's carry, the end state of the block before. Levels are cached at
 construction until their spans cover 2^16 steps; a longer path ends in a
 short sequential loop over the top level's block ends. Every dgemm is sized
-to run on one BLAS thread (m n k <= 2^16, as in ``acov``), and each
-replication's rows go through dgemms of their own, so a path does not
-depend on the batch around it. The blocked sums round differently from the
-one-step recursion: paths differ from it, and from ``scipy.signal.lfilter``
-for a 1x1 A, by a few units of 1e-16 relative (at most 4e-15 on the test
-models, which include Jordan blocks and strongly non-normal A).
+to run on one BLAS thread by ``acov``'s rule (``_BLOCK_COLS`` columns per
+block row, m n k <= ``_GEMM_SIZE``), and each replication's rows go through
+dgemms of their own, so a path does not depend on the batch around it. The
+blocked sums round differently from the one-step recursion: paths differ
+from it, and from ``scipy.signal.lfilter`` for a 1x1 A, by a few units of
+1e-16 relative (at most 4e-15 on the test models, which include Jordan
+blocks and strongly non-normal A).
 
 White noise with a diagonal Cholesky factor (one-dimensional, or
 ``white:dim=n``) scales each innovation column by its entry instead of
@@ -42,9 +43,11 @@ Covariances are factored by numpy's Cholesky; bad parameters raise
 
 Linear models (white noise, scalar AR(1), VAR(1), VMA) expose closed-form
 autocovariances Gamma(u) and spectral densities; the threshold AR model is
-simulation-only. The spectral density follows the transform convention
-f(lambda) = (1/2pi) sum_u e^{-i u lambda} Gamma(u) used by the estimator, so
-for VAR(1) it reads conj(H) Sigma H' with H = (I - A e^{-i lambda})^{-1}.
+simulation-only. In the estimator's convention f(lambda) = (1/2pi) sum_u
+e^{-i u lambda} Gamma(u), every linear model's spectral density is
+conj(H) Sigma H' / 2pi with H(lambda) its transfer function (Brillinger 1981,
+ch. 7): I for white noise, (I - A e^{-i lambda})^{-1} for VAR(1) and
+sum_k B_k e^{-i k lambda} for VMA.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .acov import _BLOCK_COLS, _GEMM_SIZE
 from .errors import InvalidArgument, InvalidModel, NonStationaryModel, UnsupportedModel
 from .series import MultivariateSeries, _buffer, load_matrix
 
@@ -70,9 +74,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _MEMORY_TOL = 1e-14
-_SCAN_COLS = 32  # at most s * n columns per block row (s >= 2)
 _SCAN_STEPS = 2**16  # steps the cached scan levels cover
-_GEMM_SIZE = 2**16  # largest m * n * k of one dgemm: one BLAS thread
 
 
 def _as_cov(sigma, n):
@@ -88,6 +90,13 @@ def _as_cov(sigma, n):
         return sigma, np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise InvalidModel("innovation covariance must be positive definite") from None
+
+
+def _horizon(rate: float) -> int:
+    """Lags after which a memory decaying like rate^k is below _MEMORY_TOL."""
+    if rate == 0.0:
+        return 1
+    return int(np.ceil(np.log(_MEMORY_TOL) / np.log(rate))) + 1
 
 
 def _lyapunov(coeff, sigma):
@@ -125,7 +134,7 @@ def _scan_levels(coeff, chol):
     last, drives the loop that ends longer scans.
     """
     n = coeff.shape[0]
-    span = max(2, _SCAN_COLS // n)
+    span = max(2, _BLOCK_COLS // n)
     step, left, levels, covered = coeff.T, chol.T, [], 1
     while covered < _SCAN_STEPS:
         powers = [np.eye(n)]
@@ -185,7 +194,7 @@ class ProcessModel:
 
     @property
     def n_dim(self) -> int:
-        raise NotImplementedError
+        return self.sigma.shape[0]
 
     def decay_horizon(self) -> int:
         """Lags after which the causal map's memory is below _MEMORY_TOL."""
@@ -202,8 +211,14 @@ class ProcessModel:
     def gamma(self, u: int) -> np.ndarray:
         raise UnsupportedModel(f"model {self.kind!r} has no closed-form Gamma(u)")
 
-    def spectral_density(self, freqs) -> np.ndarray:
+    def _transfer(self, freqs: np.ndarray) -> np.ndarray:
+        """H(lambda) at each frequency, (F, n, n) complex."""
         raise UnsupportedModel(f"model {self.kind!r} has no closed-form spectrum")
+
+    def spectral_density(self, freqs) -> np.ndarray:
+        """f(lambda) = conj(H) Sigma H' / 2pi at each frequency, (F, n, n)."""
+        h = self._transfer(np.atleast_1d(np.asarray(freqs, dtype=float)))
+        return h.conj() @ self.sigma @ np.swapaxes(h, -1, -2) / _TWO_PI
 
     def simulate_values(
         self, t_len: int, rng: np.random.Generator, workspace=None
@@ -232,10 +247,6 @@ class WhiteNoise(ProcessModel):
         diagonal = np.array_equal(chol, np.diag(chol.diagonal()))
         object.__setattr__(self, "_scale", chol.diagonal() if diagonal else None)
 
-    @property
-    def n_dim(self):
-        return self.sigma.shape[0]
-
     def decay_horizon(self) -> int:
         return 0
 
@@ -252,10 +263,9 @@ class WhiteNoise(ProcessModel):
             return self.sigma.copy()
         return np.zeros_like(self.sigma)
 
-    def spectral_density(self, freqs):
-        freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-        flat = self.sigma.astype(complex) / _TWO_PI
-        return np.broadcast_to(flat, (freqs.size, *flat.shape)).copy()
+    def _transfer(self, freqs):
+        eye = np.eye(self.n_dim, dtype=complex)
+        return np.broadcast_to(eye, (freqs.size,) + eye.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,14 +292,8 @@ class VAR1(ProcessModel):
         object.__setattr__(self, "_gamma0", _lyapunov(coeff, sigma))
         object.__setattr__(self, "_scan_levels", _scan_levels(coeff, chol))
 
-    @property
-    def n_dim(self):
-        return self.coeff.shape[0]
-
     def decay_horizon(self) -> int:
-        if self._radius == 0.0:
-            return 1
-        return int(np.ceil(np.log(_MEMORY_TOL) / np.log(self._radius))) + 1
+        return _horizon(self._radius)
 
     def path(self, eps, workspace=None):
         return _scan(self._scan_levels, eps, workspace=workspace)
@@ -300,14 +304,9 @@ class VAR1(ProcessModel):
             return self._gamma0 @ power
         return (self._gamma0 @ power).T.copy()
 
-    def spectral_density(self, freqs):
-        freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-        eye = np.eye(self.n_dim)
-        out = np.empty((freqs.size, self.n_dim, self.n_dim), dtype=complex)
-        for k, lam in enumerate(freqs):
-            h = np.linalg.inv(eye - self.coeff * np.exp(-1j * lam))
-            out[k] = h.conj() @ self.sigma @ h.T / _TWO_PI
-        return out
+    def _transfer(self, freqs):
+        shift = np.exp(-1j * freqs)[:, None, None]
+        return np.linalg.inv(np.eye(self.n_dim) - self.coeff * shift)
 
 
 class AR1Scalar(VAR1):
@@ -349,10 +348,6 @@ class VMA(ProcessModel):
         object.__setattr__(self, "_chol", chol)
 
     @property
-    def n_dim(self):
-        return self.coeffs[0].shape[0]
-
-    @property
     def order(self):
         return len(self.coeffs) - 1
 
@@ -363,13 +358,8 @@ class VMA(ProcessModel):
         w = eps @ self._chol.T
         out = np.zeros(w.shape[:-1] + (self.n_dim,))
         steps = w.shape[-2]
-        for k, b in enumerate(self.coeffs):
-            if k >= steps:
-                break
-            if k == 0:
-                out += w @ b.T
-            else:
-                out[..., k:, :] += w[..., :-k, :] @ b.T
+        for k, b in enumerate(self.coeffs[:steps]):
+            out[..., k:, :] += w[..., : steps - k, :] @ b.T
         return out
 
     def gamma(self, u):
@@ -381,15 +371,11 @@ class VMA(ProcessModel):
             out += self.coeffs[k] @ self.sigma @ self.coeffs[k + u].T
         return out
 
-    def spectral_density(self, freqs):
-        freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-        out = np.empty((freqs.size, self.n_dim, self.n_dim), dtype=complex)
-        for idx, lam in enumerate(freqs):
-            b_lam = sum(
-                b * np.exp(-1j * k * lam) for k, b in enumerate(self.coeffs)
-            )
-            out[idx] = b_lam.conj() @ self.sigma @ b_lam.T / _TWO_PI
-        return out
+    def _transfer(self, freqs):
+        return sum(
+            b * np.exp(-1j * k * freqs)[:, None, None]
+            for k, b in enumerate(self.coeffs)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,6 +386,7 @@ class ThresholdAR1(ProcessModel):
     b: float
     sigma2: float = 1.0
     kind = "threshold_ar1"
+    n_dim = 1
 
     def __post_init__(self):
         if not (np.isfinite([self.a, self.b]).all() and 0.0 < self.sigma2 < np.inf):
@@ -411,14 +398,8 @@ class ThresholdAR1(ProcessModel):
             )
         object.__setattr__(self, "_contraction", contraction)
 
-    @property
-    def n_dim(self):
-        return 1
-
     def decay_horizon(self) -> int:
-        if self._contraction == 0.0:
-            return 1
-        return int(np.ceil(np.log(_MEMORY_TOL) / np.log(self._contraction))) + 1
+        return _horizon(self._contraction)
 
     def path(self, eps, workspace=None):
         w = np.sqrt(self.sigma2) * eps[..., 0]

@@ -634,3 +634,15 @@ def test_model_matrix_file_comment_line_is_a_parse_error(commented, tmp_path, ca
         "error: ParseError: non-numeric cell '# coefficient' at row 1, col 1"
     ]
     assert not out.exists()
+
+
+def test_out_of_memory_exit_1_with_one_error_line(tmp_path, capsys):
+    # white:dim=10^8 asks numpy for a 71 PiB covariance, which fails at once
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--model", "white:dim=100000000", "--t-len", "10", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: MemoryError: Unable to allocate")
+    assert captured.out == ""
+    assert not out.exists()

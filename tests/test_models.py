@@ -14,6 +14,7 @@ from specband.models import (
     parse_model,
     simulate,
 )
+from specband.spectral import theorem_grid
 
 
 def test_white_noise_gamma_and_spectrum():
@@ -100,7 +101,14 @@ def test_spectrum_matches_gamma_sum():
     freqs = np.linspace(0.0, np.pi, 7)
     lags = np.arange(1, 401)
     phases = np.exp(-1j * np.outer(freqs, lags))
-    for model in (default_var1(), AR1Scalar(0.7), VMA((np.eye(2), 0.4 * np.eye(2)))):
+    models = (
+        default_var1(),
+        AR1Scalar(0.7),
+        VMA((np.eye(2), 0.4 * np.eye(2))),
+        _VMA2,
+        WhiteNoise(sigma=_DENSE_SIGMA),
+    )
+    for model in models:
         gammas = np.stack([model.gamma(u) for u in lags])
         direct = (
             model.gamma(0)
@@ -109,6 +117,58 @@ def test_spectrum_matches_gamma_sum():
         ) / (2 * np.pi)
         closed = model.spectral_density(freqs)
         np.testing.assert_allclose(direct, closed, atol=1e-10)
+
+
+_DENSE_SIGMA = np.array([[2.0, 0.5], [0.5, 1.0]])
+_VMA2 = VMA(
+    (np.eye(2), np.array([[0.4, 0.2], [-0.1, 0.3]]), np.array([[0.1, 0.0], [0.2, -0.2]])),
+    sigma=_DENSE_SIGMA,
+)
+
+
+def _random_var1(n, seed):
+    coeff = np.random.default_rng(seed).standard_normal((n, n))
+    coeff *= 0.8 / np.max(np.abs(np.linalg.eigvals(coeff)))
+    root = np.random.default_rng(seed + 1).standard_normal((n, n))
+    return VAR1(coeff=coeff, sigma=root @ root.T + np.eye(n))
+
+
+def _reference_spectrum(model, freqs):
+    """The spectral density by one formula per model family, one frequency at a time."""
+    if isinstance(model, WhiteNoise):
+        flat = model.sigma.astype(complex) / (2 * np.pi)
+        return np.broadcast_to(flat, (freqs.size, *flat.shape)).copy()
+    n = model.n_dim
+    out = np.empty((freqs.size, n, n), dtype=complex)
+    for idx, lam in enumerate(freqs):
+        if isinstance(model, VAR1):
+            h = np.linalg.inv(np.eye(n) - model.coeff * np.exp(-1j * lam))
+        else:
+            h = sum(b * np.exp(-1j * k * lam) for k, b in enumerate(model.coeffs))
+        out[idx] = h.conj() @ model.sigma @ h.T / (2 * np.pi)
+    return out
+
+
+@pytest.mark.parametrize("grid", [28, 49, 167, 507, "clt"])
+@pytest.mark.parametrize(
+    "model",
+    [
+        default_var1(),
+        AR1Scalar(0.5),
+        _random_var1(3, 11),
+        _VMA2,
+        WhiteNoise(sigma=np.diag([2.0, 0.5, 3.0])),
+        WhiteNoise(sigma=_DENSE_SIGMA),
+    ],
+    ids=["var1-default", "ar1", "var1-random-3x3", "vma2", "white-diagonal", "white-dense"],
+)
+def test_spectrum_from_transfer_equals_per_frequency_formula(model, grid):
+    # conj(H) Sigma H' / 2pi on stacked transfers is bit for bit each family's
+    # per-frequency formula, on theorem grids and the CLT pair {0, pi/2}
+    freqs = np.array([0.0, np.pi / 2]) if grid == "clt" else theorem_grid(grid)
+    got = model.spectral_density(freqs)
+    assert got.dtype == complex and got.shape == (freqs.size, model.n_dim, model.n_dim)
+    assert np.array_equal(got, _reference_spectrum(model, freqs))
 
 
 def test_var1_gamma_symmetry():
