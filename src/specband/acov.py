@@ -20,18 +20,18 @@ blocks [G_0 | ... | G_K], a strided diagonal sum read in place. Only the
 ceil(L/s) + 1 offsets are a Python loop.
 
 Every BLAS call is sized to run on one thread: s * n <= 32 columns and 64
-block rows per product, stacked into one batched ``matmul`` per offset, so
-each dgemm or syrk has m * n * k <= 2**16. On a 2-vCPU machine, OpenBLAS
-0.3.31 ran dgemms of m * n * k = 2**19 on one thread and of 2**20 on two,
-and a 128-column syrk (the k = 0 product) of 2**19 on two. One product per
-offset over all rows is faster alone, but it makes each Monte Carlo pool
-worker run multi-threaded dgemms on cores the other worker needs: on the
-2-worker VAR(1) coverage plan (perfbench mc-var1) it took 4.3-5.3 s of CPU
-and 3.0-3.3 s of wall time per operation, against 2.6-2.7 s and 2.0-2.2 s
-with the sizing above. The VAR(1) scan in ``models`` sizes its dgemms by
-the same ``_BLOCK_COLS`` and ``_GEMM_SIZE``. The result differs from the
-per-lag loop only in summation order: by at most 6e-16 normwise relative for
-T up to 70001 and L up to 999.
+block rows per product, stacked into batched ``matmul`` calls of at most 64
+products per offset, so each dgemm or syrk has m * n * k <= 2**16. On a
+2-vCPU machine, OpenBLAS 0.3.31 ran dgemms of m * n * k = 2**19 on one
+thread and of 2**20 on two, and a 128-column syrk (the k = 0 product) of
+2**19 on two. One product per offset over all rows is faster alone, but it
+makes each Monte Carlo pool worker run multi-threaded dgemms on cores the
+other worker needs: on the 2-worker VAR(1) coverage plan (perfbench
+mc-var1) it took 4.3-5.3 s of CPU and 3.0-3.3 s of wall time per
+operation, against 2.6-2.7 s and 2.0-2.2 s with the sizing above. The
+VAR(1) scan in ``models`` sizes its dgemms by the same ``_BLOCK_COLS`` and
+``_GEMM_SIZE``. The result differs from the per-lag loop only in summation
+order: by at most 6e-16 normwise relative for T up to 70001 and L up to 999.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = ["AutocovSequence", "sample_autocov", "expected_autocov", "autocov_mat
 _BLOCK_COLS = 32  # at most s * n columns per block row
 _GEMM_SIZE = 2**16  # largest m * n * k of one dgemm: one BLAS thread
 _BATCH_ROWS = _GEMM_SIZE // _BLOCK_COLS**2  # block rows summed by one dgemm (64)
+_CHUNK_BATCHES = 64  # batch products held at once per offset
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,13 @@ def autocov_matrices(values: np.ndarray, max_lag: int, workspace=None) -> np.nda
 
     Raises LagOutOfRange unless 0 <= max_lag <= T - 1. A caller computing
     many stacks of one shape passes a ``workspace`` (see ``series._buffer``):
-    the zero-padded block array and the per-offset product (256 KB at
-    T = 65536) are then reused, with the padding zeroed on every call, and
-    the result is a new array either way.
+    the zero-padded block array and the per-offset product are then reused,
+    with the padding zeroed on every call, and the result is a new array
+    either way. The product holds at most ``_CHUNK_BATCHES`` batch products
+    plus a carry row, 520 KB, so the working set beyond the blocks does not
+    grow with T. Past one chunk, the running sum goes in the carry row ahead
+    of the next chunk's products: numpy sums axis 0 one row after another,
+    so the total is the same bit for bit as one sum over every batch.
     """
     values = np.asarray(values, dtype=float)
     t_len, n_dim = values.shape
@@ -114,11 +119,23 @@ def autocov_matrices(values: np.ndarray, max_lag: int, workspace=None) -> np.nda
     blocks.reshape(-1, n_dim)[:t_len] = values
     blocks.reshape(-1, n_dim)[t_len:] = 0.0
     left = blocks[:n_rows].reshape(-1, batch, width).transpose(0, 2, 1)
-    product = _buffer(workspace, "acov_product", (n_rows // batch, width, width))
+    n_batches = n_rows // batch
+    chunk = min(n_batches, _CHUNK_BATCHES)
+    carry = int(n_batches > chunk)  # a row for the running sum of earlier chunks
+    product = _buffer(workspace, "acov_product", (carry + chunk, width, width))
     grams = np.empty((width, offsets, width))  # [(p, i), k, (q, j)]
     for k in range(offsets):
         right = blocks[k : k + n_rows].reshape(-1, batch, width)
-        np.sum(np.matmul(left, right, out=product), axis=0, out=grams[:, k, :])
+        total = grams[:, k, :]
+        for first in range(0, n_batches, chunk):
+            part = product[: carry + min(chunk, n_batches - first)]
+            batches = slice(first, first + chunk)
+            np.matmul(left[batches], right[batches], out=part[carry:])
+            if first:  # numpy sums axis 0 in order, so this adds on to the total
+                part[0] = total
+            else:
+                part = part[carry:]
+            np.sum(part, axis=0, out=total)
     row, _, col = grams.strides
     diag = as_strided(  # diag[u, p, i, j] = grams[(p, i), (p + u, j)]
         grams,

@@ -47,11 +47,11 @@ def _coupled_differences(model: ProcessModel, horizon: int, reps: int, seed):
     steps = lead + horizon + 1
     rng = np.random.default_rng([int(seed), 0x5D])
     eps = rng.standard_normal((reps, steps, model.n_dim))
-    eps_star = eps.copy()
-    eps_star[:, lead, :] = rng.standard_normal((reps, model.n_dim))
-    base = model.path(eps)[:, lead:, :]
-    coupled = model.path(eps_star)[:, lead:, :]
-    return np.abs(base - coupled)
+    base = model.path(eps)[:, lead:, :]  # a new array: eps is left as it was
+    eps[:, lead, :] = rng.standard_normal((reps, model.n_dim))  # now eps*
+    coupled = model.path(eps, workspace={})[:, lead:, :]  # may run in place on eps
+    base -= coupled
+    return np.abs(base, out=base)
 
 
 def _delta_from_samples(diff_p: np.ndarray, p: float):
@@ -152,7 +152,8 @@ def profile(
         raise InvalidArgument("horizon must be at least 4")
     _check_p_reps(p, reps)
     diffs = _coupled_differences(model, horizon, reps, seed)
-    delta, delta_se = _delta_from_samples(diffs**p, p)  # (H+1, n)
+    diffs **= p  # in place: the same bits as diffs**p
+    delta, delta_se = _delta_from_samples(diffs, p)  # (H+1, n)
     p_prime = min(2.0, p)
     delta_max = delta.max(axis=1)
     fit_max = _fit_geometric(delta_max)

@@ -32,7 +32,8 @@ dense factor keeps the product.
 ``simulate_values`` and ``path`` take an optional workspace, a dict of
 buffers that a caller reuses across replications of one shape (see
 ``series._buffer``). With it, the draws are filled in place by
-``standard_normal(out=...)``, diagonal white noise is scaled in place, and
+``standard_normal(out=...)``, diagonal white noise is scaled in place, the
+threshold AR model runs its recursion in place on them, and
 level 0 of the VAR(1) scan keeps its padded blocks, output and carry there;
 the values are the same bit for bit, and the result is a view of a
 workspace buffer, valid until the workspace is next used.
@@ -402,14 +403,15 @@ class ThresholdAR1(ProcessModel):
         return _horizon(self._contraction)
 
     def path(self, eps, workspace=None):
-        w = np.sqrt(self.sigma2) * eps[..., 0]
-        out = np.empty_like(w)
-        state = np.zeros(w.shape[:-1])
-        for t in range(w.shape[-1]):
+        # one array holds the scaled innovations and, step by step, the states
+        out = eps[..., 0] if workspace is not None else eps[..., 0].copy()
+        out *= np.sqrt(self.sigma2)
+        state = np.zeros(out.shape[:-1])
+        for t in range(out.shape[-1]):
             state = (
                 self.a * np.maximum(state, 0.0)
                 + self.b * np.minimum(state, 0.0)
-                + w[..., t]
+                + out[..., t]
             )
             out[..., t] = state
         return out[..., None]
@@ -421,11 +423,16 @@ def default_var1() -> VAR1:
 
 
 def simulate(model: ProcessModel, t_len: int, seed) -> MultivariateSeries:
-    """Deterministic draw of T observations after burn-in."""
+    """Deterministic draw of T observations after burn-in.
+
+    The draws fill one buffer of a fresh workspace, which white noise scales
+    in place, so ``simulate`` holds one draw buffer; the values are the same
+    bit for bit as without a workspace.
+    """
     if t_len < 2:
         raise InvalidArgument("t_len must be at least 2")
     rng = np.random.default_rng(seed)
-    values = model.simulate_values(t_len, rng)
+    values = model.simulate_values(t_len, rng, workspace={})
     return MultivariateSeries(values, centered=False)
 
 

@@ -38,7 +38,7 @@ __all__ = ["MultivariateSeries", "load_csv", "load_matrix", "center", "write_csv
 
 log = logging.getLogger(__name__)
 
-_WRITE_BLOCK_ROWS = 65536
+_WRITE_BLOCK_CELLS = 8192  # cells formatted at a time by write_csv
 
 SCHEMA_VERSION = 1
 
@@ -107,8 +107,8 @@ class MultivariateSeries:
             raise InvalidSeries("series contains NaN or infinite entries")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.centered:
-            scale = np.max(np.abs(values), axis=0)
+        if self.centered:  # max |x| per column, with no (T, n) temporary
+            scale = np.maximum(values.max(axis=0), -values.min(axis=0))
             tol = 1e-10 * values.shape[0] * np.maximum(scale, 1e-300)
             with np.errstate(over="ignore", invalid="ignore"):
                 col_sums = np.abs(values.sum(axis=0))
@@ -247,13 +247,13 @@ def _parse_cells(path, has_header: bool, min_rows: int = 2) -> np.ndarray:
 
 
 def center(series: MultivariateSeries) -> MultivariateSeries:
-    """Subtract each column's sample mean. Idempotent."""
+    """Subtract each column's sample mean. Idempotent; makes one new array."""
     if series.centered:
         return series
     with np.errstate(over="ignore", invalid="ignore"):
         values = series.values - series.values.mean(axis=0, keepdims=True)
         # force exact-zero column sums so repeated centering is a no-op
-        values = values - values.mean(axis=0, keepdims=True)
+        values -= values.mean(axis=0, keepdims=True)
     if not np.all(np.isfinite(values)):
         raise InvalidSeries(
             "centering overflows: a column mean or deviation exceeds the float range"
@@ -265,15 +265,17 @@ def write_csv(series: MultivariateSeries, path) -> None:
     """Write a series back out at full float precision (round-trips exactly).
 
     The bytes are those of ``csv.writer`` on ``repr`` of each value: cells
-    joined by "," and rows ended by "\\r\\n". Rows are formatted a block at a
-    time, so memory stays bounded for long series.
+    joined by "," and rows ended by "\\r\\n". Whole rows are formatted a
+    block of about ``_WRITE_BLOCK_CELLS`` cells at a time (one row when a row
+    is wider), so the strings in memory stay bounded whatever the shape.
     """
     start = time.perf_counter()
     values = series.values
     n_dim = values.shape[1]
+    block = max(1, _WRITE_BLOCK_CELLS // n_dim)  # rows per block
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for first in range(0, values.shape[0], _WRITE_BLOCK_ROWS):
-            cells = map(repr, values[first : first + _WRITE_BLOCK_ROWS].ravel().tolist())
+        for first in range(0, values.shape[0], block):
+            cells = map(repr, values[first : first + block].ravel().tolist())
             fh.write("\r\n".join(map(",".join, zip(*[cells] * n_dim))))
             fh.write("\r\n")
     log.info(

@@ -159,7 +159,8 @@ def _fourier_sum(gammas: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> 
 
 def _grid_rows(freqs: np.ndarray) -> tuple:
     """(M, l) with freqs = pi*l/M, where pi/M is the smallest step of 0 and freqs."""
-    gaps = np.diff(np.unique(np.concatenate(([0.0], freqs))))
+    gaps = np.diff(np.sort(np.concatenate(([0.0], freqs))))
+    gaps = gaps[gaps > 0]  # np.unique would import numpy.ma
     # the FFT has M + 1 bins: capping M by the request makes frequencies on a
     # finer step fall off the grid instead of allocating without limit
     max_m = 4 * freqs.size + 4096

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+from specband import acov
 from specband.acov import AutocovSequence, autocov_matrices, expected_autocov, sample_autocov
 from specband.errors import (
     LagOutOfRange,
@@ -123,6 +125,26 @@ def test_autocov_matrices_ignores_memory_layout(t_len, max_lag, n_dim):
     want = autocov_matrices(np.ascontiguousarray(sliced), max_lag)
     for values in (np.asfortranarray(sliced), sliced):
         np.testing.assert_array_equal(autocov_matrices(values, max_lag), want)
+
+
+@pytest.mark.parametrize("use_workspace", [False, True], ids=["fresh", "workspace"])
+def test_chunked_products_sum_as_one_sum_bit_for_bit(use_workspace, monkeypatch):
+    # T = 500000, n = 2: 489 batches of 64 block rows, 8 chunks
+    values = np.random.default_rng(4).standard_normal((500_000, 2))
+    workspace = {} if use_workspace else None
+    got = [autocov_matrices(values, max_lag, workspace) for max_lag in (190, 15)]
+    assert workspace is None or workspace["acov_product"].shape[0] == 65
+    monkeypatch.setattr(acov, "_CHUNK_BATCHES", 489)  # one sum over every batch
+    for stack, max_lag in zip(got, (190, 15)):
+        assert stack.tobytes() == autocov_matrices(values, max_lag).tobytes()
+
+
+def test_sample_autocov_holds_the_input_and_one_block_copy():
+    raw = np.random.default_rng(9).standard_normal((2**18, 2))  # S = 4 MiB
+    peak = traced_peak(
+        lambda: center(MultivariateSeries(raw)), lambda s: sample_autocov(s, 132)
+    )
+    assert peak <= 2.2 * raw.nbytes
 
 
 def test_expected_autocov_white_noise():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+
 from specband.dependence import (
     _t_two_sided,
     check_conditions,
@@ -225,7 +227,7 @@ def test_check_conditions_independent_components_note():
 def test_decay_fit_warning_on_nondecaying_profile():
     class Flat(WhiteNoise):
         # dependence never decays: Z_t = eps_0 for every t
-        def path(self, eps):
+        def path(self, eps, workspace=None):
             out = np.broadcast_to(
                 eps[..., :1, :], eps.shape
             )
@@ -244,3 +246,12 @@ def test_t_two_sided_matches_stdtrit():
 
     for df in range(1, 201):
         assert _t_two_sided(df, 0.95) == pytest.approx(stdtrit(df, 0.975), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", ["white:dim=2", "tar:a=0.5,b=-0.5"])
+def test_profile_holds_two_copies_of_the_coupled_paths(spec):
+    model, reps, horizon = parse_model(spec), 5000, 30
+    profile(model, 4.0, horizon, 100, seed=1)  # numpy.random is imported on first use
+    paths = reps * (model.decay_horizon() + horizon + 1) * model.n_dim * 8
+    peak = traced_peak(lambda: None, lambda _: profile(model, 4.0, horizon, reps, seed=1))
+    assert peak <= 2.2 * paths

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -259,6 +260,14 @@ def test_pooled_runs_that_do_not_divide_reps_match_serial(monkeypatch):
     assert run_experiment(ExperimentPlan(**base, workers=2)).to_json() == serial
 
 
+@pytest.mark.parametrize("size", [1, 2, 101, 1000])
+def test_median_is_numpy_median_bit_for_bit(size):
+    x = np.random.default_rng(size).standard_normal(size) * 1e3
+    assert np.float64(mc._median(x)).tobytes() == np.median(x).tobytes()
+    x[size // 3] = np.nan
+    assert math.isnan(mc._median(x)) and math.isnan(np.median(x))
+
+
 class _RecordingPool:
     """Stand-in for ProcessPoolExecutor that records its size and forks nothing."""
 
@@ -283,7 +292,7 @@ class _RecordingPool:
 )
 def test_pool_is_capped_at_cpu_count(monkeypatch, cpus, workers, expected):
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     base = dict(experiment="clt", model_spec="white", t_grid=(64, 128), reps=100, seed=7)
     report = run_experiment(ExperimentPlan(**base, workers=workers))
@@ -294,7 +303,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, cpus, workers, expected):
 
 def test_bias_rate_starts_no_pool(monkeypatch):
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     plan = ExperimentPlan("bias_rate", model_spec="ar1:phi=0.5", workers=4)
     run_experiment(plan)
@@ -316,7 +325,7 @@ def test_three_cells_on_one_real_pool_match_serial(monkeypatch, caplog):
 
 def test_verify_logs_the_pool_it_starts(monkeypatch, caplog, tmp_path):
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     caplog.set_level(logging.INFO, logger="specband")
     argv = ["verify", "--experiment", "gumbel", "--t-grid", "64", "--reps", "100",

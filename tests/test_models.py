@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from conftest import traced_peak
 from specband.acov import autocov_matrices
 from specband.errors import InvalidModel, NonStationaryModel, UnsupportedModel
 from specband.models import (
@@ -265,6 +266,23 @@ def test_simulate_deterministic():
     np.testing.assert_array_equal(a.values, b.values)
     c = simulate(model, 128, seed=12)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize(
+    "spec", ["white:dim=2", "white", "ar1:phi=0.5", "var1:default", "tar:a=0.5,b=-0.3"]
+)
+def test_simulate_is_simulate_values_without_a_workspace(spec):
+    model = parse_model(spec)
+    want = model.simulate_values(3001, np.random.default_rng(5))
+    assert simulate(model, 3001, seed=5).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["white:dim=2", "tar:a=0.5,b=-0.5"])
+def test_simulate_holds_one_draw_buffer(spec):
+    t_len, model = 2**18, parse_model(spec)
+    simulate(model, 16, seed=1)  # numpy.random is imported on first use
+    peak = traced_peak(lambda: None, lambda _: simulate(model, t_len, seed=1))
+    assert peak <= 1.3 * t_len * model.n_dim * 8
 
 
 def _sequential_path(model, eps):

@@ -2,7 +2,8 @@
 
 The package runs on numpy and the standard library alone: the import tests
 run every command, grouped by entry point, and check that no scipy module
-was loaded, which would only show as a slower start-up otherwise. The logging tests check that telemetry
+was loaded, nor numpy.ma or the process pool's module where no pool starts,
+which would only show as a slower start-up otherwise. The logging tests check that telemetry
 (``verify`` cells, CSV reads and writes) goes to stderr and never into the
 outputs.
 """
@@ -29,8 +30,9 @@ def _python(args):
     )
 
 
-def _scipy_modules(commands=(), setup=""):
-    """scipy modules loaded after ``setup`` runs and each CLI command exits 0."""
+def _modules(roots, commands=(), setup=""):
+    """Modules in the packages ``roots`` loaded after ``setup`` runs and each
+    CLI command exits 0."""
     code = f"""
 import sys
 import numpy as np
@@ -38,9 +40,13 @@ from specband.cli import main
 {setup}
 for argv in {commands!r}:
     assert main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if any(m == r or m.startswith(r + ".") for r in {roots!r})))
 """
     return _python(["-c", code]).stdout.splitlines()[-1]
+
+
+def _scipy_modules(commands=(), setup=""):
+    return _modules(("scipy",), commands, setup)
 
 
 def _verify(experiment, model, t_grid, out_dir):
@@ -91,6 +97,23 @@ def test_depmeasure_and_kernel_info_load_no_scipy_module(tmp_path):
         ["kernel-info", "--kernel", "parzen", "--output", str(tmp_path / "kernel.json")],
     ]
     assert _scipy_modules(commands) == "[]"
+
+
+def test_commands_load_neither_numpy_ma_nor_the_process_pool(tmp_path):
+    # np.unique would load numpy.ma; only a verify that forks needs the pool's module
+    x = str(tmp_path / "x.csv")
+    commands = [
+        ["simulate", "--model", "white:dim=2", "--t-len", "512", "--seed", "1", "--out", x],
+        ["estimate", "--input", x, "--output", x + ".est.json"],
+        ["bands", "--input", x, "--bonferroni", "--output", x + ".uniform.json"],
+        ["bands", "--input", x, "--method", "pointwise", "--output", x + ".pw.json"],
+        ["depmeasure", "--model", "tar:a=0.5,b=-0.5", "--horizon", "8", "--reps", "200",
+         "--check-conditions", "--output", str(tmp_path / "dep.json")],
+        ["kernel-info", "--kernel", "parzen", "--output", str(tmp_path / "kernel.json")],
+        _verify("coverage", "var1:default", "64,128", tmp_path),
+        _verify("gumbel", "white", "64,128", tmp_path),
+    ]
+    assert _modules(("numpy.ma", "concurrent.futures.process"), commands) == "[]"
 
 
 def test_verify_logs_to_stderr_and_report_ignores_log_level(tmp_path):

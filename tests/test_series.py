@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from specband.errors import InsufficientData, InvalidSeries, ParseError, SpecbandError
+from conftest import traced_peak
 from specband.series import (
-    _WRITE_BLOCK_ROWS,
+    _WRITE_BLOCK_CELLS,
     MultivariateSeries,
     _json_text,
     _jsonable,
@@ -124,6 +125,41 @@ def test_center_property(values):
     # column sums negligible relative to the data scale
     scale = np.maximum(np.max(np.abs(values), axis=0), 1.0)
     assert np.all(np.abs(s.values.sum(axis=0)) <= 1e-9 * values.shape[0] * scale)
+
+
+def test_center_is_two_mean_subtractions_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for values in (rng.standard_normal((1001, 3)) * 1e3 + 7.0, rng.random((64, 1)) - 0.25):
+        want = values - values.mean(axis=0, keepdims=True)
+        want = want - want.mean(axis=0, keepdims=True)
+        got = center(MultivariateSeries(values)).values
+        assert got.tobytes() == want.tobytes()
+
+
+# Working memory on a T = 2**18 by 2 series of S bytes (4 MiB), input included.
+
+_MEM_SHAPE = (2**18, 2)
+
+
+def _raw(shape=_MEM_SHAPE):
+    values = np.random.default_rng(9).standard_normal(shape)
+    values += 3.0
+    return values
+
+
+def test_center_holds_the_input_and_one_copy():
+    raw = _raw()
+    peak = traced_peak(lambda: MultivariateSeries(raw.copy()), center)
+    assert peak <= 2.2 * raw.nbytes
+
+
+@pytest.mark.parametrize("shape", [_MEM_SHAPE, (2000, 500)], ids=["long", "wide"])
+def test_write_csv_holds_the_input_and_a_bounded_block(shape, tmp_path):
+    raw = _raw(shape)
+    peak = traced_peak(
+        lambda: MultivariateSeries(raw.copy()), lambda s: write_csv(s, tmp_path / "x.csv")
+    )
+    assert peak <= raw.nbytes + 2 * 2**20
 
 
 def test_write_read_round_trip(tmp_path):
@@ -264,9 +300,9 @@ def _csv_writer_bytes(values):
     return buf.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("n_dim", [1, 2, 3])
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 8193])
 def test_write_csv_bytes_match_csv_writer(n_dim, tmp_path):
-    block = _WRITE_BLOCK_ROWS
+    block = max(1, _WRITE_BLOCK_CELLS // n_dim)  # rows per block
     t_len = block + 3  # one full block and a short one
     rng = np.random.default_rng(n_dim)
     values = rng.standard_normal((t_len, n_dim)) * 10.0 ** rng.integers(-300, 300, (t_len, n_dim))
