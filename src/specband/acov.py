@@ -30,7 +30,8 @@ other worker needs: on the 2-worker VAR(1) coverage plan (perfbench
 mc-var1) it took 4.3-5.3 s of CPU and 3.0-3.3 s of wall time per
 operation, against 2.6-2.7 s and 2.0-2.2 s with the sizing above. The
 VAR(1) scan in ``models`` sizes its dgemms by the same ``_BLOCK_COLS`` and
-``_GEMM_SIZE``. The result differs from the per-lag loop only in summation
+``_GEMM_SIZE``. Since no call needs a second thread, ``cli`` starts numpy's
+OpenBLAS on one. The result differs from the per-lag loop only in summation
 order: by at most 6e-16 normwise relative for T up to 70001 and L up to 999.
 """
 

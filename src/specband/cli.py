@@ -8,15 +8,28 @@ Exit codes: 0 success, otherwise the error's ``exit_code``: 1 for domain
 errors (bad data, unsupported model), 2 for usage errors (bad flags, plan
 validation, malformed model parameters); a stray ValueError exits 2 and an
 OSError 1.
+
+When this module is what loads numpy (the ``specband`` command,
+``python -m specband.cli``), numpy's OpenBLAS runs on one thread unless
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+set; a program that loaded numpy first keeps its own setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
-import numpy as np
+# Every BLAS call in specband is sized to run on one thread (acov._GEMM_SIZE),
+# so OpenBLAS's helper threads do none of its work; they would still start
+# and spin when numpy loads, which costs CPU in every process.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the thread count is set)
 
 from . import __version__
 from .acov import sample_autocov

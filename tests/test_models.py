@@ -279,7 +279,8 @@ def test_simulate_is_simulate_values_without_a_workspace(spec):
 
 @pytest.mark.parametrize("spec", ["white:dim=2", "tar:a=0.5,b=-0.5"])
 def test_simulate_holds_one_draw_buffer(spec):
-    t_len, model = 2**18, parse_model(spec)
+    # tracemalloc traces each step of the threshold AR loop: T = 2**15 keeps that short
+    t_len, model = 2**15, parse_model(spec)
     simulate(model, 16, seed=1)  # numpy.random is imported on first use
     peak = traced_peak(lambda: None, lambda _: simulate(model, t_len, seed=1))
     assert peak <= 1.3 * t_len * model.n_dim * 8

@@ -3,9 +3,11 @@
 The package runs on numpy and the standard library alone: the import tests
 run every command, grouped by entry point, and check that no scipy module
 was loaded, nor numpy.ma or the process pool's module where no pool starts,
-which would only show as a slower start-up otherwise. The logging tests check that telemetry
-(``verify`` cells, CSV reads and writes) goes to stderr and never into the
-outputs.
+which would only show as a slower start-up otherwise. The BLAS tests check
+that ``import specband`` loads no numpy, and that the CLI starts numpy's
+OpenBLAS on one thread unless a thread count is set. The logging tests check
+that telemetry (``verify`` cells, CSV reads and writes) goes to stderr and
+never into the outputs.
 """
 
 import os
@@ -13,17 +15,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import specband
 from specband.mc import pool_size
 
 SRC = str(Path(specband.__file__).resolve().parents[1])
 
 
-def _python(args):
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _python(args, blas_env=None):
+    """Run python with ``args``; with ``blas_env``, of the BLAS thread-count
+    variables exactly those it names are set."""
     path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    if blas_env is not None:
+        env = {k: v for k, v in env.items() if k not in _BLAS_VARS} | blas_env
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         capture_output=True,
         text=True,
         check=True,
@@ -52,6 +64,62 @@ def _scipy_modules(commands=(), setup=""):
 def _verify(experiment, model, t_grid, out_dir):
     return ["verify", "--experiment", experiment, "--model", model, "--t-grid", t_grid,
             "--reps", "100", "--out", str(out_dir / (experiment + ".json"))]
+
+
+def test_import_specband_loads_no_numpy_and_keeps_the_environment():
+    code = """
+import os, sys
+before = dict(os.environ)
+import specband
+print('numpy' in sys.modules, os.environ == before)
+import numpy
+import specband.cli  # numpy came first: its BLAS setting is the program's
+print(os.environ == before)
+"""
+    assert _python(["-c", code], blas_env={}).stdout.split() == ["False", "True", "True"]
+
+
+def _threads_and_blas_env(module, blas_env):
+    code = f"""
+import os
+import {module}
+print(len(os.listdir('/proc/self/task')), {{k: os.environ.get(k) for k in {_BLAS_VARS!r}}})
+"""
+    return _python(["-c", code], blas_env=blas_env).stdout
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc/self/task"
+)
+
+
+@needs_proc
+def test_cli_runs_openblas_on_one_thread():
+    want = "1 {'OPENBLAS_NUM_THREADS': '1', 'GOTO_NUM_THREADS': None, 'OMP_NUM_THREADS': None}\n"
+    assert _threads_and_blas_env("specband.cli", {}) == want
+
+
+@needs_proc
+@pytest.mark.parametrize("var", _BLAS_VARS)
+def test_cli_keeps_a_blas_thread_count_that_is_set(var):
+    got = _threads_and_blas_env("specband.cli", {var: "2"})
+    assert got == _threads_and_blas_env("numpy", {var: "2"})
+    assert f"'{var}': '2'" in got
+
+
+def test_every_export_resolves_to_its_submodules_object():
+    code = """
+import sys
+import specband
+from specband import *
+for name in specband.__all__:
+    obj = getattr(specband, name)
+    assert obj.__module__.startswith('specband.'), name
+    assert obj is getattr(sys.modules[obj.__module__], name) is globals()[name], name
+assert specband.mc is sys.modules['specband.mc'] and not hasattr(specband, 'nope')
+print(len(specband.__all__))
+"""
+    assert _python(["-c", code]).stdout == "41\n"
 
 
 def test_import_cli_loads_no_scipy_submodule():

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from specband.errors import InsufficientData, InvalidSeries, ParseError, SpecbandError
 from conftest import traced_peak
 from specband.series import (
+    _COLUMNWISE_MAX_DIM,
     _WRITE_BLOCK_CELLS,
     MultivariateSeries,
     _json_text,
@@ -90,10 +91,18 @@ def test_series_values_read_only():
         s.values[0, 0] = 5.0
 
 
-def test_centered_flag_checked():
+@pytest.mark.parametrize("n_dim", [1, _COLUMNWISE_MAX_DIM, _COLUMNWISE_MAX_DIM + 1])
+def test_centered_flag_checked(n_dim):
+    def columns(*rows):
+        return np.array(rows)[:, None].repeat(n_dim, axis=1)
+
     with pytest.raises(ValueError):
-        MultivariateSeries(np.array([[1.0], [2.0]]), centered=True)
-    MultivariateSeries(np.array([[-1.0], [1.0]]), centered=True)  # fine
+        MultivariateSeries(columns(1.0, 2.0), centered=True)
+    MultivariateSeries(columns(-1.0, 1.0), centered=True)  # fine
+    # the tolerance is 1e-10 * T * max |x|, here 3e-4 from the column minimum
+    MultivariateSeries(columns(-1e6, 5e5, 5e5 + 2e-4), centered=True)
+    with pytest.raises(ValueError):
+        MultivariateSeries(columns(-1e6, 5e5, 5e5 + 4e-4), centered=True)
 
 
 def test_center_examples():
@@ -153,7 +162,9 @@ def test_center_holds_the_input_and_one_copy():
     assert peak <= 2.2 * raw.nbytes
 
 
-@pytest.mark.parametrize("shape", [_MEM_SHAPE, (2000, 500)], ids=["long", "wide"])
+# tracemalloc traces every string the writer makes, so these series are small;
+# each still spans 8 or more blocks of about _WRITE_BLOCK_CELLS cells
+@pytest.mark.parametrize("shape", [(2**15, 2), (200, 500)], ids=["long", "wide"])
 def test_write_csv_holds_the_input_and_a_bounded_block(shape, tmp_path):
     raw = _raw(shape)
     peak = traced_peak(
