@@ -91,8 +91,14 @@ def test_series_values_read_only():
         s.values[0, 0] = 5.0
 
 
+def test_centered_flag_checked():
+    with pytest.raises(ValueError):
+        MultivariateSeries(np.array([[1.0], [2.0]]), centered=True)
+    MultivariateSeries(np.array([[-1.0], [1.0]]), centered=True)  # fine
+
+
 @pytest.mark.parametrize("n_dim", [1, _COLUMNWISE_MAX_DIM, _COLUMNWISE_MAX_DIM + 1])
-def test_centered_flag_checked(n_dim):
+def test_centered_flag_tolerance(n_dim):
     def columns(*rows):
         return np.array(rows)[:, None].repeat(n_dim, axis=1)
 
