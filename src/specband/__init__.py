@@ -69,3 +69,8 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    """The module's globals with every export and submodule, loaded or not."""
+    return sorted({*globals(), *__all__, *_EXPORTS})

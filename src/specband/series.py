@@ -39,10 +39,6 @@ __all__ = ["MultivariateSeries", "load_csv", "load_matrix", "center", "write_csv
 log = logging.getLogger(__name__)
 
 _WRITE_BLOCK_CELLS = 8192  # cells formatted at a time by write_csv
-# widest series whose centered check reduces one column view at a time: at
-# T = 5*10^5, n = 2 that takes 2.2 ms against 31 ms for an axis-0 reduction,
-# which loops per row; from n = 12 on, and at 2,000 x 500, axis 0 is faster
-_COLUMNWISE_MAX_DIM = 8
 
 SCHEMA_VERSION = 1
 
@@ -112,11 +108,8 @@ class MultivariateSeries:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.centered:  # max |x| per column, with no (T, n) temporary
-            # max and min are exact in any order, so both ways give the same bits
-            if values.shape[1] <= _COLUMNWISE_MAX_DIM:
-                scale = np.array([max(col.max(), -col.min()) for col in values.T])
-            else:
-                scale = np.maximum(values.max(axis=0), -values.min(axis=0))
+            # one column view at a time, since an axis-0 reduction loops per row
+            scale = np.array([max(col.max(), -col.min()) for col in values.T])
             tol = 1e-10 * values.shape[0] * np.maximum(scale, 1e-300)
             with np.errstate(over="ignore", invalid="ignore"):
                 col_sums = np.abs(values.sum(axis=0))

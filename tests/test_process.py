@@ -111,6 +111,7 @@ def test_every_export_resolves_to_its_submodules_object():
     code = """
 import sys
 import specband
+assert set(specband.__all__) | set(specband._EXPORTS) <= set(dir(specband))
 from specband import *
 for name in specband.__all__:
     obj = getattr(specband, name)
