@@ -16,8 +16,11 @@ points (s * n columns), and for each block offset k = 0..ceil(L/s)
     G_k = sum_b A_b' A_{b+k},   G_k[(p, i), (q, j)] = sum_b Z_{bs+p,i} Z_{(b+k)s+q,j},
 
 so that C(u)[i, j] = (1/T) * sum_p G[(p, i), (p + u, j)] over the column
-blocks [G_0 | ... | G_K], a strided diagonal sum read in place. Only the
-ceil(L/s) + 1 offsets are a Python loop.
+blocks [G_0 | ... | G_K], a strided diagonal sum read in place. The rows
+A_b are never all held at once: the sums over b run a chunk of rows at a
+time, through a window of the chunk's rows plus the K that the last offset
+reaches past them, so the working set beyond the input is bounded whatever
+T is. Only the chunks and the ceil(L/s) + 1 offsets are a Python loop.
 
 Every BLAS call is sized to run on one thread: s * n <= 32 columns and 64
 block rows per product, stacked into batched ``matmul`` calls of at most 64
@@ -94,15 +97,18 @@ class AutocovSequence:
 def autocov_matrices(values: np.ndarray, max_lag: int, workspace=None) -> np.ndarray:
     """Divisor-T autocovariance stack of a raw (T, n) array, lags 0..max_lag.
 
-    Raises LagOutOfRange unless 0 <= max_lag <= T - 1. A caller computing
-    many stacks of one shape passes a ``workspace`` (see ``series._buffer``):
-    the zero-padded block array and the per-offset product are then reused,
-    with the padding zeroed on every call, and the result is a new array
-    either way. The product holds at most ``_CHUNK_BATCHES`` batch products
-    plus a carry row, 520 KB, so the working set beyond the blocks does not
-    grow with T. Past one chunk, the running sum goes in the carry row ahead
-    of the next chunk's products: numpy sums axis 0 one row after another,
-    so the total is the same bit for bit as one sum over every batch.
+    Raises LagOutOfRange unless 0 <= max_lag <= T - 1. The block rows are
+    read through a window of ``_CHUNK_BATCHES`` batches plus the ceil(L/s)
+    rows that the last offset reaches past them, filled from ``values`` (and
+    zeros past T) one chunk of batches at a time, so the working set does
+    not grow with T: at n = 2 and L = 190, a 1.05 MB window, a 520 KB
+    product of the chunk's batch products plus a carry row, and the
+    (s n, K + 1, s n) grams. A caller computing many stacks of one shape
+    passes a ``workspace`` (see ``series._buffer``): the window and the
+    product are then reused, and the result is a new array either way.
+    Past one chunk, each offset's running sum goes in the carry row ahead of
+    the next chunk's products: numpy sums axis 0 one row after another, so
+    the total is the same bit for bit as one sum over every batch.
     """
     values = np.asarray(values, dtype=float)
     t_len, n_dim = values.shape
@@ -115,28 +121,29 @@ def autocov_matrices(values: np.ndarray, max_lag: int, workspace=None) -> np.nda
     offsets = -(-max_lag // span) + 1  # block offsets k = 0..ceil(L/s)
     n_rows = -(-t_len // span)
     batch = min(_BATCH_ROWS, n_rows)
-    n_rows = -(-n_rows // batch) * batch  # whole batches; the padding is zeros
-    blocks = _buffer(workspace, "acov_blocks", (n_rows + offsets - 1, width))
-    blocks.reshape(-1, n_dim)[:t_len] = values
-    blocks.reshape(-1, n_dim)[t_len:] = 0.0
-    left = blocks[:n_rows].reshape(-1, batch, width).transpose(0, 2, 1)
-    n_batches = n_rows // batch
+    n_batches = -(-n_rows // batch)  # whole batches; the padding is zeros
     chunk = min(n_batches, _CHUNK_BATCHES)
     carry = int(n_batches > chunk)  # a row for the running sum of earlier chunks
+    window = _buffer(workspace, "acov_blocks", (chunk * batch + offsets - 1, width))
     product = _buffer(workspace, "acov_product", (carry + chunk, width, width))
     grams = np.empty((width, offsets, width))  # [(p, i), k, (q, j)]
-    for k in range(offsets):
-        right = blocks[k : k + n_rows].reshape(-1, batch, width)
-        total = grams[:, k, :]
-        for first in range(0, n_batches, chunk):
-            part = product[: carry + min(chunk, n_batches - first)]
-            batches = slice(first, first + chunk)
-            np.matmul(left[batches], right[batches], out=part[carry:])
+    for first in range(0, n_batches, chunk):
+        count = min(chunk, n_batches - first)  # batches in this chunk
+        rows = count * batch
+        points = window[: rows + offsets - 1].reshape(-1, n_dim)  # a row per time point
+        start = first * batch * span
+        filled = min(t_len - start, points.shape[0])
+        points[:filled] = values[start : start + filled]
+        points[filled:] = 0.0
+        left = window[:rows].reshape(count, batch, width).transpose(0, 2, 1)
+        part = product[: carry + count]
+        for k in range(offsets):
+            total = grams[:, k, :]
+            right = window[k : k + rows].reshape(count, batch, width)
+            np.matmul(left, right, out=part[carry:])
             if first:  # numpy sums axis 0 in order, so this adds on to the total
                 part[0] = total
-            else:
-                part = part[carry:]
-            np.sum(part, axis=0, out=total)
+            np.sum(part if first else part[carry:], axis=0, out=total)
     row, _, col = grams.strides
     diag = as_strided(  # diag[u, p, i, j] = grams[(p, i), (p + u, j)]
         grams,

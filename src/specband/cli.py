@@ -102,9 +102,17 @@ def _parse_entries(spec: str, n: int):
     return entries
 
 
+def _parse_entry(spec: str):
+    """verify's --entry: two 1-based indices i,j as a 0-based pair."""
+    values = spec.split(",")
+    if len(values) != 2:
+        raise UsageError(f"--entry takes 1-based i,j; {spec!r} is not two integers")
+    return tuple(_int(v, "--entry", "1-based i,j") - 1 for v in values)
+
+
 def _estimate_input(args, grid_spec: str):
     """(kernel, estimate) of the centered --input series on the named grid."""
-    series = center(load_csv(args.input, has_header=args.has_header))
+    series = center(load_csv(args.input, has_header=args.has_header, centered=True))
     kernel = get_kernel(args.kernel)
     bandwidth = Bandwidth(series.t_len, args.b_exponent, args.c_const)
     freqs = _parse_grid(grid_spec, bandwidth)
@@ -206,7 +214,7 @@ def _cmd_verify(args) -> int:
         c_const=args.c_const,
         reps=args.reps,
         seed=args.seed,
-        entry=tuple(_int(v, "--entry", "1-based i,j") - 1 for v in args.entry.split(",")),
+        entry=_parse_entry(args.entry),
         level=args.level,
         nu_star=args.nu_star,
         nu=args.nu,

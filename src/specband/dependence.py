@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DecayFitWarning, InvalidArgument
 from .inference import _bisect
-from .models import ProcessModel
+from .models import ProcessModel, _check_seed
 from .series import _fields
 
 __all__ = [
@@ -45,7 +45,7 @@ def _coupled_differences(model: ProcessModel, horizon: int, reps: int, seed):
     """|Z_t - Z_t,{0}| samples, shape (reps, horizon + 1, n)."""
     lead = model.decay_horizon()
     steps = lead + horizon + 1
-    rng = np.random.default_rng([int(seed), 0x5D])
+    rng = np.random.default_rng([_check_seed(seed), 0x5D])
     eps = rng.standard_normal((reps, steps, model.n_dim))
     base = model.path(eps)[:, lead:, :]  # a new array: eps is left as it was
     eps[:, lead, :] = rng.standard_normal((reps, model.n_dim))  # now eps*
@@ -271,7 +271,9 @@ def check_conditions(
     with ``delta_param`` supplied by the caller (the threshold's auxiliary
     exponent; it is an input here, not something the profile determines).
     ``independent_components`` applies the relaxation p -> p/2 available when
-    the series components are mutually independent.
+    the series components are mutually independent. Geometric decay implies
+    both power-law conditions, so a geometric pass makes both alpha verdicts
+    true, with a note for each that the power-law fit alone would not give.
     """
     if not 0.0 < delta_param < math.inf:
         raise InvalidArgument("delta_param must be finite and positive")
@@ -318,6 +320,15 @@ def check_conditions(
     alpha2_fit = _power_exponent(prof.theta)
     alpha1_pass = None if alpha1_fit is None else bool(alpha1_fit > alpha1_threshold)
     alpha2_pass = None if alpha2_fit is None else bool(alpha2_fit > alpha2_threshold)
+    if geometric_pass:  # a power-law fit over t <= H may not show this decay
+        for name, verdict in (("alpha1", alpha1_pass), ("alpha2", alpha2_pass)):
+            if not verdict:
+                fit = "no fit" if verdict is None else "a fit below the threshold"
+                notes.append(
+                    f"{name}_pass is true because geometric decay implies it; "
+                    f"the power-law fit alone gave {fit}"
+                )
+        alpha1_pass = alpha2_pass = True
     bandwidth_ok = 0.0 < b_lower < b < 1.0
     return ConditionReport(
         geometric_pass=geometric_pass,

@@ -58,7 +58,7 @@ from .acov import autocov_matrices
 from .errors import InvalidPlan
 from .inference import gumbel_cdf, max_deviation, omega_factor, uniform_band
 from .kernels import Kernel, get_kernel
-from .models import parse_model
+from .models import _check_seed, parse_model
 from .series import _fields, _json_text
 from .spectral import (
     Bandwidth,
@@ -107,6 +107,7 @@ class ExperimentPlan:
             raise InvalidPlan(f"unknown experiment {self.experiment!r}")
         if self.workers < 1:
             raise InvalidPlan(f"workers must be >= 1, got {self.workers}")
+        _check_seed(self.seed, InvalidPlan)
         if self.experiment != "bias_rate" and self.reps < 100:
             raise InvalidPlan(f"reps must be >= 100, got {self.reps}")
         t_grid = tuple(int(t) for t in self.t_grid)

@@ -53,6 +53,7 @@ sum_k B_k e^{-i k lambda} for VMA.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -422,6 +423,13 @@ def default_var1() -> VAR1:
     return VAR1(coeff=np.array([[0.4, 0.1], [0.0, 0.3]]), sigma=np.eye(2))
 
 
+def _check_seed(seed, error=InvalidArgument) -> int:
+    """A seed as an int; raises ``error`` unless it is a non-negative integer."""
+    if isinstance(seed, numbers.Integral) and seed >= 0:
+        return int(seed)
+    raise error(f"seed must be a non-negative integer, got {seed}")
+
+
 def simulate(model: ProcessModel, t_len: int, seed) -> MultivariateSeries:
     """Deterministic draw of T observations after burn-in.
 
@@ -431,7 +439,7 @@ def simulate(model: ProcessModel, t_len: int, seed) -> MultivariateSeries:
     """
     if t_len < 2:
         raise InvalidArgument("t_len must be at least 2")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     values = model.simulate_values(t_len, rng, workspace={})
     return MultivariateSeries(values, centered=False)
 

@@ -2,7 +2,9 @@
 
 A series is a T x n real matrix: rows are time points, columns are
 components. Estimation assumes a mean-zero process, so real data should be
-passed through :func:`center` before anything downstream.
+passed through :func:`center` before anything downstream, or read with
+``load_csv(..., centered=True)``, which centers the parsed array in place so
+that only one copy of the series is ever held.
 
 The CSV format: UTF-8 text, one time point per line, cells separated by
 commas, every row of the same width, every cell a finite decimal float as
@@ -38,7 +40,7 @@ __all__ = ["MultivariateSeries", "load_csv", "load_matrix", "center", "write_csv
 
 log = logging.getLogger(__name__)
 
-_WRITE_BLOCK_CELLS = 8192  # cells formatted at a time by write_csv
+_WRITE_BLOCK_CELLS = 2048  # cells formatted at a time by write_csv
 
 SCHEMA_VERSION = 1
 
@@ -103,13 +105,13 @@ class MultivariateSeries:
             )
         if values.shape[1] < 1:
             raise InvalidSeries("series needs at least one component column")
-        if not np.all(np.isfinite(values)):
+        col_max, col_min = _column_extremes(values)
+        if not _finite(col_max, col_min):
             raise InvalidSeries("series contains NaN or infinite entries")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.centered:  # max |x| per column, with no (T, n) temporary
-            # one column view at a time, since an axis-0 reduction loops per row
-            scale = np.array([max(col.max(), -col.min()) for col in values.T])
+            scale = np.maximum(col_max, -col_min)
             tol = 1e-10 * values.shape[0] * np.maximum(scale, 1e-300)
             with np.errstate(over="ignore", invalid="ignore"):
                 col_sums = np.abs(values.sum(axis=0))
@@ -125,13 +127,17 @@ class MultivariateSeries:
         return self.values.shape[1]
 
 
-def load_csv(path, has_header: bool = False) -> MultivariateSeries:
-    """Read a comma-separated file into an (uncentered) series.
+def load_csv(path, has_header: bool = False, centered: bool = False) -> MultivariateSeries:
+    """Read a comma-separated file into a series, centered if ``centered``.
 
     Every row must have the same number of columns and every cell must parse
     as a finite real. Row order is time order. The file is parsed in bulk
     first; only a file the bulk parse rejects goes through the per-cell
     reader, which either accepts it or names the offending row and column.
+    With ``centered`` the parsed array, which nothing else holds, is centered
+    in place: the values are those of ``center(load_csv(path))`` bit for bit,
+    and an overflow raises the same InvalidSeries, but no second copy of the
+    series is made.
     """
     start = time.perf_counter()
     values = _bulk_parse(path, has_header)
@@ -139,7 +145,9 @@ def load_csv(path, has_header: bool = False) -> MultivariateSeries:
     if values is None:
         values = _parse_cells(path, has_header)
         method = "per-cell"
-    series = MultivariateSeries(values, centered=False)
+    if centered:
+        _centered(values, out=values)
+    series = MultivariateSeries(values, centered=centered)
     log.info(
         "read %s: %d rows x %d columns, %d bytes, %.3f s (%s parse)",
         path, series.t_len, series.n_dim, os.path.getsize(path),
@@ -166,7 +174,7 @@ def _bulk_parse(path, has_header: bool):
             )
     except (ValueError, OSError):
         return None
-    if values.shape[0] < 2 or not np.all(np.isfinite(values)):
+    if values.shape[0] < 2 or not _finite(*_column_extremes(values)):
         return None
     if has_header:  # loadtxt skipped one line: was that line the whole header?
         with open(path, newline="", encoding="utf-8") as fh:
@@ -248,18 +256,49 @@ def _parse_cells(path, has_header: bool, min_rows: int = 2) -> np.ndarray:
 
 
 def center(series: MultivariateSeries) -> MultivariateSeries:
-    """Subtract each column's sample mean. Idempotent; makes one new array."""
+    """Subtract each column's sample mean.
+
+    Idempotent: a centered series is returned as it is. Otherwise the result
+    is a new series on one new array, and the input is left untouched.
+    """
     if series.centered:
         return series
+    return replace(series, values=_centered(series.values), centered=True)
+
+
+def _centered(values: np.ndarray, out=None) -> np.ndarray:
+    """Each column of a (T, n) float array minus its mean, or InvalidSeries.
+
+    Two mean subtractions: the second forces exact-zero column sums, so that
+    centering again is a no-op. The result goes to ``out`` (``values`` itself
+    to center in place) or to a new array.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        values = series.values - series.values.mean(axis=0, keepdims=True)
-        # force exact-zero column sums so repeated centering is a no-op
-        values -= values.mean(axis=0, keepdims=True)
-    if not np.all(np.isfinite(values)):
+        out = np.subtract(values, values.mean(axis=0, keepdims=True), out=out)
+        out -= out.mean(axis=0, keepdims=True)
+    if not _finite(*_column_extremes(out)):
         raise InvalidSeries(
             "centering overflows: a column mean or deviation exceeds the float range"
         )
-    return replace(series, values=values, centered=True)
+    return out
+
+
+def _column_extremes(values: np.ndarray):
+    """(max, min) of each column of a (T, n) array; NaN where a column has one.
+
+    One column view at a time, since an axis-0 reduction loops per row, and
+    with no (T, n) temporary.
+    """
+    return (
+        np.array([col.max() for col in values.T]),
+        np.array([col.min() for col in values.T]),
+    )
+
+
+def _finite(col_max: np.ndarray, col_min: np.ndarray) -> bool:
+    """Whether columns with these extremes hold only finite values: NaN shows in
+    both, +inf in the max and -inf in the min."""
+    return bool(np.all(np.isfinite(col_max)) and np.all(np.isfinite(col_min)))
 
 
 def write_csv(series: MultivariateSeries, path) -> None:

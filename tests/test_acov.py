@@ -139,6 +139,40 @@ def test_chunked_products_sum_as_one_sum_bit_for_bit(use_workspace, monkeypatch)
         assert stack.tobytes() == autocov_matrices(values, max_lag).tobytes()
 
 
+@pytest.mark.parametrize("use_workspace", [False, True], ids=["fresh", "workspace"])
+@pytest.mark.parametrize(
+    "t_len, n_dim, max_lag, chunk_batches",
+    [
+        (300_001, 1, 507, None),  # 147 batches: chunks of 64, 64 and 19
+        (262_147, 3, 100, None),  # 410 batches, the last padded: chunks of 64 and 26
+        (70_001, 2, 300, 4),  # 69 batches: 17 chunks of 4 and one of 1
+        (5000, 1, 4990, 2),  # L close to T: the window reaches past the last row
+        (3001, 3, 3000, 2),  # L = T - 1
+    ],
+)
+def test_windowed_products_match_one_chunk_bit_for_bit(
+    t_len, n_dim, max_lag, chunk_batches, use_workspace, monkeypatch
+):
+    values = np.random.default_rng([t_len, n_dim]).standard_normal((t_len, n_dim))
+    if chunk_batches is not None:
+        monkeypatch.setattr(acov, "_CHUNK_BATCHES", chunk_batches)
+    workspace = {} if use_workspace else None
+    got = autocov_matrices(values, max_lag, workspace)
+    if use_workspace:  # a reused window and product give the same bytes
+        assert autocov_matrices(values, max_lag, workspace).tobytes() == got.tobytes()
+    monkeypatch.setattr(acov, "_CHUNK_BATCHES", 10**6)  # every batch in one chunk
+    assert got.tobytes() == autocov_matrices(values, max_lag).tobytes()
+    want = _per_lag_autocov(values, max_lag)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_sample_autocov_holds_its_input_and_a_bounded_window():
+    # T = 2**20, n = 2 (16 MiB), B = T**0.4: the window, product and grams only
+    series = center(MultivariateSeries(np.random.default_rng(8).standard_normal((2**20, 2))))
+    peak = traced_peak(lambda: series, lambda s: sample_autocov(s, 256))
+    assert peak <= 2 * 2**20
+
+
 def test_sample_autocov_holds_the_input_and_one_block_copy():
     raw = np.random.default_rng(9).standard_normal((2**18, 2))  # S = 4 MiB
     peak = traced_peak(

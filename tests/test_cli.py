@@ -423,6 +423,41 @@ def test_bad_numeric_parameter_exit_2_with_one_error_line(argv, message, capsys)
     assert captured.out == ""
 
 
+_SEED = "seed must be a non-negative integer, got -1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--model", "white", "--t-len", "16"], f"InvalidArgument: {_SEED}"),
+        (_DEPMEASURE, f"InvalidArgument: {_SEED}"),
+        ([*_VERIFY, "--experiment", "clt", "--threads", "1"], f"InvalidPlan: {_SEED}"),
+        ([*_VERIFY, "--experiment", "clt", "--threads", "2"], f"InvalidPlan: {_SEED}"),
+    ],
+    ids=["simulate", "depmeasure", "verify-1-worker", "verify-2-workers"],
+)
+def test_negative_seed_exit_2_names_the_seed(argv, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if argv[0] == "simulate":
+        argv = [*argv, "--out", str(out)]
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["1", "1,1,1", ""])
+def test_verify_entry_needs_two_indices_exit_2(entry, capsys):
+    code = main(["verify", "--experiment", "gumbel", "--t-grid", "64", "--entry", entry])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: UsageError: --entry takes 1-based i,j; {entry!r} is not two integers"
+    ]
+    assert captured.out == ""
+
+
 def test_verify_reps_floor_exit_2(capsys):
     code = main(
         ["verify", "--experiment", "gumbel", "--reps", "50", "--t-grid", "512"]

@@ -11,7 +11,7 @@ from specband.dependence import (
     coupled_delta,
     profile,
 )
-from specband.errors import DecayFitWarning
+from specband.errors import DecayFitWarning, InvalidArgument
 from specband.models import VMA, AR1Scalar, WhiteNoise, parse_model
 
 SQRT2 = math.sqrt(2.0)
@@ -143,12 +143,40 @@ def test_profile_validation():
         profile(WhiteNoise(), 2.0, horizon=8, reps=50, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_seed_must_be_a_non_negative_integer(seed):
+    message = f"seed must be a non-negative integer, got {seed}"
+    with pytest.raises(InvalidArgument, match=message):
+        coupled_delta(WhiteNoise(), 1, 2.0, reps=200, seed=seed)
+    with pytest.raises(InvalidArgument, match=message):
+        profile(WhiteNoise(), 2.0, horizon=6, reps=200, seed=seed)
+
+
 def test_check_conditions_ar1_geometric_pass():
     prof = profile(AR1Scalar(0.5), 8.0, horizon=20, reps=20000, seed=10)
     report = check_conditions(prof, p=8.0, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.geometric_pass is True
     assert 0.45 <= report.fitted_rho <= 0.55
     assert report.bandwidth_window_ok
+
+
+@pytest.mark.parametrize("phi", [0.5, 0.9, 0.97])
+def test_check_conditions_geometric_pass_settles_the_alpha_verdicts(phi):
+    prof = profile(AR1Scalar(phi), 4.0, horizon=30, reps=400, seed=22)
+    report = check_conditions(prof, p=4.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    assert report.geometric_pass is True
+    assert report.alpha1_pass is True and report.alpha2_pass is True
+    # a note for each verdict that the power-law fit alone would not give
+    fit_passes = {
+        "alpha1": report.alpha1_fit > report.alpha1_threshold,
+        "alpha2": report.alpha2_fit > report.alpha2_threshold,
+    }
+    noted = {name for name in fit_passes if any(n.startswith(name) for n in report.notes)}
+    assert noted == {name for name, ok in fit_passes.items() if not ok}
+    if phi == 0.5:  # every fit passes: no note
+        assert report.notes == ()
+    if phi == 0.97:  # neither fit reaches its threshold at H = 30
+        assert noted == {"alpha1", "alpha2"}
 
 
 def test_check_conditions_white_noise_trivial_pass():
@@ -180,6 +208,7 @@ def test_check_conditions_synthetic_power_law_fails_geometric():
     )
     report = check_conditions(prof, p=p, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.geometric_pass is False
+    assert not any(note.startswith("alpha") for note in report.notes)
     # thresholds from the declared exponent formulas at p=8, delta=1
     assert report.alpha1_threshold == pytest.approx(max(0.5 - 4.0 / 16.0, 0.25))
     assert report.alpha2_threshold == pytest.approx(max(1.0 - 4.0 / 16.0, 0.0))

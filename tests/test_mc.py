@@ -67,6 +67,7 @@ def test_plan_validation():
         dict(experiment="moments", nu_star=float("inf")),
         dict(experiment="uniform_rate", nu=float("nan")),
         dict(experiment="uniform_rate", nu=float("inf")),
+        dict(experiment="clt", seed=-1),
     ],
 )
 def test_plan_rejects_out_of_range_fields(fields):

@@ -4,7 +4,12 @@ from scipy.signal import lfilter
 
 from conftest import traced_peak
 from specband.acov import autocov_matrices
-from specband.errors import InvalidModel, NonStationaryModel, UnsupportedModel
+from specband.errors import (
+    InvalidArgument,
+    InvalidModel,
+    NonStationaryModel,
+    UnsupportedModel,
+)
 from specband.models import (
     AR1Scalar,
     ThresholdAR1,
@@ -404,6 +409,12 @@ def test_parse_model_grammar(tmp_path):
     b1.write_text("0.5\n")
     vma = parse_model(f"vma:file={b0};{b1}")
     assert isinstance(vma, VMA) and vma.order == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_simulate_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(InvalidArgument, match=f"seed must be a non-negative integer, got {seed}"):
+        simulate(WhiteNoise(), 16, seed)
 
 
 def test_parse_model_rejects_unknown():

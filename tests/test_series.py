@@ -14,9 +14,11 @@ from hypothesis.extra.numpy import arrays
 
 from specband.errors import InsufficientData, InvalidSeries, ParseError, SpecbandError
 from conftest import traced_peak
+from specband.acov import sample_autocov
 from specband.series import (
     _WRITE_BLOCK_CELLS,
     MultivariateSeries,
+    _bulk_parse,
     _json_text,
     _jsonable,
     _parse_cells,
@@ -84,6 +86,22 @@ def test_series_validation():
         MultivariateSeries(np.array([[1.0], [np.nan]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("n_dim", [1, 40])
+def test_non_finite_entry_is_caught_in_any_column(bad, n_dim, tmp_path):
+    for col in sorted({0, n_dim // 2, n_dim - 1}):
+        values = np.random.default_rng(col).standard_normal((6, n_dim))
+        values[3, col] = bad
+        with pytest.raises(InvalidSeries, match="NaN or infinite"):
+            MultivariateSeries(values)
+        path = tmp_path / "x.csv"
+        np.savetxt(path, values, delimiter=",")  # writes nan, inf and -inf
+        assert _bulk_parse(path, False) is None
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col) == (4, col + 1)
+
+
 def test_series_values_read_only():
     s = MultivariateSeries(np.array([[1.0], [2.0]]))
     with pytest.raises(ValueError):
@@ -141,6 +159,53 @@ def test_center_property(values):
     assert np.all(np.abs(s.values.sum(axis=0)) <= 1e-9 * values.shape[0] * scale)
 
 
+def test_center_leaves_its_input_untouched():
+    raw = _raw((1001, 3))
+    series = MultivariateSeries(raw.copy())
+    centered = center(series)
+    assert series.values.tobytes() == raw.tobytes() and not series.centered
+    assert not np.shares_memory(centered.values, series.values)
+
+
+def _write_for_parse(path, values, how):
+    """``values`` as a CSV that load_csv reads by the named parse."""
+    text = "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n"
+    if how == "header":
+        text = ",".join(f"c{j}" for j in range(values.shape[1])) + "\n" + text
+    elif how == "per-cell":
+        text = '"' + text.replace(",", '",', 1)  # a quoted cell: loadtxt rejects it
+    path.write_text(text)
+    has_header = how == "header"
+    assert (_bulk_parse(path, has_header) is None) == (how == "per-cell")
+    return has_header
+
+
+@pytest.mark.parametrize("how", ["bulk", "header", "per-cell"])
+def test_load_csv_centered_is_center_of_load_csv_bit_for_bit(how, tmp_path):
+    values = np.random.default_rng(6).standard_normal((257, 3)) * [1.0, 1e3, 1e-3] + 7.0
+    path = tmp_path / "x.csv"
+    has_header = _write_for_parse(path, values, how)
+    got = load_csv(path, has_header=has_header, centered=True)
+    want = center(load_csv(path, has_header=has_header))
+    assert got.centered and center(got) is got
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("how", ["bulk", "per-cell"])
+def test_load_csv_centered_raises_the_overflow_of_center(how, tmp_path):
+    values = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, 3.0], [1e308, 4.0]])
+    path = tmp_path / "x.csv"
+    _write_for_parse(path, values, how)
+    with pytest.raises(InvalidSeries) as want:
+        center(load_csv(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSeries) as got:
+            load_csv(path, centered=True)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("centering overflows")
+
+
 def test_center_is_two_mean_subtractions_bit_for_bit():
     rng = np.random.default_rng(5)
     for values in (rng.standard_normal((1001, 3)) * 1e3 + 7.0, rng.random((64, 1)) - 0.25):
@@ -165,6 +230,18 @@ def test_center_holds_the_input_and_one_copy():
     raw = _raw()
     peak = traced_peak(lambda: MultivariateSeries(raw.copy()), center)
     assert peak <= 2.2 * raw.nbytes
+
+
+def test_cli_input_path_holds_one_copy_of_the_series(tmp_path):
+    # load -> center -> sample_autocov, as estimate and bands run it (B = T**0.4);
+    # the parsed array is centered in place, and acov holds a bounded window
+    raw = _raw()
+    path = tmp_path / "x.csv"
+    write_csv(MultivariateSeries(raw), path)
+    peak = traced_peak(
+        lambda: center(load_csv(path, centered=True)), lambda s: sample_autocov(s, 147)
+    )
+    assert peak <= 1.6 * raw.nbytes
 
 
 # tracemalloc traces every string the writer makes, so these series are small;
