@@ -63,7 +63,7 @@ _CHUNK_BATCHES = 64  # batch products held at once per offset
 
 @dataclass(frozen=True)
 class AutocovSequence:
-    """C(u) for u = 0..max_lag, negative lags available via transpose."""
+    """C(u) for u = 0..max_lag <= T - 1, negative lags available via transpose."""
 
     matrices: np.ndarray  # (max_lag + 1, n, n)
     t_len: int
@@ -74,6 +74,8 @@ class AutocovSequence:
             raise MalformedArray("autocovariance stack must have shape (L+1, n, n)")
         if not np.all(np.isfinite(m)):
             raise MalformedArray("autocovariance contains non-finite entries")
+        if m.shape[0] > self.t_len:
+            raise MalformedArray(f"{m.shape[0]} autocovariance lags exceed T = {self.t_len}")
         m.setflags(write=False)
         object.__setattr__(self, "matrices", m)
 

@@ -37,7 +37,7 @@ from .dependence import check_conditions, profile
 from .errors import SpecbandError, UsageError
 from .inference import pointwise_ci, uniform_band
 from .kernels import get_kernel
-from .mc import ExperimentPlan, pool_size, run_experiment
+from .mc import EXPERIMENTS, ExperimentPlan, pool_size, run_experiment
 from .models import parse_model, simulate
 from .series import _json_text, _jsonable, center, load_csv, write_csv
 from .spectral import Bandwidth, estimate_spectrum, theorem_grid
@@ -80,20 +80,14 @@ def _parse_grid(spec: str, bandwidth: Bandwidth):
 
 
 def _parse_entries(spec: str, n: int):
+    """bands' --entries: all, diag or i,j;i,j;... as 0-based pairs inside 1..n."""
     if spec == "all":
         return [(i, j) for i in range(n) for j in range(i, n)]
     if spec == "diag":
         return [(i, i) for i in range(n)]
     entries = []
-    for token in spec.split(";"):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            i_s, j_s = token.split(",")
-            i, j = int(i_s) - 1, int(j_s) - 1
-        except ValueError:
-            raise UsageError(f"bad entry {token!r}; use i,j with 1-based indices")
+    for token in filter(None, (t.strip() for t in spec.split(";"))):
+        i, j = _parse_entry(token, "--entries")
         if not (0 <= i < n and 0 <= j < n):
             raise UsageError(f"entry {token!r} outside 1..{n}")
         entries.append((i, j))
@@ -102,12 +96,13 @@ def _parse_entries(spec: str, n: int):
     return entries
 
 
-def _parse_entry(spec: str):
-    """verify's --entry: two 1-based indices i,j as a 0-based pair."""
+def _parse_entry(spec: str, flag: str):
+    """One i,j token of ``flag`` as a 0-based pair: two 1-based integers,
+    with no range check (the caller knows the dimension)."""
     values = spec.split(",")
     if len(values) != 2:
-        raise UsageError(f"--entry takes 1-based i,j; {spec!r} is not two integers")
-    return tuple(_int(v, "--entry", "1-based i,j") - 1 for v in values)
+        raise UsageError(f"{flag} takes 1-based i,j; {spec!r} is not two integers")
+    return tuple(_int(v, flag, "1-based i,j") - 1 for v in values)
 
 
 def _estimate_input(args, grid_spec: str):
@@ -136,6 +131,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bands(args) -> int:
+    if args.bonferroni and args.method != "uniform":
+        raise UsageError("--bonferroni applies to --method uniform only")
     kernel, grid = _estimate_input(args, "theorem")
     entries = _parse_entries(args.entries, grid.n_dim)
     config = {
@@ -158,12 +155,18 @@ def _cmd_bands(args) -> int:
     payload["target"] = target
     if args.assume_smooth:
         check = kernel.undersmooths(args.b_exponent)
+        note = (
+            "an asymptotic rate condition: the smoothing bias at this "
+            "bandwidth is not estimated"
+        )
         payload["undersmoothing_check"] = {
             "b_exponent_times_q_plus_1_gt_1": check,
             "q": kernel.q,
+            "note": note,
         }
         verdict = {None: "unknown (bias order unknown)", True: "ok", False: "VIOLATED"}
-        print(f"undersmoothing check b*(q+1) > 1: {verdict[check]}", file=sys.stderr)
+        line = f"undersmoothing check b*(q+1) > 1: {verdict[check]} ({note})"
+        print(line, file=sys.stderr)
     payload["config"] = config
     _emit(payload, args.output)
     return 0
@@ -214,7 +217,7 @@ def _cmd_verify(args) -> int:
         c_const=args.c_const,
         reps=args.reps,
         seed=args.seed,
-        entry=_parse_entry(args.entry),
+        entry=_parse_entry(args.entry, "--entry"),
         level=args.level,
         nu_star=args.nu_star,
         nu=args.nu,
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--experiment",
         required=True,
-        choices=["clt", "gumbel", "moments", "uniform-rate", "bias-rate", "coverage"],
+        choices=[name.replace("_", "-") for name in EXPERIMENTS],
     )
     p_ver.add_argument("--model", default="white")
     add_kernel_flags(p_ver)

@@ -241,13 +241,20 @@ def _slope_ci(t: np.ndarray, y: np.ndarray):
     return slope, (float(slope - q * se), float(slope + q * se)), rss
 
 
+def _flat(values: np.ndarray) -> bool:
+    """Whether the positive values over m >= 1 are two or more, all equal."""
+    pos = values[1:][values[1:] > _ZERO_TOL]
+    return pos.size >= 2 and bool(np.all(pos == pos[0]))
+
+
 def _power_exponent(values: np.ndarray):
-    """-slope of log values vs log m over m >= 1; inf when all zero."""
+    """-slope of log values vs log m over m >= 1; inf when all zero, None when
+    fewer than two are positive or they are all equal (no slope to fit)."""
     m = np.arange(1, values.size)
     pos = values[1:] > _ZERO_TOL
     if not np.any(pos):
         return math.inf
-    if pos.sum() < 2:
+    if pos.sum() < 2 or _flat(values):
         return None
     slope, _, _ = _line(np.log(m[pos].astype(float)), np.log(values[1:][pos]))
     return -slope
@@ -274,6 +281,9 @@ def check_conditions(
     the series components are mutually independent. Geometric decay implies
     both power-law conditions, so a geometric pass makes both alpha verdicts
     true, with a note for each that the power-law fit alone would not give.
+    A profile that is constant over m = 1..H has no power-law fit: its
+    exponent and, without a geometric pass, its verdict are None, with a
+    note that the horizon is too short.
     """
     if not 0.0 < delta_param < math.inf:
         raise InvalidArgument("delta_param must be finite and positive")
@@ -318,6 +328,12 @@ def check_conditions(
 
     alpha1_fit = _power_exponent(prof.d_seq)
     alpha2_fit = _power_exponent(prof.theta)
+    for name, values in (("d_m", prof.d_seq), ("Theta_m", prof.theta)):
+        if _flat(values):
+            notes.append(
+                f"{name} is constant over m <= {prof.horizon}: the horizon is too "
+                "short for a power-law fit"
+            )
     alpha1_pass = None if alpha1_fit is None else bool(alpha1_fit > alpha1_threshold)
     alpha2_pass = None if alpha2_fit is None else bool(alpha2_fit > alpha2_threshold)
     if geometric_pass:  # a power-law fit over t <= H may not show this decay

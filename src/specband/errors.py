@@ -56,10 +56,6 @@ class InvalidBandwidth(InvalidArgument):
     """Bandwidth exponent outside (0, 1), or a constant not finite and positive."""
 
 
-class BandwidthTooLarge(SpecbandError):
-    """Lag-window size must stay below the series length."""
-
-
 class UnsupportedModel(SpecbandError):
     """The process model has no closed-form autocovariance/spectrum."""
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .acov import AutocovSequence, expected_autocov
 from .errors import (
-    BandwidthTooLarge,
     InsufficientData,
     InvalidArgument,
     InvalidBandwidth,
@@ -211,8 +210,6 @@ def estimate_spectrum(
     """Evaluate the lag-window estimator on the given frequencies."""
     freqs = _check_freqs(freqs)
     b_val = bandwidth.value
-    if b_val >= acov.t_len:
-        raise BandwidthTooLarge(f"bandwidth {b_val} >= series length {acov.t_len}")
     if acov.max_lag < b_val:
         raise InvalidArgument(
             f"autocovariances cover lags up to {acov.max_lag}, need {b_val}"

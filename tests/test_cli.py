@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 
 from conftest import strict_json
 from specband import errors
-from specband.cli import main
+from specband.cli import _parse_entry, build_parser, main
+from specband.mc import EXPERIMENTS, ExperimentPlan
 from specband.models import WhiteNoise, simulate
 from specband.series import write_csv
 
@@ -223,7 +226,11 @@ def test_bands_explicit_entries_echo_one_based(wn_csv, capsys):
 
 @pytest.mark.parametrize(
     "entries, message",
-    [("1", "bad entry '1'"), ("3,1", "entry '3,1' outside 1..2"), (";", "no entries")],
+    [
+        ("1", "--entries takes 1-based i,j; '1' is not two integers"),
+        ("3,1", "entry '3,1' outside 1..2"),
+        (";", "no entries"),
+    ],
 )
 def test_bands_malformed_entries_exit_2_with_one_error_line(entries, message, wn_csv, capsys):
     assert main(["bands", "--input", wn_csv, "--entries", entries]) == 2
@@ -560,8 +567,72 @@ def test_tabulated_kernel_bias_order_unknown(wn_csv, kernel_csv, capsys):
     captured = capsys.readouterr()
     assert code == 0
     check = strict_json(captured.out)["undersmoothing_check"]
-    assert check == {"b_exponent_times_q_plus_1_gt_1": None, "q": "unknown"}
+    assert check == {
+        "b_exponent_times_q_plus_1_gt_1": None,
+        "q": "unknown",
+        "note": "an asymptotic rate condition: the smoothing bias at this "
+        "bandwidth is not estimated",
+    }
     assert "b*(q+1) > 1: unknown (bias order unknown)" in captured.err
+    assert f"({check['note']})" in captured.err
+
+
+def test_bands_pointwise_bonferroni_exit_2_before_reading_input(capsys):
+    # the input does not exist: a check after reading it would exit 1
+    argv = ["bands", "--input", "/nonexistent/x.csv", "--method", "pointwise", "--bonferroni"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: UsageError: --bonferroni applies to --method uniform only"
+    ]
+    assert captured.out == ""
+
+
+def test_verify_experiment_choices_are_the_hyphenated_experiments():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = next(a for a in sub.choices["verify"]._actions if a.dest == "experiment").choices
+    assert choices == [name.replace("_", "-") for name in EXPERIMENTS]
+    assert set(choices) == {
+        "clt", "gumbel", "moments", "uniform-rate", "bias-rate", "coverage"
+    }
+    for choice in choices:  # each one is a plan _cmd_verify can build
+        ExperimentPlan(choice.replace("-", "_"))
+
+
+def test_verify_parser_defaults_are_the_plan_defaults():
+    args = build_parser().parse_args(["verify", "--experiment", "gumbel"])
+    parsed = {
+        "model_spec": args.model,
+        "kernel_name": args.kernel,
+        "t_grid": tuple(int(t) for t in args.t_grid.split(",")),
+        "b_exponent": args.b_exponent,
+        "c_const": args.c_const,
+        "reps": args.reps,
+        "seed": args.seed,
+        "entry": _parse_entry(args.entry, "--entry"),
+        "level": args.level,
+        "nu_star": args.nu_star,
+        "nu": args.nu,
+        "workers": args.threads,
+    }
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentPlan)}
+    del defaults["experiment"], defaults["b_grid"]  # required, and not a flag
+    assert parsed == defaults
+    assert parsed["entry"] == (0, 0)
+
+
+def test_verify_no_raw_drops_only_the_raw_key(capsys):
+    plan = ["verify", "--experiment", "gumbel", "--t-grid", "64,128", "--reps", "100",
+            "--seed", "3"]
+    code, full = _run_json(capsys, plan)
+    assert code == 0
+    code, lean = _run_json(capsys, [*plan, "--no-raw"])
+    assert code == 0
+    assert set(full["raw"]) == {"centered_max_T64", "centered_max_T128"}
+    assert "raw" not in lean
+    del full["raw"]
+    assert list(lean) == list(full) and lean == full
 
 
 def test_unknown_flag_exit_2(capsys):

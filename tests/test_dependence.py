@@ -167,9 +167,11 @@ def test_check_conditions_geometric_pass_settles_the_alpha_verdicts(phi):
     assert report.geometric_pass is True
     assert report.alpha1_pass is True and report.alpha2_pass is True
     # a note for each verdict that the power-law fit alone would not give
-    fit_passes = {
-        "alpha1": report.alpha1_fit > report.alpha1_threshold,
-        "alpha2": report.alpha2_fit > report.alpha2_threshold,
+    fit_passes = {  # no fit (None) is not a pass
+        "alpha1": report.alpha1_fit is not None
+        and report.alpha1_fit > report.alpha1_threshold,
+        "alpha2": report.alpha2_fit is not None
+        and report.alpha2_fit > report.alpha2_threshold,
     }
     noted = {name for name in fit_passes if any(n.startswith(name) for n in report.notes)}
     assert noted == {name for name, ok in fit_passes.items() if not ok}
@@ -238,6 +240,40 @@ def test_check_conditions_two_positive_deltas_give_no_fits():
     # one positive value beyond m = 0 is too few for a power-law exponent
     assert report.alpha1_fit is None and report.alpha1_pass is None
     assert report.alpha2_fit is None and report.alpha2_pass is None
+
+
+_FLAT_D = "d_m is constant over m <= 30: the horizon is too short for a power-law fit"
+
+
+@pytest.mark.parametrize("phi", [0.97, 0.99])
+def test_check_conditions_flat_d_profile_has_no_power_law_fit(phi):
+    # Psi_m stays above delta_0 for m <= 30, so d_m is the same number there
+    prof = profile(AR1Scalar(phi), 4.0, horizon=30, reps=2000, seed=0)
+    assert np.all(prof.d_seq[1:] == prof.d_seq[1])
+    report = check_conditions(prof, p=4.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    assert report.alpha1_fit is None  # not the rounding slope of a flat line
+    assert _FLAT_D in report.notes
+    assert report.geometric_pass is True and report.alpha1_pass is True
+
+
+def test_check_conditions_synthetic_flat_profile_without_geometric_pass():
+    from specband.dependence import DependenceProfile
+
+    # power-law delta (no geometric pass) beside a d_m flat over m = 1..30
+    horizon = 30
+    delta = (1.0 / (np.arange(horizon + 1) + 1.0))[:, None]
+    theta = np.array([delta[m:, 0].sum() for m in range(horizon + 1)])
+    prof = DependenceProfile(
+        p=4.0, horizon=horizon, delta=delta, delta_se=np.zeros_like(delta),
+        theta=theta, psi=np.sqrt(theta), d_seq=np.full(horizon + 1, 2.5),
+        theta_se=0.0, decay_fit=None, tail_remainder=None, reps=0,
+    )
+    report = check_conditions(prof, p=4.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    assert report.geometric_pass is False
+    assert report.alpha1_fit is None and report.alpha1_pass is None
+    assert report.alpha2_fit is not None and report.alpha2_pass is not None
+    assert _FLAT_D in report.notes
+    assert not any(note.startswith("alpha") for note in report.notes)
 
 
 def test_check_conditions_independent_components_note():

@@ -5,7 +5,6 @@ import pytest
 
 from specband.acov import AutocovSequence, sample_autocov
 from specband.errors import (
-    BandwidthTooLarge,
     InvalidArgument,
     InvalidBandwidth,
     MalformedArray,
@@ -180,8 +179,14 @@ def test_off_grid_frequency_raises():
 def test_bandwidth_too_large():
     s = center(simulate(WhiteNoise(), 16, seed=0))
     acov = sample_autocov(s, 15)
-    with pytest.raises(BandwidthTooLarge):
+    with pytest.raises(InvalidArgument, match="lags up to 15, need 39"):
         estimate_spectrum(acov, BART, Bandwidth(40, 0.99, c_const=1.0), [0.0])
+
+
+def test_autocov_lags_stop_at_t_minus_1():
+    assert _acov(np.zeros((16, 1, 1)), t_len=16).max_lag == 15
+    with pytest.raises(MalformedArray, match="17 autocovariance lags exceed T = 16"):
+        _acov(np.zeros((17, 1, 1)), t_len=16)
 
 
 def test_lag_coverage_check():
