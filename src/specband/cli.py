@@ -10,9 +10,12 @@ validation, malformed model parameters); a stray ValueError exits 2 and an
 OSError 1.
 
 When this module is what loads numpy (the ``specband`` command,
-``python -m specband.cli``), numpy's OpenBLAS runs on one thread unless
-``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
-set; a program that loaded numpy first keeps its own setting.
+``python -m specband.cli``), it makes two start-up settings. numpy's
+OpenBLAS runs on one thread, unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set. And ``_hashlib`` is
+hidden, unless it is already loaded, so ``hashlib`` and ``hmac`` use
+CPython's built-in digests (same outputs) and ``import numpy.random`` maps
+no OpenSSL. A program that loaded numpy first keeps both of its own.
 """
 
 from __future__ import annotations
@@ -26,10 +29,16 @@ import sys
 # so OpenBLAS's helper threads do none of its work; they would still start
 # and spin when numpy loads, which costs CPU in every process.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+if "numpy" not in sys.modules:
+    if not any(v in os.environ for v in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's
+    # libcrypto (3.4 MB of RSS) for digests nothing in specband computes.
+    # Hidden, hashlib and hmac fall back to CPython's built-in digests, and
+    # forked pool workers inherit the setting.
+    sys.modules.setdefault("_hashlib", None)
 
-import numpy as np  # noqa: E402  (after the thread count is set)
+import numpy as np  # noqa: E402  (after the start-up settings)
 
 from . import __version__
 from .acov import sample_autocov
@@ -80,20 +89,24 @@ def _parse_grid(spec: str, bandwidth: Bandwidth):
 
 
 def _parse_entries(spec: str, n: int):
-    """bands' --entries: all, diag or i,j;i,j;... as 0-based pairs inside 1..n."""
+    """bands' --entries: all, diag or i,j;i,j;... as distinct 0-based pairs
+    inside 1..n, where (j,i) is the same band as (i,j), its conjugate."""
     if spec == "all":
         return [(i, j) for i in range(n) for j in range(i, n)]
     if spec == "diag":
         return [(i, i) for i in range(n)]
-    entries = []
+    tokens = {}  # 0-based pair -> the token that named it
     for token in filter(None, (t.strip() for t in spec.split(";"))):
         i, j = _parse_entry(token, "--entries")
         if not (0 <= i < n and 0 <= j < n):
             raise UsageError(f"entry {token!r} outside 1..{n}")
-        entries.append((i, j))
-    if not entries:
+        first = tokens.get((i, j), tokens.get((j, i)))
+        if first is not None:
+            raise UsageError(f"entry {token!r} repeats {first!r}: f_ji is the conjugate of f_ij")
+        tokens[i, j] = token
+    if not tokens:
         raise UsageError("no entries selected")
-    return entries
+    return list(tokens)
 
 
 def _parse_entry(spec: str, flag: str):

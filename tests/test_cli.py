@@ -230,6 +230,8 @@ def test_bands_explicit_entries_echo_one_based(wn_csv, capsys):
         ("1", "--entries takes 1-based i,j; '1' is not two integers"),
         ("3,1", "entry '3,1' outside 1..2"),
         (";", "no entries"),
+        ("1,1;1,1", "entry '1,1' repeats '1,1'"),
+        ("1,2; 2,1", "entry '2,1' repeats '1,2': f_ji is the conjugate of f_ij"),
     ],
 )
 def test_bands_malformed_entries_exit_2_with_one_error_line(entries, message, wn_csv, capsys):

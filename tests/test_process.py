@@ -3,11 +3,15 @@
 The package runs on numpy and the standard library alone: the import tests
 run every command, grouped by entry point, and check that no scipy module
 was loaded, nor numpy.ma or the process pool's module where no pool starts,
-which would only show as a slower start-up otherwise. The BLAS tests check
-that ``import specband`` loads no numpy, and that the CLI starts numpy's
-OpenBLAS on one thread unless a thread count is set. The logging tests check
-that telemetry (``verify`` cells, CSV reads and writes) goes to stderr and
-never into the outputs.
+which would only show as a slower start-up otherwise; ``estimate``, ``bands``
+and ``kernel-info`` load no numpy.random either. The start-up tests check
+that ``import specband`` loads neither numpy nor ``_hashlib``, that the CLI
+starts numpy's OpenBLAS on one thread unless a thread count is set, and that
+``simulate``, ``depmeasure`` and ``verify`` (with and without pool workers)
+draw through numpy.random without loading ``_hashlib`` (OpenSSL) when the CLI
+loads numpy, while a program that imported numpy first keeps it. The logging
+tests check that telemetry (``verify`` cells, CSV reads and writes) goes to
+stderr and never into the outputs.
 """
 
 import os
@@ -15,10 +19,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specband
 from specband.mc import pool_size
+from specband.models import WhiteNoise, simulate
+from specband.series import write_csv
 
 SRC = str(Path(specband.__file__).resolve().parents[1])
 
@@ -71,12 +78,13 @@ def test_import_specband_loads_no_numpy_and_keeps_the_environment():
 import os, sys
 before = dict(os.environ)
 import specband
-print('numpy' in sys.modules, os.environ == before)
+print('numpy' in sys.modules, '_hashlib' in sys.modules, os.environ == before)
 import numpy
 import specband.cli  # numpy came first: its BLAS setting is the program's
 print(os.environ == before)
 """
-    assert _python(["-c", code], blas_env={}).stdout.split() == ["False", "True", "True"]
+    got = _python(["-c", code], blas_env={}).stdout.split()
+    assert got == ["False", "False", "True", "True"]
 
 
 def _threads_and_blas_env(module, blas_env):
@@ -121,6 +129,59 @@ assert specband.mc is sys.modules['specband.mc'] and not hasattr(specband, 'nope
 print(len(specband.__all__))
 """
     assert _python(["-c", code]).stdout == "41\n"
+
+
+# Runs specband.cli as the ``specband`` command does, with no numpy loaded
+# first. The finder reports the first import of each watched module in every
+# process, forked pool workers included, as one write so that concurrent
+# workers' lines cannot interleave; a hidden module never reaches it.
+_LAUNCHER = """
+import os, runpy, sys
+
+class Watch:
+    def find_spec(name, path=None, target=None):
+        if name in ('_hashlib', 'numpy.random'):
+            os.write(1, f'import {name}\\n'.encode())
+
+sys.meta_path.insert(0, Watch)
+runpy.run_module('specband.cli', run_name='__main__', alter_sys=True)
+"""
+
+
+def test_drawing_commands_map_no_openssl_unless_numpy_came_first(tmp_path):
+    commands = [
+        ["simulate", "--model", "white:dim=2", "--t-len", "512", "--seed", "1",
+         "--out", str(tmp_path / "x.csv")],
+        ["depmeasure", "--model", "tar:a=0.5,b=-0.5", "--horizon", "8", "--reps", "200",
+         "--output", str(tmp_path / "dep.json")],
+    ] + [_verify("coverage", "var1:default", "64,128", tmp_path) + ["--threads", threads]
+         for threads in ("1", "2")]
+    for argv in commands:
+        lines = _python(["-c", _LAUNCHER, *argv]).stdout.splitlines()
+        assert {line for line in lines if line.startswith("import ")} == {
+            "import numpy.random"
+        }, argv
+    code = """
+import sys
+import numpy
+import specband.cli  # numpy came first: the program keeps OpenSSL
+import numpy.random
+print(sys.modules.get('_hashlib') is not None)
+"""
+    assert _python(["-c", code]).stdout == "True\n"
+
+
+def test_commands_that_do_not_draw_load_no_numpy_random(tmp_path):
+    x = tmp_path / "x.csv"
+    write_csv(simulate(WhiteNoise(sigma=np.eye(2)), 512, seed=1), x)
+    commands = [
+        ["estimate", "--input", str(x), "--output", str(tmp_path / "est.json")],
+        ["bands", "--input", str(x), "--bonferroni", "--output", str(tmp_path / "uniform.json")],
+        ["bands", "--input", str(x), "--method", "pointwise",
+         "--output", str(tmp_path / "pw.json")],
+        ["kernel-info", "--kernel", "parzen", "--output", str(tmp_path / "kernel.json")],
+    ]
+    assert _modules(("numpy.random",), commands) == "[]"
 
 
 def test_import_cli_loads_no_scipy_submodule():
