@@ -5,7 +5,8 @@ value simultaneous confidence bands and normal pointwise intervals, coupled
 simulation of functional dependence measures, and a Monte Carlo harness that
 verifies the supporting limit theory.
 
-The names below load their submodule on first use (PEP 562), so
+``_EXPORTS`` is the one list of public names: the submodules keep no
+``__all__``. Each name loads its submodule on first use (PEP 562), so
 ``import specband`` alone loads no numpy; ``specband.cli`` relies on that to
 set numpy's BLAS thread count before numpy loads.
 """

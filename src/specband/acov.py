@@ -53,8 +53,6 @@ from .errors import (
 )
 from .series import MultivariateSeries, _buffer
 
-__all__ = ["AutocovSequence", "sample_autocov", "expected_autocov", "autocov_matrices"]
-
 _BLOCK_COLS = 32  # at most s * n columns per block row
 _GEMM_SIZE = 2**16  # largest m * n * k of one dgemm: one BLAS thread
 _BATCH_ROWS = _GEMM_SIZE // _BLOCK_COLS**2  # block rows summed by one dgemm (64)

@@ -69,6 +69,11 @@ def _emit(payload: dict, path: str | None):
         log.info("wrote %s", path)
 
 
+def _echo(args, *names) -> dict:
+    """The named flags' parsed values, keyed by their argparse names."""
+    return {name: getattr(args, name) for name in names}
+
+
 def _int(text: str, flag: str, form: str) -> int:
     """An integer from a flag's value; a malformed one names the flag."""
     try:
@@ -131,14 +136,8 @@ def _estimate_input(args, grid_spec: str):
 def _cmd_estimate(args) -> int:
     _, grid = _estimate_input(args, args.grid)
     payload = _jsonable(grid)
-    payload["config"] = {
-        "input": args.input,
-        "kernel": args.kernel,
-        "b_exponent": args.b_exponent,
-        "c_const": args.c_const,
-        "grid": args.grid,
-        "centered": True,
-    }
+    payload["config"] = _echo(args, "input", "kernel", "b_exponent", "c_const", "grid")
+    payload["config"]["centered"] = True
     _emit(payload, args.output)
     return 0
 
@@ -148,17 +147,6 @@ def _cmd_bands(args) -> int:
         raise UsageError("--bonferroni applies to --method uniform only")
     kernel, grid = _estimate_input(args, "theorem")
     entries = _parse_entries(args.entries, grid.n_dim)
-    config = {
-        "input": args.input,
-        "kernel": args.kernel,
-        "level": args.level,
-        "entries": args.entries,
-        "method": args.method,
-        "bonferroni": args.bonferroni,
-        "assume_smooth": args.assume_smooth,
-        "b_exponent": args.b_exponent,
-        "c_const": args.c_const,
-    }
     if args.method == "uniform":
         band = uniform_band(grid, kernel, args.level, entries, args.bonferroni)
     else:
@@ -180,7 +168,10 @@ def _cmd_bands(args) -> int:
         verdict = {None: "unknown (bias order unknown)", True: "ok", False: "VIOLATED"}
         line = f"undersmoothing check b*(q+1) > 1: {verdict[check]} ({note})"
         print(line, file=sys.stderr)
-    payload["config"] = config
+    payload["config"] = _echo(
+        args, "input", "kernel", "level", "entries", "method", "bonferroni",
+        "assume_smooth", "b_exponent", "c_const",
+    )
     _emit(payload, args.output)
     return 0
 
@@ -189,23 +180,14 @@ def _cmd_simulate(args) -> int:
     model = parse_model(args.model)
     series = simulate(model, args.t_len, args.seed)
     write_csv(series, args.out)
-    meta = {
-        "model": args.model,
-        "t_len": args.t_len,
-        "seed": args.seed,
-        "out": args.out,
-        "n_dim": series.n_dim,
-    }
-    _emit(meta, args.meta)
+    _emit({**_echo(args, "model", "t_len", "seed", "out"), "n_dim": series.n_dim}, args.meta)
     return 0
 
 
 def _cmd_depmeasure(args) -> int:
     model = parse_model(args.model)
     prof = profile(model, args.p, args.horizon, args.reps, args.seed)
-    payload = _jsonable(prof)
-    payload["model"] = args.model
-    payload["seed"] = args.seed
+    payload = {**_jsonable(prof), **_echo(args, "model", "seed")}
     if args.check_conditions:
         report = check_conditions(
             prof,
@@ -226,15 +208,9 @@ def _cmd_verify(args) -> int:
         model_spec=args.model,
         kernel_name=args.kernel,
         t_grid=tuple(_int(t, "--t-grid", "T,T,...") for t in args.t_grid.split(",")),
-        b_exponent=args.b_exponent,
-        c_const=args.c_const,
-        reps=args.reps,
-        seed=args.seed,
         entry=_parse_entry(args.entry, "--entry"),
-        level=args.level,
-        nu_star=args.nu_star,
-        nu=args.nu,
         workers=args.threads,
+        **_echo(args, "b_exponent", "c_const", "reps", "seed", "level", "nu_star", "nu"),
     )
     log.info(
         "verify %s: numpy %s, reps=%d, workers=%d, pool=%d processes,"
@@ -277,18 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b-exponent", type=float, default=0.4)
         p.add_argument("--c-const", type=float, default=1.0)
 
+    def add_input_flags(p):
+        p.add_argument("--input", required=True)
+        p.add_argument("--has-header", action="store_true")
+        add_kernel_flags(p)
+
     p_est = sub.add_parser("estimate", help="estimate the spectral matrix")
-    p_est.add_argument("--input", required=True)
-    p_est.add_argument("--has-header", action="store_true")
-    add_kernel_flags(p_est)
+    add_input_flags(p_est)
     p_est.add_argument("--grid", default="theorem", help="theorem or uniform:<count>")
     p_est.add_argument("--output", default=None)
     p_est.set_defaults(func=_cmd_estimate)
 
     p_bands = sub.add_parser("bands", help="confidence bands for spectral entries")
-    p_bands.add_argument("--input", required=True)
-    p_bands.add_argument("--has-header", action="store_true")
-    add_kernel_flags(p_bands)
+    add_input_flags(p_bands)
     p_bands.add_argument("--level", type=float, default=0.95)
     p_bands.add_argument("--entries", default="all", help="all|diag|i,j;i,j;...")
     p_bands.add_argument("--method", default="uniform", choices=["uniform", "pointwise"])

@@ -30,14 +30,6 @@ from .inference import _bisect
 from .models import ProcessModel, _check_seed
 from .series import _fields
 
-__all__ = [
-    "DependenceProfile",
-    "ConditionReport",
-    "coupled_delta",
-    "profile",
-    "check_conditions",
-]
-
 _ZERO_TOL = 1e-300
 
 

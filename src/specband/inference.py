@@ -24,16 +24,6 @@ from .errors import BandUndefined, DegenerateSpectrum, InvalidArgument, InvalidL
 from .kernels import Kernel
 from .spectral import SpectralGrid
 
-__all__ = [
-    "BandResult",
-    "BandEntry",
-    "gumbel_cdf",
-    "gumbel_quantile",
-    "omega_factor",
-    "max_deviation",
-    "uniform_band",
-    "pointwise_ci",
-]
 
 
 def gumbel_cdf(x):

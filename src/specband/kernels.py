@@ -39,7 +39,6 @@ import numpy as np
 from .errors import InvalidArgument, UnknownKernel
 from .series import load_csv
 
-__all__ = ["Kernel", "get_kernel", "kernel_names", "tabulated_kernel"]
 
 
 @dataclass(frozen=True)

@@ -69,13 +69,6 @@ from .spectral import (
     true_spectrum,
 )
 
-__all__ = [
-    "ExperimentPlan",
-    "ExperimentReport",
-    "gumbel_abs_norm",
-    "run_experiment",
-]
-
 log = logging.getLogger("specband")
 
 # replications per estimator call: a call's work arrays are a few times the

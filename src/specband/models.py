@@ -6,22 +6,23 @@ which is what the dependence-measure couplings need; ``simulate`` adds a burn
 -in long enough that the truncated start is invisible at double precision.
 
 VAR(1) paths are a blocked linear-recurrence scan (Blelloch 1990, "Prefix
-sums and their applications") written as numpy matrix products, with no
-loop over time. Time is cut into blocks of s steps (s n <= 32 columns).
-One product with a cached block-triangular matrix of powers of A' gives
-every block's states from zero state. The true end states of the blocks
-obey the same recursion with A^s in place of A, so the same scan, one level
-down, gives them. Then one product with the tail [A' ... A'^s] adds each
-block's carry, the end state of the block before. Levels are cached at
-construction until their spans cover 2^16 steps; a longer path ends in a
-short sequential loop over the top level's block ends. Every dgemm is sized
-to run on one BLAS thread by ``acov``'s rule (``_BLOCK_COLS`` columns per
-block row, m n k <= ``_GEMM_SIZE``), and each replication's rows go through
-dgemms of their own, so a path does not depend on the batch around it. The
-blocked sums round differently from the one-step recursion: paths differ
-from it, and from ``scipy.signal.lfilter`` for a 1x1 A, by a few units of
-1e-16 relative (at most 4e-15 on the test models, which include Jordan
-blocks and strongly non-normal A).
+sums and their applications") written as numpy matrix products, with no loop
+over time. Time is cut into blocks of s steps (s n <= 32 columns). One
+product with a cached block-triangular matrix of powers of A' gives every
+block's states from zero state. The true end states of the blocks obey the
+same recursion with A^s in place of A, so the same scan, one level down,
+gives them. Then one product with the tail [A' ... A'^s] adds each block's
+carry, the end state of the block before. Levels are cached at construction
+until their spans cover s^L >= 2^16 steps; a path of 1 + s + ... + s^L
+steps or more (69,905 for n = 2) ends in a short sequential loop over the
+top level's block ends. Every dgemm is sized to run on one BLAS thread by
+``acov``'s rule (``_BLOCK_COLS`` columns per block row, m n k <=
+``_GEMM_SIZE``), and each replication's rows go through dgemms of their own,
+so a path does not depend on the batch around it. The blocked sums round
+differently from the one-step recursion: paths differ from it, and from
+``scipy.signal.lfilter`` for a 1x1 A, by a few units of 1e-16 relative (at
+most 4e-15 on the test models, which include Jordan blocks and strongly
+non-normal A).
 
 White noise with a diagonal Cholesky factor (one-dimensional, or
 ``white:dim=n``) scales each innovation column by its entry instead of
@@ -61,18 +62,6 @@ import numpy as np
 from .acov import _BLOCK_COLS, _GEMM_SIZE
 from .errors import InvalidArgument, InvalidModel, NonStationaryModel, UnsupportedModel
 from .series import MultivariateSeries, _buffer, load_matrix
-
-__all__ = [
-    "ProcessModel",
-    "WhiteNoise",
-    "AR1Scalar",
-    "VAR1",
-    "VMA",
-    "ThresholdAR1",
-    "default_var1",
-    "parse_model",
-    "simulate",
-]
 
 _TWO_PI = 2.0 * np.pi
 _MEMORY_TOL = 1e-14

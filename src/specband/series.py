@@ -36,8 +36,6 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidSeries, ParseError
 
-__all__ = ["MultivariateSeries", "load_csv", "load_matrix", "center", "write_csv"]
-
 log = logging.getLogger(__name__)
 
 _WRITE_BLOCK_CELLS = 2048  # cells formatted at a time by write_csv

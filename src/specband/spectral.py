@@ -42,15 +42,6 @@ from .errors import (
 )
 from .kernels import Kernel
 
-__all__ = [
-    "Bandwidth",
-    "SpectralGrid",
-    "estimate_spectrum",
-    "theorem_grid",
-    "expected_spectrum",
-    "true_spectrum",
-]
-
 _TWO_PI = 2.0 * np.pi
 _ORACLE_BLOCK = 64  # frequencies per phase matrix in the direct sum
 

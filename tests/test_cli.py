@@ -31,7 +31,10 @@ def test_estimate_happy_path(wn_csv, capsys):
     assert code == 0
     assert payload["schema_version"] == 1
     assert payload["kernel"] == "bartlett"
-    assert payload["config"]["centered"] is True
+    assert payload["config"] == {
+        "input": wn_csv, "kernel": "bartlett", "b_exponent": 0.4, "c_const": 1.0,
+        "grid": "theorem", "centered": True,
+    }
     mats = np.array(payload["matrices"])  # (F, n, n, 2) re/im pairs
     herm_re = mats[:, 0, 1, 0] - mats[:, 1, 0, 0]
     herm_im = mats[:, 0, 1, 1] + mats[:, 1, 0, 1]
@@ -221,7 +224,11 @@ def test_bands_explicit_entries_echo_one_based(wn_csv, capsys):
     code, payload = _run_json(capsys, ["bands", "--input", wn_csv, "--entries", "1,1;2,2"])
     assert code == 0
     assert [(e["i"], e["j"]) for e in payload["entries"]] == [(1, 1), (2, 2)]
-    assert payload["config"]["entries"] == "1,1;2,2"
+    assert payload["config"] == {
+        "input": wn_csv, "kernel": "bartlett", "level": 0.95, "entries": "1,1;2,2",
+        "method": "uniform", "bonferroni": False, "assume_smooth": False,
+        "b_exponent": 0.4, "c_const": 1.0,
+    }
 
 
 @pytest.mark.parametrize(
@@ -281,8 +288,10 @@ def test_simulate_estimate_round_trip(tmp_path, capsys):
     )
     assert code == 0
     meta = strict_json(meta_path.read_text())
-    assert meta["model"] == "ar1:phi=0.5"
-    assert meta["seed"] == 11
+    assert meta == {
+        "schema_version": 1, "model": "ar1:phi=0.5", "t_len": 256, "seed": 11,
+        "out": str(series_path), "n_dim": 1,
+    }
     code, payload = _run_json(capsys, ["estimate", "--input", str(series_path)])
     assert code == 0
     assert payload["t_len"] == 256

@@ -68,6 +68,7 @@ def test_plan_validation():
         dict(experiment="uniform_rate", nu=float("nan")),
         dict(experiment="uniform_rate", nu=float("inf")),
         dict(experiment="clt", seed=-1),
+        dict(experiment="coverage", level=1.0),
     ],
 )
 def test_plan_rejects_out_of_range_fields(fields):

@@ -208,6 +208,9 @@ _NOT_PD = np.array([[1.0, 2.0], [2.0, 1.0]])
         (lambda: VMA((np.eye(2),), sigma=np.eye(3)), "2x2"),
         (lambda: VMA((np.eye(2),), sigma=-np.eye(2)), "positive definite"),
         (lambda: ThresholdAR1(0.5, 0.2, sigma2=-1.0), "0 < sigma2"),
+        (lambda: VMA(()), "at least one coefficient matrix"),
+        (lambda: VMA((np.eye(2), np.eye(3))), "square, same size"),
+        (lambda: VMA((np.array([[np.nan]]),)), "coefficients must be finite"),
     ],
 )
 def test_invalid_parameters_raise_at_construction(build, message):
@@ -323,10 +326,10 @@ def _oracle_models():
 @pytest.mark.parametrize("name", list(_oracle_models()))
 def test_var1_filter_matches_sequential_oracle(name):
     model = _oracle_models()[name]
-    # 17, 1,025 and 66,536 are no multiple of a block (s = 32 // n steps),
-    # 2,000 is; 66,536 passes the cached scan levels for n = 2 and ends in
-    # their sequential loop
-    for steps in (17, 1025, 2000, 66536):
+    # 17, 1,025 and 70,000 are no multiple of a block (s = 32 // n steps),
+    # 2,000 is; for n = 2 the cached scan levels end in their sequential loop
+    # from 1 + 16 + ... + 16^4 = 69,905 steps on, so 70,000 runs it
+    for steps in (17, 1025, 2000, 70000):
         eps = np.random.default_rng(8).standard_normal((3, steps, model.n_dim))
         expected = _sequential_path(model, eps)
         got = model.path(eps)

@@ -117,7 +117,7 @@ def test_cli_keeps_a_blas_thread_count_that_is_set(var):
 
 def test_every_export_resolves_to_its_submodules_object():
     code = """
-import sys
+import importlib, pkgutil, sys
 import specband
 assert set(specband.__all__) | set(specband._EXPORTS) <= set(dir(specband))
 from specband import *
@@ -126,6 +126,8 @@ for name in specband.__all__:
     assert obj.__module__.startswith('specband.'), name
     assert obj is getattr(sys.modules[obj.__module__], name) is globals()[name], name
 assert specband.mc is sys.modules['specband.mc'] and not hasattr(specband, 'nope')
+for info in pkgutil.iter_modules(specband.__path__):  # _EXPORTS is the one list
+    assert not hasattr(importlib.import_module('specband.' + info.name), '__all__'), info.name
 print(len(specband.__all__))
 """
     assert _python(["-c", code]).stdout == "41\n"

@@ -84,6 +84,8 @@ def test_series_validation():
         MultivariateSeries(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         MultivariateSeries(np.array([[1.0], [np.nan]]))
+    with pytest.raises(InvalidSeries, match="at least one component column"):
+        MultivariateSeries(np.zeros((3, 0)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

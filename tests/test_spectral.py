@@ -68,6 +68,8 @@ def test_theorem_grid():
     grid = theorem_grid(Bandwidth(4096, 0.4))
     assert grid[0] == 0.0 and grid[-1] == pytest.approx(np.pi)
     assert np.allclose(np.diff(grid), np.pi / 28)
+    with pytest.raises(InvalidArgument, match="bandwidth >= 2"):
+        theorem_grid(1)
 
 
 def test_flat_from_single_lag():
