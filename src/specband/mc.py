@@ -114,11 +114,17 @@ class ExperimentPlan:
         if not (1.0 <= self.nu_star < math.inf and 1.0 <= self.nu < math.inf):
             raise InvalidPlan("nu_star and nu must be finite and >= 1")
         b_grid = tuple(int(v) for v in self.b_grid)
-        # bias_rate pins B to each entry, and a bandwidth lies in [2, T-1]
+        # bias_rate pins B to each entry, and a bandwidth lies in [2, T-1]; a
+        # slope and a trend need two bandwidths, in increasing order
         if self.experiment == "bias_rate" and (
-            not b_grid or not all(2 <= b < t_grid[-1] for b in b_grid)
+            len(b_grid) < 2
+            or not all(2 <= b < t_grid[-1] for b in b_grid)
+            or any(b >= a for a, b in zip(b_grid[1:], b_grid))
         ):
-            raise InvalidPlan(f"b_grid entries must lie in [2, {t_grid[-1] - 1}]")
+            raise InvalidPlan(
+                "b_grid must be strictly increasing, with two or more entries in "
+                f"[2, {t_grid[-1] - 1}]"
+            )
         object.__setattr__(self, "t_grid", t_grid)
         object.__setattr__(self, "entry", tuple(int(v) for v in self.entry))
         object.__setattr__(self, "b_grid", b_grid)
@@ -349,10 +355,12 @@ def _gumbel_cell(c: _Cell, ests: SpectralGrid):
 
 def _gumbel_verdicts(plan, rows):
     ks_values = [row["ks_gumbel"] for row in rows]
-    return {
-        "ks_final_le_0.20": ks_values[-1] <= 0.20,
-        "ks_decreasing_in_T": all(b < a for a, b in zip(ks_values, ks_values[1:])),
-    }
+    verdicts = {"ks_final_le_0.20": ks_values[-1] <= 0.20}
+    if len(rows) > 1:
+        verdicts["ks_decreasing_in_T"] = all(
+            b < a for a, b in zip(ks_values, ks_values[1:])
+        )
+    return verdicts
 
 
 def _moments_cell(c: _Cell, ests: SpectralGrid):
@@ -375,11 +383,11 @@ def _moments_cell(c: _Cell, ests: SpectralGrid):
 
 def _moments_verdicts(plan, rows):
     gaps = [row["norm_gap"] for row in rows]
-    return {
-        "norm_within_30pct_final": gaps[-1] <= 0.30 * rows[-1]["limit_norm"],
-        "norm_gap_shrinks": gaps[-1] < gaps[0],
-        "mean_gap_shrinks": rows[-1]["mean_gap"] < rows[0]["mean_gap"],
-    }
+    verdicts = {"norm_within_30pct_final": gaps[-1] <= 0.30 * rows[-1]["limit_norm"]}
+    if len(rows) > 1:
+        verdicts["norm_gap_shrinks"] = gaps[-1] < gaps[0]
+        verdicts["mean_gap_shrinks"] = rows[-1]["mean_gap"] < rows[0]["mean_gap"]
+    return verdicts
 
 
 def _dense_grid(b_val: int) -> np.ndarray:
@@ -401,10 +409,11 @@ def _uniform_rate_cell(c: _Cell, ests: SpectralGrid):
 
 def _uniform_rate_verdicts(plan, rows):
     ratios = [row["ratio"] for row in rows]
-    return {
-        "ratio_spread_le_2": max(ratios) / min(ratios) <= 2.0,
-        "ratio_positive": min(ratios) > 0.0,
-    }
+    verdicts = {}
+    if len(rows) > 1:
+        verdicts["ratio_spread_le_2"] = max(ratios) / min(ratios) <= 2.0
+    verdicts["ratio_positive"] = min(ratios) > 0.0
+    return verdicts
 
 
 def _coverage_cell(c: _Cell, ests: SpectralGrid):
@@ -479,8 +488,8 @@ def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
 
     Evaluates |E fhat - f| at pi/2 for each bandwidth in ``b_grid`` with T
     fixed at the largest grid value, and fits the log-log slope. A model
-    with no smoothing bias at any bandwidth (a flat spectrum, such as white
-    noise) has no rate to fit and raises ``InvalidPlan``.
+    with smoothing bias at fewer than two bandwidths (a flat spectrum, such
+    as white noise, has none) has no rate to fit and raises ``InvalidPlan``.
     """
     i, j = plan.entry
     t_len = plan.t_grid[-1]
@@ -498,18 +507,15 @@ def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
             }
         )
     biases = np.array([row["bias"] for row in rows])
-    if np.all(biases == 0.0):
+    positive = biases > 0.0
+    if positive.sum() < 2:
         raise InvalidPlan(
             f"model {plan.model_spec!r} gives the {kernel.name} kernel no smoothing "
-            "bias at pi/2 (every bias is 0), so there is no decay rate to measure"
+            f"bias at pi/2 at {len(biases) - positive.sum()} of {len(biases)} "
+            "bandwidths, so there is no decay rate to measure"
         )
     log_b = np.log([row["bandwidth"] for row in rows])
-    positive = biases > 0.0
-    slope = (
-        float(np.polyfit(log_b[positive], np.log(biases[positive]), 1)[0])
-        if positive.sum() >= 2
-        else -math.inf
-    )
+    slope = float(np.polyfit(log_b[positive], np.log(biases[positive]), 1)[0])
     verdicts = {}
     if kernel.name == "truncated":
         idx = plan.b_grid.index(64) if 64 in plan.b_grid else len(plan.b_grid) - 1

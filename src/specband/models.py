@@ -3,7 +3,9 @@
 Every model is a causal map from an iid stream of standard normal innovation
 vectors to observations. ``path`` runs that map from a zero initial state,
 which is what the dependence-measure couplings need; ``simulate`` adds a burn
--in long enough that the truncated start is invisible at double precision.
+-in of ``decay_horizon()`` lags, at least 1000. After it the zero start's
+weight is below ``_MEMORY_TOL`` for a contraction or a normal A, but not for
+a non-normal A (6.4e-10 after the 3,209 lags of [[0.99, 20], [0, 0.99]]).
 
 VAR(1) paths are a blocked linear-recurrence scan (Blelloch 1990, "Prefix
 sums and their applications") written as numpy matrix products, with no loop
@@ -13,13 +15,13 @@ block's states from zero state. The true end states of the blocks obey the
 same recursion with A^s in place of A, so the same scan, one level down,
 gives them. Then one product with the tail [A' ... A'^s] adds each block's
 carry, the end state of the block before. Levels are cached at construction
-until their spans cover s^L >= 2^16 steps; a path of 1 + s + ... + s^L
-steps or more (69,905 for n = 2) ends in a short sequential loop over the
-top level's block ends. Every dgemm is sized to run on one BLAS thread by
-``acov``'s rule (``_BLOCK_COLS`` columns per block row, m n k <=
-``_GEMM_SIZE``), and each replication's rows go through dgemms of their own,
-so a path does not depend on the batch around it. The blocked sums round
-differently from the one-step recursion: paths differ from it, and from
+until the next level's A^(s^k) is exactly zero (k = 3 for ``var1:default``);
+past them block ends need no carry. A's powers do reach zero: they stay
+bounded, as Gamma(0) is finite, and underflow. Every dgemm is sized to run on
+one BLAS thread by ``acov``'s rule (``_BLOCK_COLS`` columns per block row,
+m n k <= ``_GEMM_SIZE``), and each replication's rows go through dgemms of
+their own, so a path does not depend on the batch around it. The blocked sums
+round differently from the one-step recursion: paths differ from it, and from
 ``scipy.signal.lfilter`` for a 1x1 A, by a few units of 1e-16 relative (at
 most 4e-15 on the test models, which include Jordan blocks and strongly
 non-normal A).
@@ -65,7 +67,6 @@ from .series import MultivariateSeries, _buffer, load_matrix
 
 _TWO_PI = 2.0 * np.pi
 _MEMORY_TOL = 1e-14
-_SCAN_STEPS = 2**16  # steps the cached scan levels cover
 
 
 def _as_cov(sigma, n):
@@ -116,13 +117,12 @@ def _scan_levels(coeff, chol):
     block's states from zero state. Level 0's impulse has chol' in front of
     every block, so it takes the innovations. The tail [M' ... M'^s] carries
     the previous block's end state into the block. Levels are added until
-    their spans cover _SCAN_STEPS steps; the M' of the next level, returned
-    last, drives the loop that ends longer scans.
+    the next level's M is exactly zero: there z_t = x_t.
     """
     n = coeff.shape[0]
     span = max(2, _BLOCK_COLS // n)
-    step, left, levels, covered = coeff.T, chol.T, [], 1
-    while covered < _SCAN_STEPS:
+    step, left, levels = coeff.T, chol.T, []
+    for _ in range(64):  # s^64 steps: more than any array holds
         powers = [np.eye(n)]
         for _ in range(span):
             powers.append(powers[-1] @ step)
@@ -131,11 +131,13 @@ def _scan_levels(coeff, chol):
             for p in range(q, span):
                 impulse[q, :, p, :] = left @ powers[p - q]
         levels.append((impulse.reshape(span * n, span * n), np.hstack(powers[1:])))
-        step, left, covered = powers[-1], np.eye(n), covered * span
-    return tuple(levels), step
+        step, left = powers[-1], np.eye(n)
+        if not step.any():
+            break
+    return tuple(levels)
 
 
-def _scan(scan, x, level=0, workspace=None):
+def _scan(levels, x, level=0, workspace=None):
     """States from zero state of scan level ``level`` driven by x (..., steps, n).
 
     Each replication's rows go through their own dgemms, of one shape that
@@ -143,14 +145,9 @@ def _scan(scan, x, level=0, workspace=None):
     0 takes its padded blocks, output and carry from ``workspace`` when one
     is given; padding is zeroed on every call.
     """
-    levels, last = scan
+    if level == len(levels):  # M = A^(s^level) is zero: z_t = x_t
+        return x
     lead, (steps, n) = x.shape[:-2], x.shape[-2:]
-    if level == len(levels):  # past the cached levels: a short sequential loop
-        out, state = np.empty_like(x), np.zeros(lead + (n,))
-        for t in range(steps):
-            state = x[..., t, :] + sum(state[..., i, None] * last[i] for i in range(n))
-            out[..., t, :] = state
-        return out
     impulse, tail = levels[level]
     width = impulse.shape[0]
     span = width // n
@@ -166,7 +163,7 @@ def _scan(scan, x, level=0, workspace=None):
         ends = out.reshape(lead + (batches * rows, width))[..., : n_blocks - 1, -n:]
         carry = _buffer(workspace, "scan_carry", lead + (batches * rows, n))
         carry[..., :1, :] = 0.0
-        carry[..., 1:n_blocks, :] = _scan(scan, ends, level + 1)
+        carry[..., 1:n_blocks, :] = _scan(levels, ends, level + 1)
         carry[..., n_blocks:, :] = 0.0
         prod = blocks.reshape(out.shape)  # the blocks are spent: hold the product
         out += np.matmul(carry.reshape(lead + (batches, rows, n)), tail, out=prod)
@@ -183,7 +180,9 @@ class ProcessModel:
         return self.sigma.shape[0]
 
     def decay_horizon(self) -> int:
-        """Lags after which the causal map's memory is below _MEMORY_TOL."""
+        """Burn-in lags: the k with rate^k below _MEMORY_TOL, rate the spectral
+        radius or contraction factor (0 for white noise, q for VMA(q)).
+        rate^k bounds the memory only of a contraction or a normal A."""
         raise NotImplementedError
 
     def path(self, eps: np.ndarray, workspace=None) -> np.ndarray:
@@ -271,11 +270,15 @@ class VAR1(ProcessModel):
         radius = np.max(np.abs(np.linalg.eigvals(coeff)))
         if radius >= 1.0:
             raise NonStationaryModel(f"VAR(1) spectral radius {radius:.4f} >= 1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma0 = _lyapunov(coeff, sigma)
+        if not np.all(np.isfinite(gamma0)):
+            raise InvalidModel("VAR(1) Gamma(0) overflows: A's powers grow too large")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_radius", float(radius))
-        object.__setattr__(self, "_gamma0", _lyapunov(coeff, sigma))
+        object.__setattr__(self, "_gamma0", gamma0)
         object.__setattr__(self, "_scan_levels", _scan_levels(coeff, chol))
 
     def decay_horizon(self) -> int:

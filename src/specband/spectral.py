@@ -185,8 +185,7 @@ def estimate_matrices(
     np.add.at(folded, (..., bins, slice(None), slice(None)), weighted[..., 1:, :, :])
     pos = np.fft.rfft(folded, axis=-3)
     del folded  # lowers the call's peak memory on a stack of replications
-    if not np.array_equal(rows, np.arange(m + 1)):
-        pos = pos[..., rows, :, :]
+    pos = pos[..., rows, :, :]
     # in place, in the order of the sum (w_0 C(0) + P) + P^H
     herm = pos.conj().swapaxes(-1, -2)
     pos += weighted[..., :1, :, :]

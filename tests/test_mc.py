@@ -57,6 +57,9 @@ def test_plan_validation():
         dict(experiment="bias_rate", t_grid=(4096,), b_grid=(1, 8)),
         dict(experiment="bias_rate", t_grid=(4096,), b_grid=(8, 4096)),
         dict(experiment="bias_rate", t_grid=(4096,), b_grid=()),
+        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(64,)),
+        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(16, 8)),
+        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(8, 8)),
         dict(experiment="moments", nu_star=0.5),
         dict(experiment="uniform_rate", nu=0.5),
         dict(experiment="clt", t_grid=(2, 512)),
@@ -84,6 +87,22 @@ def test_bias_rate_b_grid_endpoints():
     )
     report = run_experiment(plan)
     assert [row["bandwidth"] for row in report.rows[:-1]] == [2, 4095]
+
+
+@pytest.mark.parametrize(
+    "experiment,trend",
+    [
+        ("gumbel", {"ks_decreasing_in_T"}),
+        ("moments", {"norm_gap_shrinks", "mean_gap_shrinks"}),
+        ("uniform_rate", {"ratio_spread_le_2"}),
+        ("coverage", {"coverage_nondecreasing"}),
+    ],
+)
+def test_one_cell_plan_has_no_trend_verdicts(experiment, trend):
+    # a trend across T needs two cells; the final cell's verdicts remain
+    plan = ExperimentPlan(experiment, t_grid=(256,), reps=100, seed=5)
+    verdicts = run_experiment(plan).verdicts
+    assert verdicts and not trend & set(verdicts)
 
 
 _SUMMARY = ["t_len", "bandwidth"]

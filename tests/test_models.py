@@ -205,6 +205,7 @@ _NOT_PD = np.array([[1.0, 2.0], [2.0, 1.0]])
         (lambda: VAR1(coeff=0.5 * np.eye(2), sigma=_NOT_PD), "positive definite"),
         (lambda: VAR1(coeff=np.array([[0.5, np.inf], [0.0, 0.5]])), "finite square"),
         (lambda: VAR1(coeff=np.ones((2, 3))), "finite square"),
+        (lambda: VAR1(coeff=np.array([[0.99, 1e300], [0.0, 0.99]])), r"Gamma\(0\) overflows"),
         (lambda: VMA((np.eye(2),), sigma=np.eye(3)), "2x2"),
         (lambda: VMA((np.eye(2),), sigma=-np.eye(2)), "positive definite"),
         (lambda: ThresholdAR1(0.5, 0.2, sigma2=-1.0), "0 < sigma2"),
@@ -327,8 +328,8 @@ def _oracle_models():
 def test_var1_filter_matches_sequential_oracle(name):
     model = _oracle_models()[name]
     # 17, 1,025 and 70,000 are no multiple of a block (s = 32 // n steps),
-    # 2,000 is; for n = 2 the cached scan levels end in their sequential loop
-    # from 1 + 16 + ... + 16^4 = 69,905 steps on, so 70,000 runs it
+    # 2,000 is; at 70,000 steps five of these models' block ends pass their
+    # last scan level, where A^(s^k) = 0 and the ends need no carry
     for steps in (17, 1025, 2000, 70000):
         eps = np.random.default_rng(8).standard_normal((3, steps, model.n_dim))
         expected = _sequential_path(model, eps)
@@ -336,6 +337,14 @@ def test_var1_filter_matches_sequential_oracle(name):
         assert got.shape == expected.shape
         rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
         assert rel <= 1e-13, (steps, rel)
+
+
+@pytest.mark.parametrize("coeff,levels", [(default_var1().coeff, 3), (np.zeros((2, 2)), 1)])
+def test_scan_levels_end_at_the_first_zero_power_of_a(coeff, levels):
+    # level k runs with M = A^(16^k) for n = 2; past the last, M = 0 and z_t = x_t
+    powers = [np.linalg.matrix_power(coeff, 16**k) for k in range(1, 5)]
+    assert levels == 1 + next(k for k, power in enumerate(powers) if not power.any())
+    assert len(VAR1(coeff=coeff)._scan_levels) == levels
 
 
 @pytest.mark.parametrize("phi,sigma2", [(0.5, 1.0), (-0.7, 2.3), (0.6, 1.0)])
