@@ -51,7 +51,7 @@ from .errors import (
     MalformedArray,
     NotCentered,
 )
-from .series import MultivariateSeries, _buffer
+from .series import MultivariateSeries
 
 _BLOCK_COLS = 32  # at most s * n columns per block row
 _GEMM_SIZE = 2**16  # largest m * n * k of one dgemm: one BLAS thread
@@ -94,7 +94,7 @@ class AutocovSequence:
         return self.matrices[-u].T
 
 
-def autocov_matrices(values: np.ndarray, max_lag: int, workspace=None) -> np.ndarray:
+def autocov_matrices(values: np.ndarray, max_lag: int) -> np.ndarray:
     """Divisor-T autocovariance stack of a raw (T, n) array, lags 0..max_lag.
 
     Raises LagOutOfRange unless 0 <= max_lag <= T - 1. The block rows are
@@ -103,12 +103,10 @@ def autocov_matrices(values: np.ndarray, max_lag: int, workspace=None) -> np.nda
     zeros past T) one chunk of batches at a time, so the working set does
     not grow with T: at n = 2 and L = 190, a 1.05 MB window, a 520 KB
     product of the chunk's batch products plus a carry row, and the
-    (s n, K + 1, s n) grams. A caller computing many stacks of one shape
-    passes a ``workspace`` (see ``series._buffer``): the window and the
-    product are then reused, and the result is a new array either way.
-    Past one chunk, each offset's running sum goes in the carry row ahead of
-    the next chunk's products: numpy sums axis 0 one row after another, so
-    the total is the same bit for bit as one sum over every batch.
+    (s n, K + 1, s n) grams. Past one chunk, each offset's running sum goes
+    in the carry row ahead of the next chunk's products: numpy sums axis 0
+    one row after another, so the total is the same bit for bit as one sum
+    over every batch.
     """
     values = np.asarray(values, dtype=float)
     t_len, n_dim = values.shape
@@ -124,8 +122,8 @@ def autocov_matrices(values: np.ndarray, max_lag: int, workspace=None) -> np.nda
     n_batches = -(-n_rows // batch)  # whole batches; the padding is zeros
     chunk = min(n_batches, _CHUNK_BATCHES)
     carry = int(n_batches > chunk)  # a row for the running sum of earlier chunks
-    window = _buffer(workspace, "acov_blocks", (chunk * batch + offsets - 1, width))
-    product = _buffer(workspace, "acov_product", (carry + chunk, width, width))
+    window = np.empty((chunk * batch + offsets - 1, width))
+    product = np.empty((carry + chunk, width, width))
     grams = np.empty((width, offsets, width))  # [(p, i), k, (q, j)]
     for first in range(0, n_batches, chunk):
         count = min(chunk, n_batches - first)  # batches in this chunk

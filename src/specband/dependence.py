@@ -41,7 +41,7 @@ def _coupled_differences(model: ProcessModel, horizon: int, reps: int, seed):
     eps = rng.standard_normal((reps, steps, model.n_dim))
     base = model.path(eps)[:, lead:, :]  # a new array: eps is left as it was
     eps[:, lead, :] = rng.standard_normal((reps, model.n_dim))  # now eps*
-    coupled = model.path(eps, workspace={})[:, lead:, :]  # may run in place on eps
+    coupled = model.path(eps, overwrite=True)[:, lead:, :]  # may run in place on eps
     base -= coupled
     return np.abs(base, out=base)
 

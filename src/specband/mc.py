@@ -12,24 +12,20 @@ centering E fhat on the experiment's frequency grid), runs the replications,
 and stores the cell's row and per-replication statistics. Each replication
 contributes its autocovariance stack, and a run of replications is estimated
 by one ``estimate_matrices`` call on the stacked autocovariances. Runs are
-consecutive ranges of at most 64 replications, shorter in a pool so that
-each worker gets several. With ``workers`` >= 2, one process pool serves
-every cell of the experiment, one run per task, and is shut down after the
-last cell; on closing it logs its processes, tasks and seconds open.
-``bias_rate`` and serial plans start no pool. A run simulates its
-replications and takes their autocovariances through one workspace (see
-``series._buffer``), so the draws and the large work arrays of the scan and
-of ``autocov_matrices`` are allocated once per run, not returned to the
-allocator and faulted back in by every replication. The workspace is freed
-before the run's estimator call. Each run's estimates are written into the
-cell's preallocated array in replication order, so the cell holds its
-result plus one run's work arrays. The estimates come back as one
-``SpectralGrid`` stacked on a leading replication axis, so each statistic
-(``max_deviation``, ``uniform_band``) runs once per cell on the whole stack,
-through the same code that ``bands`` uses. What differs is kept in the
-``_EXPERIMENTS`` table: the frequency grid, the per-cell statistic and the
-verdicts. ``bias_rate`` is simulation-free and loops over bandwidths
-instead, so it has its own short loop.
+consecutive ranges of at most 64 replications; in a pool each process's
+contiguous share of a cell's replications is cut into runs. With
+``workers`` >= 2, one process pool serves every cell of the experiment, one
+run per task, and is shut down after the last cell; on closing it logs its
+processes, tasks and seconds open. ``bias_rate`` and serial plans start no
+pool. Each run's estimates are written into the cell's preallocated array
+in replication order, so the cell holds its result plus one run's work
+arrays. The estimates come back as one ``SpectralGrid`` stacked on a leading
+replication axis, so each statistic (``max_deviation``, ``uniform_band``)
+runs once per cell on the whole stack, through the same code that ``bands``
+uses. What differs is kept in the ``_EXPERIMENTS`` table: the frequency
+grid, the per-cell statistic and the verdicts. ``bias_rate`` is
+simulation-free and loops over bandwidths instead, so it has its own short
+loop.
 
 Centering is by the exact finite-sample mean (closed form under the model),
 and autocovariances are taken on the raw simulated values without sample-mean
@@ -55,7 +51,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .acov import autocov_matrices
-from .errors import InvalidPlan
+from .errors import InvalidModel, InvalidPlan
 from .inference import gumbel_cdf, max_deviation, omega_factor, uniform_band
 from .kernels import Kernel, get_kernel
 from .models import _check_seed, parse_model
@@ -74,6 +70,9 @@ log = logging.getLogger("specband")
 # replications per estimator call: a call's work arrays are a few times the
 # size of its estimates, so this bounds them beside the cell's result
 _RUN_REPS = 64
+# largest moment order: the limit law's quadrature reaches x = e^6.9, where
+# x**nu overflows past nu = 102
+_MAX_NU = 100.0
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -111,8 +110,8 @@ class ExperimentPlan:
             raise InvalidPlan("c_const must be finite and positive")
         if not 0.0 < self.level < 1.0:
             raise InvalidPlan("level must lie in (0, 1)")
-        if not (1.0 <= self.nu_star < math.inf and 1.0 <= self.nu < math.inf):
-            raise InvalidPlan("nu_star and nu must be finite and >= 1")
+        if not (1.0 <= self.nu_star <= _MAX_NU and 1.0 <= self.nu <= _MAX_NU):
+            raise InvalidPlan(f"nu_star and nu must lie in [1, {_MAX_NU:g}]")
         b_grid = tuple(int(v) for v in self.b_grid)
         # bias_rate pins B to each entry, and a bandwidth lies in [2, T-1]; a
         # slope and a trend need two bandwidths, in increasing order
@@ -191,13 +190,21 @@ class _Cell(NamedTuple):
 
 def _run_acovs(cell: _Cell, reps: range) -> np.ndarray:
     """A run's (len(reps), B+1, n, n) autocovariance stacks, each replication
-    from its own stream, all through one workspace that dies on return."""
-    workspace, stacks = {}, []
-    for rep in reps:
-        rng = np.random.default_rng([cell.plan.seed, cell.index, rep])
-        values = cell.model.simulate_values(cell.t_len, rng, workspace=workspace)
-        stacks.append(autocov_matrices(values, cell.b_val, workspace=workspace))
-    return np.stack(stacks)
+    from its own stream; no replication's values outlive the call. A stack
+    that overflows raises InvalidModel."""
+    stacks = []
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for rep in reps:
+            rng = np.random.default_rng([cell.plan.seed, cell.index, rep])
+            values = cell.model.simulate_values(cell.t_len, rng)
+            stacks.append(autocov_matrices(values, cell.b_val))
+    stacks = np.stack(stacks)
+    if not np.all(np.isfinite(stacks)):
+        raise InvalidModel(
+            f"model {cell.plan.model_spec!r}: the autocovariance overflows at "
+            f"T = {cell.t_len}: its values are too large"
+        )
+    return stacks
 
 
 def _run_estimates(cell: _Cell, reps: range) -> np.ndarray:
@@ -213,10 +220,16 @@ def pool_size(workers: int) -> int:
 
 
 def _runs(reps: int, size: int) -> list:
-    """Consecutive ranges of replications: at most _RUN_REPS, and on a pool of
-    ``size`` processes short enough that each gets several."""
-    run = min(_RUN_REPS, max(1, reps // (size * 8))) if size else _RUN_REPS
-    return [range(start, min(start + run, reps)) for start in range(0, reps, run)]
+    """Consecutive ranges of replications: each of a pool's ``size`` processes
+    (one when serial) has a contiguous share, cut into runs of at most
+    _RUN_REPS."""
+    shares = max(1, size)
+    ends = [reps * k // shares for k in range(shares + 1)]
+    return [
+        range(start, min(start + _RUN_REPS, stop))
+        for first, stop in zip(ends, ends[1:])
+        for start in range(first, stop, _RUN_REPS)
+    ]
 
 
 @contextmanager
@@ -401,7 +414,13 @@ def _uniform_rate_cell(c: _Cell, ests: SpectralGrid):
     i, j = c.plan.entry
     nu = c.plan.nu
     sup = np.abs(ests.entry(i, j) - c.center.entry(i, j)).max(axis=1)
-    norm_val = float(np.mean(sup**nu) ** (1.0 / nu))
+    with np.errstate(over="ignore"):  # checked below
+        norm_val = float(np.mean(sup**nu) ** (1.0 / nu))
+    if not 0.0 < norm_val < math.inf:
+        raise InvalidPlan(
+            f"the nu = {nu:g} norm of the sup deviation at T = {c.t_len} leaves the "
+            "float range: the model's scale is too small or too large for this nu"
+        )
     rate = math.sqrt(c.b_val * math.log(c.b_val) / c.t_len)
     row = {"sup_norm": norm_val, "rate": rate, "ratio": norm_val / rate}
     return row, sup

@@ -32,14 +32,10 @@ taking a matrix product: for finite innovations the values are the same bit
 for bit, since every off-diagonal term of the product is an exact zero. A
 dense factor keeps the product.
 
-``simulate_values`` and ``path`` take an optional workspace, a dict of
-buffers that a caller reuses across replications of one shape (see
-``series._buffer``). With it, the draws are filled in place by
-``standard_normal(out=...)``, diagonal white noise is scaled in place, the
-threshold AR model runs its recursion in place on them, and
-level 0 of the VAR(1) scan keeps its padded blocks, output and carry there;
-the values are the same bit for bit, and the result is a view of a
-workspace buffer, valid until the workspace is next used.
+``path`` leaves its innovations as they are unless called with
+``overwrite``, which lets it write over them: diagonal white noise then
+scales them in place and the threshold AR model runs its recursion in place
+on them. ``simulate_values`` sets it, since it owns its draws.
 
 Covariances are factored by numpy's Cholesky; bad parameters raise
 ``InvalidModel`` at construction. The VAR(1) spectral radius comes from
@@ -63,7 +59,7 @@ import numpy as np
 
 from .acov import _BLOCK_COLS, _GEMM_SIZE
 from .errors import InvalidArgument, InvalidModel, NonStationaryModel, UnsupportedModel
-from .series import MultivariateSeries, _buffer, load_matrix
+from .series import MultivariateSeries, load_matrix
 
 _TWO_PI = 2.0 * np.pi
 _MEMORY_TOL = 1e-14
@@ -137,13 +133,11 @@ def _scan_levels(coeff, chol):
     return tuple(levels)
 
 
-def _scan(levels, x, level=0, workspace=None):
+def _scan(levels, x, level=0):
     """States from zero state of scan level ``level`` driven by x (..., steps, n).
 
     Each replication's rows go through their own dgemms, of one shape that
-    depends only on ``steps``, so a path does not depend on its batch. Level
-    0 takes its padded blocks, output and carry from ``workspace`` when one
-    is given; padding is zeroed on every call.
+    depends only on ``steps``, so a path does not depend on its batch.
     """
     if level == len(levels):  # M = A^(s^level) is zero: z_t = x_t
         return x
@@ -154,17 +148,14 @@ def _scan(levels, x, level=0, workspace=None):
     n_blocks = max(1, -(-steps // span))
     batches = -(-n_blocks // max(1, _GEMM_SIZE // width**2))
     rows = -(-n_blocks // batches)  # block rows per dgemm
-    blocks = _buffer(workspace, "scan_blocks", lead + (batches * rows * span, n))
+    blocks = np.empty(lead + (batches * rows * span, n))
     blocks[..., :steps, :] = x
     blocks[..., steps:, :] = 0.0
-    out = _buffer(workspace, "scan_out", lead + (batches, rows, width))
-    np.matmul(blocks.reshape(out.shape), impulse, out=out)
+    out = blocks.reshape(lead + (batches, rows, width)) @ impulse
     if n_blocks > 1:  # add each block's carry: the end state of the block before
         ends = out.reshape(lead + (batches * rows, width))[..., : n_blocks - 1, -n:]
-        carry = _buffer(workspace, "scan_carry", lead + (batches * rows, n))
-        carry[..., :1, :] = 0.0
+        carry = np.zeros(lead + (batches * rows, n))
         carry[..., 1:n_blocks, :] = _scan(levels, ends, level + 1)
-        carry[..., n_blocks:, :] = 0.0
         prod = blocks.reshape(out.shape)  # the blocks are spent: hold the product
         out += np.matmul(carry.reshape(lead + (batches, rows, n)), tail, out=prod)
     return out.reshape(lead + (-1, n))[..., :steps, :]
@@ -185,11 +176,10 @@ class ProcessModel:
         rate^k bounds the memory only of a contraction or a normal A."""
         raise NotImplementedError
 
-    def path(self, eps: np.ndarray, workspace=None) -> np.ndarray:
+    def path(self, eps: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Run the causal map over innovations (..., steps, b) from zero state.
 
-        With a ``workspace`` a model may overwrite ``eps`` and return a view
-        of a workspace buffer (see the module docstring).
+        With ``overwrite`` a model may write over ``eps`` and return it.
         """
         raise NotImplementedError
 
@@ -205,17 +195,13 @@ class ProcessModel:
         h = self._transfer(np.atleast_1d(np.asarray(freqs, dtype=float)))
         return h.conj() @ self.sigma @ np.swapaxes(h, -1, -2) / _TWO_PI
 
-    def simulate_values(
-        self, t_len: int, rng: np.random.Generator, workspace=None
-    ) -> np.ndarray:
-        """T values after burn-in, the same bit for bit with or without a
-        ``workspace`` (see the module docstring)."""
+    def simulate_values(self, t_len: int, rng: np.random.Generator) -> np.ndarray:
+        """T values after burn-in, from draws that ``path`` may write over."""
         # white noise has no memory, so its 1000 burn-in rows change no law:
         # they only fix which draws of each stream it uses, and so every report
         burn = max(1000, self.decay_horizon())
-        eps = _buffer(workspace, "draws", (burn + t_len, self.n_dim))
-        rng.standard_normal(out=eps)
-        return self.path(eps, workspace)[burn:]
+        eps = rng.standard_normal((burn + t_len, self.n_dim))
+        return self.path(eps, overwrite=True)[burn:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,12 +221,12 @@ class WhiteNoise(ProcessModel):
     def decay_horizon(self) -> int:
         return 0
 
-    def path(self, eps, workspace=None):
+    def path(self, eps, overwrite=False):
         if self._scale is None:
             return eps @ self._chol.T
-        if workspace is None:
+        if not overwrite:
             return eps * self._scale
-        eps *= self._scale  # in place, on what is then the workspace's draws
+        eps *= self._scale
         return eps
 
     def gamma(self, u):
@@ -284,8 +270,8 @@ class VAR1(ProcessModel):
     def decay_horizon(self) -> int:
         return _horizon(self._radius)
 
-    def path(self, eps, workspace=None):
-        return _scan(self._scan_levels, eps, workspace=workspace)
+    def path(self, eps, overwrite=False):
+        return _scan(self._scan_levels, eps)
 
     def gamma(self, u):
         power = np.linalg.matrix_power(self.coeff.T, abs(u))
@@ -343,7 +329,7 @@ class VMA(ProcessModel):
     def decay_horizon(self) -> int:
         return self.order
 
-    def path(self, eps, workspace=None):
+    def path(self, eps, overwrite=False):
         w = eps @ self._chol.T
         out = np.zeros(w.shape[:-1] + (self.n_dim,))
         steps = w.shape[-2]
@@ -390,9 +376,9 @@ class ThresholdAR1(ProcessModel):
     def decay_horizon(self) -> int:
         return _horizon(self._contraction)
 
-    def path(self, eps, workspace=None):
+    def path(self, eps, overwrite=False):
         # one array holds the scaled innovations and, step by step, the states
-        out = eps[..., 0] if workspace is not None else eps[..., 0].copy()
+        out = eps[..., 0] if overwrite else eps[..., 0].copy()
         out *= np.sqrt(self.sigma2)
         state = np.zeros(out.shape[:-1])
         for t in range(out.shape[-1]):
@@ -420,14 +406,13 @@ def _check_seed(seed, error=InvalidArgument) -> int:
 def simulate(model: ProcessModel, t_len: int, seed) -> MultivariateSeries:
     """Deterministic draw of T observations after burn-in.
 
-    The draws fill one buffer of a fresh workspace, which white noise scales
-    in place, so ``simulate`` holds one draw buffer; the values are the same
-    bit for bit as without a workspace.
+    Diagonal white noise and the threshold AR model write over their draws,
+    so for them ``simulate`` holds one draw buffer.
     """
     if t_len < 2:
         raise InvalidArgument("t_len must be at least 2")
     rng = np.random.default_rng(_check_seed(seed))
-    values = model.simulate_values(t_len, rng, workspace={})
+    values = model.simulate_values(t_len, rng)
     return MultivariateSeries(values, centered=False)
 
 

@@ -71,21 +71,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _buffer(workspace, key: str, shape: tuple) -> np.ndarray:
-    """A float array of ``shape`` with unspecified contents.
-
-    A workspace is a dict of such buffers that one caller reuses across calls
-    of the same shapes. With one, the buffer is ``workspace[key]``, replaced
-    when its shape differs; with None it is a new array.
-    """
-    buf = None if workspace is None else workspace.get(key)
-    if buf is None or buf.shape != shape:
-        buf = np.empty(shape)
-        if workspace is not None:
-            workspace[key] = buf
-    return buf
-
-
 @dataclass(frozen=True)
 class MultivariateSeries:
     """Immutable T x n array of observations plus a centering flag."""
@@ -185,12 +170,20 @@ def _bulk_parse(path, has_header: bool):
 
 def _checked(reader):
     """The rows of a csv.reader, with a line it cannot split (such as one with
-    a cell over the reader's field limit) raised as a ParseError."""
+    a cell over the reader's field limit) raised as a ParseError, and so is a
+    row that is not UTF-8: on a file opened with errors="surrogateescape" its
+    bad bytes are lone surrogates, which do not encode."""
     try:
-        yield from reader
+        for cells in reader:
+            "".join(cells).encode("utf-8")
+            yield cells
     except csv.Error as exc:
         raise ParseError(
             f"row {reader.line_num} is not readable CSV: {exc}", row=reader.line_num
+        ) from None
+    except UnicodeEncodeError:
+        raise ParseError(
+            f"row {reader.line_num} is not UTF-8 text", row=reader.line_num
         ) from None
 
 
@@ -211,7 +204,7 @@ def _parse_cells(path, has_header: bool, min_rows: int = 2) -> np.ndarray:
     """
     rows = []
     width = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         for row_idx, cells in enumerate(_checked(reader), start=1):
             if has_header and row_idx == 1:

@@ -127,19 +127,15 @@ def test_autocov_matrices_ignores_memory_layout(t_len, max_lag, n_dim):
         np.testing.assert_array_equal(autocov_matrices(values, max_lag), want)
 
 
-@pytest.mark.parametrize("use_workspace", [False, True], ids=["fresh", "workspace"])
-def test_chunked_products_sum_as_one_sum_bit_for_bit(use_workspace, monkeypatch):
+def test_chunked_products_sum_as_one_sum_bit_for_bit(monkeypatch):
     # T = 500000, n = 2: 489 batches of 64 block rows, 8 chunks
     values = np.random.default_rng(4).standard_normal((500_000, 2))
-    workspace = {} if use_workspace else None
-    got = [autocov_matrices(values, max_lag, workspace) for max_lag in (190, 15)]
-    assert workspace is None or workspace["acov_product"].shape[0] == 65
+    got = [autocov_matrices(values, max_lag) for max_lag in (190, 15)]
     monkeypatch.setattr(acov, "_CHUNK_BATCHES", 489)  # one sum over every batch
     for stack, max_lag in zip(got, (190, 15)):
         assert stack.tobytes() == autocov_matrices(values, max_lag).tobytes()
 
 
-@pytest.mark.parametrize("use_workspace", [False, True], ids=["fresh", "workspace"])
 @pytest.mark.parametrize(
     "t_len, n_dim, max_lag, chunk_batches",
     [
@@ -151,15 +147,12 @@ def test_chunked_products_sum_as_one_sum_bit_for_bit(use_workspace, monkeypatch)
     ],
 )
 def test_windowed_products_match_one_chunk_bit_for_bit(
-    t_len, n_dim, max_lag, chunk_batches, use_workspace, monkeypatch
+    t_len, n_dim, max_lag, chunk_batches, monkeypatch
 ):
     values = np.random.default_rng([t_len, n_dim]).standard_normal((t_len, n_dim))
     if chunk_batches is not None:
         monkeypatch.setattr(acov, "_CHUNK_BATCHES", chunk_batches)
-    workspace = {} if use_workspace else None
-    got = autocov_matrices(values, max_lag, workspace)
-    if use_workspace:  # a reused window and product give the same bytes
-        assert autocov_matrices(values, max_lag, workspace).tobytes() == got.tobytes()
+    got = autocov_matrices(values, max_lag)
     monkeypatch.setattr(acov, "_CHUNK_BATCHES", 10**6)  # every batch in one chunk
     assert got.tobytes() == autocov_matrices(values, max_lag).tobytes()
     want = _per_lag_autocov(values, max_lag)

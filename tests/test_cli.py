@@ -104,6 +104,25 @@ def test_rejected_csv_exit_1_with_one_error_line(command, text, flags, message, 
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--input", "{path}"],
+        ["bands", "--input", "{path}"],
+        ["kernel-info", "--kernel", "file:{path}"],
+        ["simulate", "--model", "var1:file={path}", "--t-len", "64", "--out", "{out}"],
+    ],
+    ids=["estimate", "bands", "kernel-info", "var1-file"],
+)
+def test_non_utf8_csv_exit_1_naming_the_row(argv, tmp_path, capsys):
+    path, out = tmp_path / "bad.csv", tmp_path / "out.csv"
+    path.write_bytes(b"1.0,2.0\n\xff\xfe3.0,4.0\n")
+    code = main([arg.format(path=path, out=out) for arg in argv])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: ParseError: row 2 is not UTF-8 text"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "bands"])
 @pytest.mark.parametrize(
     "rows",
@@ -403,7 +422,7 @@ def test_depmeasure(capsys):
 
 _VERIFY = ["verify", "--t-grid", "64", "--reps", "100"]
 _DEPMEASURE = ["depmeasure", "--model", "ar1:phi=0.5", "--horizon", "4", "--reps", "100"]
-_NU = "InvalidPlan: nu_star and nu must be finite and >= 1"
+_NU = "InvalidPlan: nu_star and nu must lie in [1, 100]"
 _P = "InvalidArgument: p must be finite and >= 1"
 _DELTA = "InvalidArgument: delta_param must be finite and positive"
 
@@ -415,6 +434,8 @@ _DELTA = "InvalidArgument: delta_param must be finite and positive"
         ([*_VERIFY, "--experiment", "moments", "--nu-star", "inf"], _NU),
         ([*_VERIFY, "--experiment", "uniform-rate", "--nu", "nan"], _NU),
         ([*_VERIFY, "--experiment", "uniform-rate", "--nu", "inf"], _NU),
+        ([*_VERIFY, "--experiment", "moments", "--nu-star", "120"], _NU),
+        ([*_VERIFY, "--experiment", "uniform-rate", "--nu", "2000"], _NU),
         ([*_DEPMEASURE, "--p", "nan"], _P),
         ([*_DEPMEASURE, "--p", "inf"], _P),
         ([*_DEPMEASURE, "--check-conditions", "--delta-param", "0"], _DELTA),

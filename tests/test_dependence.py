@@ -292,7 +292,7 @@ def test_check_conditions_independent_components_note():
 def test_decay_fit_warning_on_nondecaying_profile():
     class Flat(WhiteNoise):
         # dependence never decays: Z_t = eps_0 for every t
-        def path(self, eps, workspace=None):
+        def path(self, eps, overwrite=False):
             out = np.broadcast_to(
                 eps[..., :1, :], eps.shape
             )

