@@ -27,15 +27,18 @@ block rows per product, stacked into batched ``matmul`` calls of at most 64
 products per offset, so each dgemm or syrk has m * n * k <= 2**16. On a
 2-vCPU machine, OpenBLAS 0.3.31 ran dgemms of m * n * k = 2**19 on one
 thread and of 2**20 on two, and a 128-column syrk (the k = 0 product) of
-2**19 on two. One product per offset over all rows is faster alone, but it
-makes each Monte Carlo pool worker run multi-threaded dgemms on cores the
-other worker needs: on the 2-worker VAR(1) coverage plan (perfbench
-mc-var1) it took 4.3-5.3 s of CPU and 3.0-3.3 s of wall time per
-operation, against 2.6-2.7 s and 2.0-2.2 s with the sizing above. The
-VAR(1) scan in ``models`` sizes its dgemms by the same ``_BLOCK_COLS`` and
-``_GEMM_SIZE``. Since no call needs a second thread, ``cli`` starts numpy's
-OpenBLAS on one. The result differs from the per-lag loop only in summation
-order: by at most 6e-16 normwise relative for T up to 70001 and L up to 999.
+2**19 on two. On one thread the batching is faster too: one product per
+offset over all rows took 2.7 ms against 1.6 ms at T = 65536, n = 1, L =
+507, and 35 ms against 19.5 ms at T = 5 * 10**5, n = 2, L = 190; it won
+only at T <= 16384 with n = 1. Threaded, it also left each Monte Carlo pool
+worker running multi-threaded dgemms on cores the other worker needs: on
+the 2-worker VAR(1) coverage plan (perfbench mc-var1) it took 4.3-5.3 s of
+CPU and 3.0-3.3 s of wall time per operation, against 2.6-2.7 s and
+2.0-2.2 s with the sizing above. The VAR(1) scan in ``models`` sizes its
+dgemms by the same ``_BLOCK_COLS`` and ``_GEMM_SIZE``. Since no call needs a
+second thread, ``cli`` starts numpy's OpenBLAS on one. The result differs
+from the per-lag loop only in summation order: by at most 6e-16 normwise
+relative for T up to 70001 and L up to 999.
 """
 
 from __future__ import annotations

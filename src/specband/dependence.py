@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayFitWarning, InvalidArgument
+from .errors import DecayFitWarning, InvalidArgument, InvalidModel
 from .inference import _bisect
 from .models import ProcessModel, _check_seed
 from .series import _fields
@@ -46,17 +46,18 @@ def _coupled_differences(model: ProcessModel, horizon: int, reps: int, seed):
     return np.abs(base, out=base)
 
 
-def _delta_from_samples(diff_p: np.ndarray, p: float):
-    """delta = mean(|D|^p)^(1/p) with a delta-method standard error."""
-    reps = diff_p.shape[0]
-    mean_p = diff_p.mean(axis=0)
-    se_mean = diff_p.std(axis=0, ddof=1) / math.sqrt(reps)
-    delta = mean_p ** (1.0 / p)
-    se = np.where(
-        mean_p > _ZERO_TOL,
-        se_mean / p * np.maximum(mean_p, _ZERO_TOL) ** (1.0 / p - 1.0),
-        0.0,
-    )
+def _delta_from_samples(diffs: np.ndarray, p: float):
+    """delta = mean(|D|^p)^(1/p) and its delta-method standard error, from |D|
+    (replications first), divided in place by each column's largest sample
+    before the power, so that it cannot overflow or underflow to all zeros."""
+    reps = diffs.shape[0]
+    scale = np.maximum(diffs.max(axis=0), _ZERO_TOL)  # a zero column stays zero
+    diffs /= scale
+    diffs **= p
+    mean_p = diffs.mean(axis=0)  # in [1/reps, 1] but for a zero column
+    se_mean = diffs.std(axis=0, ddof=1) / math.sqrt(reps)
+    delta = scale * mean_p ** (1.0 / p)
+    se = scale * se_mean / p * np.maximum(mean_p, _ZERO_TOL) ** (1.0 / p - 1.0)
     return delta, se
 
 
@@ -76,7 +77,7 @@ def coupled_delta(model: ProcessModel, t: int, p: float, reps: int, seed):
         raise InvalidArgument("t must be nonnegative")
     _check_p_reps(p, reps)
     diffs = _coupled_differences(model, t, reps, seed)[:, t, :]
-    return _delta_from_samples(diffs**p, p)
+    return _delta_from_samples(diffs, p)
 
 
 def _line(x: np.ndarray, y: np.ndarray):
@@ -131,9 +132,9 @@ class DependenceProfile:
 
 
 def _geom_tail(log_a: float, log_rho: float, start: int) -> float:
-    """sum_{t >= start} A rho^t."""
-    rho = math.exp(log_rho)
-    return math.exp(log_a + start * log_rho) / (1.0 - rho)
+    """sum_{t >= start} A rho^t; inf once A rho^start passes e^709.78, the float range."""
+    log_head = log_a + start * log_rho
+    return math.exp(log_head) / (1.0 - math.exp(log_rho)) if log_head < 709.78 else math.inf
 
 
 def profile(
@@ -144,11 +145,36 @@ def profile(
         raise InvalidArgument("horizon must be at least 4")
     _check_p_reps(p, reps)
     diffs = _coupled_differences(model, horizon, reps, seed)
-    diffs **= p  # in place: the same bits as diffs**p
     delta, delta_se = _delta_from_samples(diffs, p)  # (H+1, n)
     p_prime = min(2.0, p)
     delta_max = delta.max(axis=1)
     fit_max = _fit_geometric(delta_max)
+    fits = [_fit_geometric(col) for col in delta.T]
+    start = horizon + 1
+    with np.errstate(over="ignore"):  # checked below
+        tail = np.array([_geom_tail(*fit, start) if fit else 0.0 for fit in fits])
+        tail_pow = np.array(
+            [_geom_tail(p_prime * fit[0], p_prime * fit[1], start) if fit else 0.0
+             for fit in fits]
+        )
+        rev = delta[::-1]
+        theta_i = np.cumsum(rev, axis=0)[::-1] + tail  # (H+1, n), row m
+        psi_pow_i = np.cumsum(rev**p_prime, axis=0)[::-1] + tail_pow
+        theta = theta_i.max(axis=1)
+        psi = psi_pow_i.max(axis=1) ** (1.0 / p_prime)
+        # head[i, m] = sum_t min(Psi_{m,i}, delta_{t,i}); C order keeps numpy's
+        # pairwise sum along t
+        psi_i = psi_pow_i.T ** (1.0 / p_prime)
+        head = np.minimum(psi_i[:, :, None], delta.T[:, None, :], order="C").sum(axis=2)
+        # Psi^{p'} underflows to 0 where delta and the fitted tail are below
+        # about 2e-162 (p' = 2); d's tail is min(0, A rho^t) = 0 there
+        d_seq = (head + np.where(psi_i > 0.0, tail[:, None], 0.0)).max(axis=0)
+    tail_remainder = _geom_tail(*fit_max, start) if fit_max else (
+        0.0 if not np.any(delta_max[1:] > _ZERO_TOL) else None
+    )
+    aggregates = (delta_se, theta, psi, d_seq, tail_remainder or 0.0)
+    if not all(np.all(np.isfinite(v)) for v in aggregates):
+        raise InvalidModel(f"model {model.kind!r}: its dependence overflows at p = {p:g}")
     if fit_max is None and np.any(delta_max[1:] > _ZERO_TOL):
         warnings.warn(
             "geometric decay fit failed; tail sums truncated at the horizon "
@@ -156,28 +182,6 @@ def profile(
             DecayFitWarning,
             stacklevel=2,
         )
-    fits = [_fit_geometric(col) for col in delta.T]
-    start = horizon + 1
-    tail = np.array([_geom_tail(*fit, start) if fit else 0.0 for fit in fits])
-    tail_pow = np.array(
-        [_geom_tail(p_prime * fit[0], p_prime * fit[1], start) if fit else 0.0
-         for fit in fits]
-    )
-    rev = delta[::-1]
-    theta_i = np.cumsum(rev, axis=0)[::-1] + tail  # (H+1, n), row m
-    psi_pow_i = np.cumsum(rev**p_prime, axis=0)[::-1] + tail_pow
-    theta = theta_i.max(axis=1)
-    psi = psi_pow_i.max(axis=1) ** (1.0 / p_prime)
-    # head[i, m] = sum_t min(Psi_{m,i}, delta_{t,i}); C order keeps numpy's
-    # pairwise sum along t
-    psi_i = psi_pow_i.T ** (1.0 / p_prime)
-    head = np.minimum(psi_i[:, :, None], delta.T[:, None, :], order="C").sum(axis=2)
-    # Psi^{p'} underflows to 0 where delta and the fitted tail are below
-    # about 2e-162 (p' = 2); d's tail is min(0, A rho^t) = 0 there
-    d_seq = (head + np.where(psi_i > 0.0, tail[:, None], 0.0)).max(axis=0)
-    tail_remainder = _geom_tail(*fit_max, start) if fit_max else (
-        0.0 if not np.any(delta_max[1:] > _ZERO_TOL) else None
-    )
     return DependenceProfile(
         p=p, horizon=horizon, delta=delta, delta_se=delta_se, theta=theta,
         psi=psi, d_seq=d_seq, theta_se=float(delta_se.max(axis=1).sum()),

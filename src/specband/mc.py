@@ -12,20 +12,19 @@ centering E fhat on the experiment's frequency grid), runs the replications,
 and stores the cell's row and per-replication statistics. Each replication
 contributes its autocovariance stack, and a run of replications is estimated
 by one ``estimate_matrices`` call on the stacked autocovariances. Runs are
-consecutive ranges of at most 64 replications; in a pool each process's
-contiguous share of a cell's replications is cut into runs. With
-``workers`` >= 2, one process pool serves every cell of the experiment, one
-run per task, and is shut down after the last cell; on closing it logs its
-processes, tasks and seconds open. ``bias_rate`` and serial plans start no
-pool. Each run's estimates are written into the cell's preallocated array
-in replication order, so the cell holds its result plus one run's work
-arrays. The estimates come back as one ``SpectralGrid`` stacked on a leading
+an even split of a cell's replications into consecutive ranges of at most
+64, as many per pool process. With ``workers`` >= 2, one process pool serves
+every cell of the experiment, each run a task for whichever process is free,
+and is shut down after the last cell; on closing it logs its processes,
+tasks and seconds open. ``bias_rate`` and serial plans start no pool. Each
+run's estimates are written into the cell's preallocated array in
+replication order, so the cell holds its result plus one run's work arrays.
+The estimates come back as one ``SpectralGrid`` stacked on a leading
 replication axis, so each statistic (``max_deviation``, ``uniform_band``)
 runs once per cell on the whole stack, through the same code that ``bands``
 uses. What differs is kept in the ``_EXPERIMENTS`` table: the frequency
-grid, the per-cell statistic and the verdicts. ``bias_rate`` is
-simulation-free and loops over bandwidths instead, so it has its own short
-loop.
+grid, the per-cell statistic and the verdicts. ``bias_rate`` simulates
+nothing and has its own short loop over bandwidths.
 
 Centering is by the exact finite-sample mean (closed form under the model),
 and autocovariances are taken on the raw simulated values without sample-mean
@@ -188,28 +187,23 @@ class _Cell(NamedTuple):
     center: SpectralGrid  # exact mean E fhat on the experiment's grid
 
 
-def _run_acovs(cell: _Cell, reps: range) -> np.ndarray:
-    """A run's (len(reps), B+1, n, n) autocovariance stacks, each replication
-    from its own stream; no replication's values outlive the call. A stack
-    that overflows raises InvalidModel."""
+def _run_estimates(cell: _Cell, reps: range) -> np.ndarray:
+    """A run's (len(reps), F, n, n) estimates from one call on its replications'
+    autocovariance stacks; each replication draws from its own stream and is
+    dropped once its stack is taken. A stack that overflows raises InvalidModel."""
     stacks = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for rep in reps:
             rng = np.random.default_rng([cell.plan.seed, cell.index, rep])
             values = cell.model.simulate_values(cell.t_len, rng)
             stacks.append(autocov_matrices(values, cell.b_val))
+    del values  # the last replication's, before the estimator's work arrays
     stacks = np.stack(stacks)
     if not np.all(np.isfinite(stacks)):
         raise InvalidModel(
             f"model {cell.plan.model_spec!r}: the autocovariance overflows at "
             f"T = {cell.t_len}: its values are too large"
         )
-    return stacks
-
-
-def _run_estimates(cell: _Cell, reps: range) -> np.ndarray:
-    """The (len(reps), F, n, n) estimates of a run of replications, in one call."""
-    stacks = _run_acovs(cell, reps)
     return estimate_matrices(stacks, cell.kernel, cell.b_val, cell.center.freqs)
 
 
@@ -220,16 +214,12 @@ def pool_size(workers: int) -> int:
 
 
 def _runs(reps: int, size: int) -> list:
-    """Consecutive ranges of replications: each of a pool's ``size`` processes
-    (one when serial) has a contiguous share, cut into runs of at most
-    _RUN_REPS."""
-    shares = max(1, size)
-    ends = [reps * k // shares for k in range(shares + 1)]
-    return [
-        range(start, min(start + _RUN_REPS, stop))
-        for first, stop in zip(ends, ends[1:])
-        for start in range(first, stop, _RUN_REPS)
-    ]
+    """Consecutive ranges of replications, split evenly into the fewest runs of
+    at most _RUN_REPS that number a multiple of ``size`` (one when serial),
+    capped at ``reps``; the pool gives each run to whichever process is free."""
+    procs = max(1, size)
+    count = min(reps, procs * -(-reps // (_RUN_REPS * procs)))
+    return [range(reps * k // count, reps * (k + 1) // count) for k in range(count)]
 
 
 @contextmanager

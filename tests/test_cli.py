@@ -420,6 +420,30 @@ def test_depmeasure(capsys):
     assert payload["conditions"]["bandwidth_window_ok"] is True
 
 
+@pytest.mark.parametrize(
+    "model, args",
+    [
+        ("var1", ["--p", "2", "--horizon", "10", "--reps", "200"]),  # A[0, 1] = 1e150
+        ("white", ["--horizon", "4", "--reps", "100", "--p", "1e300"]),
+        ("ar1:phi=0.5", ["--horizon", "4", "--reps", "100", "--p", "700"]),
+    ],
+)
+def test_depmeasure_far_from_unit_scale_stays_finite(model, args, tmp_path, capsys):
+    if model == "var1":
+        (tmp_path / "A.csv").write_text("0.99,1e150\n0,0.99\n")
+        model = f"var1:file={tmp_path / 'A.csv'}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # var1's growing delta has no decay fit
+        code, payload = _run_json(capsys, ["depmeasure", "--model", model, *args])
+    assert code == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    for key in ("delta", "delta_se", "theta", "psi", "d_seq", "theta_se"):
+        assert np.all(np.isfinite(payload[key])), key
+    if model != "white":  # white noise has no dependence past t = 0
+        # the largest samples carry delta as p grows: none is lost to underflow
+        assert all(row[0] > 0.0 for row in payload["delta"][1:])
+
+
 _VERIFY = ["verify", "--t-grid", "64", "--reps", "100"]
 _DEPMEASURE = ["depmeasure", "--model", "ar1:phi=0.5", "--horizon", "4", "--reps", "100"]
 _NU = "InvalidPlan: nu_star and nu must lie in [1, 100]"
@@ -444,6 +468,15 @@ _DELTA = "InvalidArgument: delta_param must be finite and positive"
         ([*_DEPMEASURE, "--check-conditions", "--delta-param", "inf"], _DELTA),
         ([*_DEPMEASURE, "--reps", "50"], "InvalidArgument: need at least 100 replications"),
         ([*_DEPMEASURE, "--horizon", "3"], "InvalidArgument: horizon must be at least 4"),
+        (
+            ["depmeasure", "--horizon", "4", "--reps", "100", "--model", "white:sigma2=1e308"],
+            "InvalidModel: model 'white_noise': its dependence overflows at p = 4",
+        ),
+        (  # the fitted tail's (A rho^(H+1))^p' is past the float range
+            ["depmeasure", "--horizon", "4", "--reps", "200", "--p", "1000",
+             "--model", "ar1:phi=0.9,sigma2=3.4e307"],
+            "InvalidModel: model 'ar1_scalar': its dependence overflows at p = 1000",
+        ),
         (
             ["simulate", "--model", "white", "--out", "unused.csv", "--t-len", "1"],
             "InvalidArgument: t_len must be at least 2",

@@ -296,26 +296,37 @@ def test_determinism_across_worker_counts():
 
 
 def test_pooled_runs_that_do_not_divide_reps_match_serial(monkeypatch):
-    # 101 reps: serial runs of 64 and 37; on 2 workers, one run each of 50 and 51
+    # 129 reps: serial runs of 43, 43 and 43; on 2 workers, runs of 32, 32, 32 and 33
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     base = dict(experiment="gumbel", model_spec="white:dim=2", entry=(0, 1),
-                t_grid=(256, 512), reps=101, seed=11)
+                t_grid=(256, 512), reps=129, seed=11)
     serial = run_experiment(ExperimentPlan(**base)).to_json()
     assert run_experiment(ExperimentPlan(**base, workers=2)).to_json() == serial
 
 
-def test_runs_give_each_pool_process_one_contiguous_share():
-    def bounds(reps, size):
-        return [(r.start, r.stop) for r in mc._runs(reps, size)]
+def test_runs_split_reps_evenly_in_a_multiple_of_the_pool_size():
+    for reps in (100, 101, 128, 129, 300, 500, 1001):
+        for size in (0, 2, 3, 101, 1000):
+            runs = mc._runs(reps, size)
+            assert [i for r in runs for i in r] == list(range(reps))  # in order
+            assert all(1 <= len(r) <= mc._RUN_REPS for r in runs)
+            assert max(map(len, runs)) - min(map(len, runs)) <= 1
+            assert len(runs) == reps or len(runs) % max(1, size) == 0
+            fewer = len(runs) - max(1, size)  # the next multiple down is too few
+            assert fewer <= 0 or fewer * mc._RUN_REPS < reps
+
+    def lengths(reps, size):
+        return [len(r) for r in mc._runs(reps, size)]
 
     assert mc._RUN_REPS == 64
-    assert bounds(100, 0) == [(0, 64), (64, 100)]
-    assert bounds(100, 2) == [(0, 50), (50, 100)]
-    assert bounds(101, 2) == [(0, 50), (50, 101)]
-    assert bounds(100, 3) == [(0, 33), (33, 66), (66, 100)]
-    # a share over _RUN_REPS is cut into runs of at most _RUN_REPS
-    assert bounds(300, 2) == [(0, 64), (64, 128), (128, 150),
-                              (150, 214), (214, 278), (278, 300)]
+    assert lengths(100, 0) == [50, 50]
+    assert lengths(100, 2) == [50, 50]
+    assert lengths(101, 2) == [50, 51]
+    assert lengths(100, 3) == [33, 33, 34]
+    assert lengths(129, 0) == [43] * 3
+    assert lengths(129, 2) == [32, 32, 32, 33]
+    assert lengths(300, 2) == [50] * 6
+    assert lengths(100, 1000) == [1] * 100  # a pool larger than reps
 
 
 @pytest.mark.parametrize("size", [1, 2, 101, 1000])

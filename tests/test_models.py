@@ -279,7 +279,7 @@ def test_simulate_deterministic():
 @pytest.mark.parametrize(
     "spec", ["white:dim=2", "white", "ar1:phi=0.5", "var1:default", "tar:a=0.5,b=-0.3"]
 )
-def test_simulate_is_simulate_values_without_a_workspace(spec):
+def test_simulate_returns_simulate_values_bit_for_bit(spec):
     model = parse_model(spec)
     want = model.simulate_values(3001, np.random.default_rng(5))
     assert simulate(model, 3001, seed=5).values.tobytes() == want.tobytes()
@@ -452,7 +452,7 @@ def test_var1_scalar_innovation_file_is_not_broadcast(tmp_path):
     ],
     ids=["white-diagonal", "white-dense", "ar1", "var1-default", "vma", "tar"],
 )
-def test_workspace_reuse_is_bit_identical(model):
+def test_simulate_values_over_its_draws_matches_path_on_a_copy(model):
     # simulate_values lets path write over its draws; the values are those of
     # path on the same draws left in place. Neither T nor T + 1000 burn-in rows
     # is a multiple of the scan span (16 or 32 steps).

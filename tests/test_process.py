@@ -34,14 +34,15 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _python(args, blas_env=None):
-    """Run python with ``args``; with ``blas_env``, of the BLAS thread-count
-    variables exactly those it names are set."""
+    """Run python with ``args``, a RuntimeWarning an error as in the in-process
+    tests; with ``blas_env``, of the BLAS thread-count variables exactly those
+    it names are set."""
     path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     if blas_env is not None:
         env = {k: v for k, v in env.items() if k not in _BLAS_VARS} | blas_env
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         env=env,
         capture_output=True,
         text=True,
