@@ -9,21 +9,23 @@ and simultaneous band coverage.
 All simulating experiments share one cell loop in ``run_experiment``: for
 each T in the plan's grid it builds one ``_Cell`` (bandwidth and the exact
 centering E fhat on the experiment's frequency grid), runs the replications,
-and stores the cell's row and per-replication statistics. Each replication
-contributes its autocovariance stack, and a run of replications is estimated
-by one ``estimate_matrices`` call on the stacked autocovariances. Runs are
-an even split of a cell's replications into consecutive ranges of at most
-64, as many per pool process. With ``workers`` >= 2, one process pool serves
-every cell of the experiment, each run a task for whichever process is free,
-and is shut down after the last cell; on closing it logs its processes,
-tasks and seconds open. ``bias_rate`` and serial plans start no pool. Each
-run's estimates are written into the cell's preallocated array in
-replication order, so the cell holds its result plus one run's work arrays.
-The estimates come back as one ``SpectralGrid`` stacked on a leading
-replication axis, so each statistic (``max_deviation``, ``uniform_band``)
-runs once per cell on the whole stack, through the same code that ``bands``
-uses. What differs is kept in the ``_EXPERIMENTS`` table: the frequency
-grid, the per-cell statistic and the verdicts. ``bias_rate`` simulates
+and stores the cell's row and per-replication statistics. Runs are an even
+split of a cell's replications into consecutive ranges of at most 64, as
+many per pool process. A run estimates its replications by one
+``estimate_matrices`` call on their stacked autocovariances, which gives one
+``SpectralGrid`` stacked on a leading replication axis, and reduces that
+grid at once to a few numbers per replication through the same code that
+``bands`` uses (``max_deviation``, ``uniform_band``): a centered maximum, a
+sup deviation, coverage flags or standardized deviations. So no estimates
+outlive their run, and a cell holds its runs' reductions, concatenated in
+replication order, which the experiment's summary turns into the cell's row
+(KS distances, means, norms, coverage rates). With ``workers`` >= 2, one
+process pool serves every cell of the experiment, each run a task for
+whichever process is free that sends back only its reductions, and is shut
+down after the last cell; on closing it logs its processes, tasks and
+seconds open. ``bias_rate`` and serial plans start no pool. What differs is
+kept in the ``_EXPERIMENTS`` table: the frequency grid, the per-run
+reduction, the cell summary and the verdicts. ``bias_rate`` simulates
 nothing and has its own short loop over bandwidths.
 
 Centering is by the exact finite-sample mean (closed form under the model),
@@ -32,8 +34,9 @@ removal: the models are mean-zero by construction, which keeps the oracle
 centering exact instead of O(1/T) off.
 
 Determinism: replication r at grid position k uses the RNG stream seeded by
-(seed, k, r), and reductions run in replication order, so reports are
-byte-identical regardless of worker count.
+(seed, k, r), every per-run reduction is elementwise in the replications,
+and summaries read the values in replication order, so reports are
+byte-identical regardless of worker count and of where runs are cut.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ from .spectral import (
 
 log = logging.getLogger("specband")
 
-# replications per estimator call: a call's work arrays are a few times the
-# size of its estimates, so this bounds them beside the cell's result
+# replications per estimator call: a run's estimates and the estimator's work
+# arrays (a few times their size) are the cell's whole working set, since only
+# a few numbers per replication outlive the run
 _RUN_REPS = 64
 # largest moment order: the limit law's quadrature reaches x = e^6.9, where
 # x**nu overflows past nu = 102
@@ -176,7 +180,7 @@ class ExperimentReport:
 
 
 class _Cell(NamedTuple):
-    """One T of the shared loop, as its replications and statistic see it."""
+    """One T of the shared loop, as its runs and summary see it."""
 
     plan: ExperimentPlan
     model: object
@@ -188,9 +192,11 @@ class _Cell(NamedTuple):
 
 
 def _run_estimates(cell: _Cell, reps: range) -> np.ndarray:
-    """A run's (len(reps), F, n, n) estimates from one call on its replications'
-    autocovariance stacks; each replication draws from its own stream and is
-    dropped once its stack is taken. A stack that overflows raises InvalidModel."""
+    """A run's per-replication values: one estimator call on its replications'
+    autocovariance stacks gives their (len(reps), F, n, n) estimates, which
+    the experiment's reduction turns into a few numbers each. Each
+    replication draws from its own stream and is dropped once its stack is
+    taken. A stack that overflows raises InvalidModel."""
     stacks = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for rep in reps:
@@ -204,7 +210,10 @@ def _run_estimates(cell: _Cell, reps: range) -> np.ndarray:
             f"model {cell.plan.model_spec!r}: the autocovariance overflows at "
             f"T = {cell.t_len}: its values are too large"
         )
-    return estimate_matrices(stacks, cell.kernel, cell.b_val, cell.center.freqs)
+    est = estimate_matrices(stacks, cell.kernel, cell.b_val, cell.center.freqs)
+    del stacks  # before the reduction's temporaries, which can rival the estimator's
+    reduce = _EXPERIMENTS[cell.plan.experiment].reduce
+    return reduce(cell, replace(cell.center, matrices=est))
 
 
 def pool_size(workers: int) -> int:
@@ -241,13 +250,11 @@ def _pool(size: int, tasks: int):
     )
 
 
-def _run_reps(cell: _Cell, runs: list, pool) -> SpectralGrid:
-    """The cell's replication estimates, stacked as one (reps, F, n, n) grid."""
-    ests = np.empty((cell.plan.reps, *cell.center.matrices.shape), dtype=complex)
+def _run_reps(cell: _Cell, runs: list, pool) -> np.ndarray:
+    """The cell's per-replication values: its runs' reductions, concatenated
+    in replication order."""
     run = partial(_run_estimates, cell)
-    for r, est in zip(runs, map(run, runs) if pool is None else pool.map(run, runs)):
-        ests[r.start : r.stop] = est
-    return replace(cell.center, matrices=ests)
+    return np.concatenate(list(map(run, runs) if pool is None else pool.map(run, runs)))
 
 
 def _limit_expectation(g) -> float:
@@ -302,19 +309,28 @@ def _clt_grid(b_val: int) -> np.ndarray:
     return np.array([0.0, np.pi / 2.0])
 
 
-def _clt_cell(c: _Cell, ests: SpectralGrid):
-    """Standardized deviation sqrt(T/B)(fhat - E fhat)/sqrt(omega kappa
-    f_ii f_jj) at 0 and pi/2; the variance ratio of the f-normalized
-    deviations between them exhibits the boundary factor omega = 2 vs 1.
-    """
+def _clt_deviations(c: _Cell, ests: SpectralGrid) -> np.ndarray:
+    """Per replication, the standardized deviation sqrt(T/B)(fhat - E fhat)
+    / sqrt(omega kappa f_ii f_jj) and the same deviation scaled by
+    sqrt(kappa f_ii f_jj) alone, at 0 and pi/2: (run, 2 kinds, 2 freqs)."""
     i, j = c.plan.entry
-    reps = c.plan.reps
     freqs = c.center.freqs
     truth = c.model.spectral_density(freqs)
     dev = np.sqrt(c.t_len / c.b_val) * (ests.entry(i, j) - c.center.entry(i, j))
     denom = c.kernel.kappa * truth[:, i, i].real * truth[:, j, j].real
     std = dev / np.sqrt(omega_factor(freqs) * denom)
     scaled = dev / np.sqrt(denom)[None, :]
+    return np.stack([std, scaled], axis=1)
+
+
+def _clt_cell(c: _Cell, devs: np.ndarray):
+    """Normal limit of the standardized deviations at 0 and pi/2; the
+    variance ratio of the scaled deviations between them exhibits the
+    boundary factor omega = 2 vs 1.
+    """
+    i, j = c.plan.entry
+    reps = c.plan.reps
+    std, scaled = devs[:, 0], devs[:, 1]
     row = {
         "ks_freq0": _ks_statistic(std[:, 0].real, _normal_cdf),
         "ks_pi_half": _ks_statistic(std[:, 1].real, _normal_cdf),
@@ -344,9 +360,8 @@ def _centered_max(c: _Cell, ests: SpectralGrid) -> np.ndarray:
     return max_deviation(ests, c.center, denom, c.kernel, c.plan.entry)
 
 
-def _gumbel_cell(c: _Cell, ests: SpectralGrid):
+def _gumbel_cell(c: _Cell, stats: np.ndarray):
     """Extreme-value limit of the centered maximum deviation."""
-    stats = _centered_max(c, ests)
     row = {
         "ks_gumbel": _ks_statistic(stats, gumbel_cdf),
         "mean_centered": float(stats.mean()),
@@ -366,10 +381,9 @@ def _gumbel_verdicts(plan, rows):
     return verdicts
 
 
-def _moments_cell(c: _Cell, ests: SpectralGrid):
+def _moments_cell(c: _Cell, stats: np.ndarray):
     """Moment convergence of the centered maximum toward the limit law."""
     nu = c.plan.nu_star
-    stats = _centered_max(c, ests)
     limit_norm = gumbel_abs_norm(nu)
     limit_mean = gumbel_mean()
     emp_norm = float(np.mean(np.abs(stats) ** nu) ** (1.0 / nu))
@@ -399,11 +413,15 @@ def _dense_grid(b_val: int) -> np.ndarray:
     return theorem_grid(4 * b_val)
 
 
-def _uniform_rate_cell(c: _Cell, ests: SpectralGrid):
-    """||sup-deviation||_nu against the rate (B log B / T)^(1/2)."""
+def _sup_deviation(c: _Cell, ests: SpectralGrid) -> np.ndarray:
+    """sup over the grid of |fhat - E fhat|, one per replication."""
     i, j = c.plan.entry
+    return np.abs(ests.entry(i, j) - c.center.entry(i, j)).max(axis=1)
+
+
+def _uniform_rate_cell(c: _Cell, sup: np.ndarray):
+    """||sup-deviation||_nu against the rate (B log B / T)^(1/2)."""
     nu = c.plan.nu
-    sup = np.abs(ests.entry(i, j) - c.center.entry(i, j)).max(axis=1)
     with np.errstate(over="ignore"):  # checked below
         norm_val = float(np.mean(sup**nu) ** (1.0 / nu))
     if not 0.0 < norm_val < math.inf:
@@ -425,29 +443,34 @@ def _uniform_rate_verdicts(plan, rows):
     return verdicts
 
 
-def _coverage_cell(c: _Cell, ests: SpectralGrid):
-    """Simultaneous coverage of the plug-in uniform band.
-
-    Bands are Bonferroni-adjusted over all distinct entries (i <= j); the
-    target is the exact finite-sample mean E fhat.
-    """
+def _entries(c: _Cell) -> list:
+    """The distinct entries (i <= j) that coverage bands."""
     n = c.model.n_dim
-    reps = c.plan.reps
-    entries = [(a, b) for a in range(n) for b in range(a, n)]
-    band = uniform_band(ests, c.kernel, c.plan.level, entries, bonferroni=True)
-    covered = np.column_stack(
+    return [(a, b) for a in range(n) for b in range(a, n)]
+
+
+def _covered(c: _Cell, ests: SpectralGrid) -> np.ndarray:
+    """(run, entries) flags: the plug-in uniform band of each distinct entry,
+    Bonferroni-adjusted over them, covers the exact finite-sample mean E fhat
+    at every grid frequency."""
+    band = uniform_band(ests, c.kernel, c.plan.level, _entries(c), bonferroni=True)
+    return np.column_stack(
         [
             np.all(np.abs(e.estimate - c.center.entry(e.i, e.j)) <= e.half_width, 1)
             for e in band.entries
         ]
-    )  # (reps, entries)
+    )
+
+
+def _coverage_cell(c: _Cell, covered: np.ndarray):
+    """Simultaneous coverage of the plug-in uniform band, jointly and per entry."""
     joint = covered.all(axis=1)
     cov = float(joint.mean())
     row = {
         "joint_coverage": cov,
-        "joint_coverage_se": math.sqrt(max(cov * (1.0 - cov), 1e-12) / reps),
+        "joint_coverage_se": math.sqrt(max(cov * (1.0 - cov), 1e-12) / c.plan.reps),
     }
-    for (i, j), flags in zip(entries, covered.T):
+    for (i, j), flags in zip(_entries(c), covered.T):
         row[f"coverage_{i + 1}{j + 1}"] = float(flags.mean())
     return row, joint.astype(int)
 
@@ -473,21 +496,28 @@ class _Experiment(NamedTuple):
     """What one simulating experiment adds to the shared cell loop."""
 
     freqs: Callable  # B -> frequency grid
-    statistic: Callable  # (_Cell, stacked ests) -> (row fields, per-rep raw values)
+    reduce: Callable  # (_Cell, one run's stacked ests) -> per-replication values
+    summary: Callable  # (_Cell, the cell's values) -> (row fields, per-rep raw values)
     raw_key: str  # raw values are stored under f"{raw_key}_T{T}"
     verdicts: Callable  # (plan, rows) -> {name: bool}
 
 
 _EXPERIMENTS = {
-    "clt": _Experiment(_clt_grid, _clt_cell, "std_pi_half", _clt_verdicts),
-    "gumbel": _Experiment(theorem_grid, _gumbel_cell, "centered_max", _gumbel_verdicts),
+    "clt": _Experiment(
+        _clt_grid, _clt_deviations, _clt_cell, "std_pi_half", _clt_verdicts
+    ),
+    "gumbel": _Experiment(
+        theorem_grid, _centered_max, _gumbel_cell, "centered_max", _gumbel_verdicts
+    ),
     "moments": _Experiment(
-        theorem_grid, _moments_cell, "centered_max", _moments_verdicts
+        theorem_grid, _centered_max, _moments_cell, "centered_max", _moments_verdicts
     ),
     "uniform_rate": _Experiment(
-        _dense_grid, _uniform_rate_cell, "sup", _uniform_rate_verdicts
+        _dense_grid, _sup_deviation, _uniform_rate_cell, "sup", _uniform_rate_verdicts
     ),
-    "coverage": _Experiment(theorem_grid, _coverage_cell, "joint", _coverage_verdicts),
+    "coverage": _Experiment(
+        theorem_grid, _covered, _coverage_cell, "joint", _coverage_verdicts
+    ),
 }
 EXPERIMENTS = (*_EXPERIMENTS, "bias_rate")  # bias_rate simulates nothing
 
@@ -547,7 +577,8 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Run a plan and collect its rows, verdicts and raw statistics.
 
     Every simulating experiment goes through the one loop below; its
-    ``_EXPERIMENTS`` entry supplies the grid, cell statistic and verdicts.
+    ``_EXPERIMENTS`` entry supplies the grid, per-run reduction, cell summary
+    and verdicts.
     """
     model = plan.model()
     if len(plan.entry) != 2 or not all(0 <= k < model.n_dim for k in plan.entry):
@@ -568,12 +599,12 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
             center = expected_spectrum(model, kernel, b_val, t_len, spec.freqs(b_val))
             cell = _Cell(plan, model, kernel, index, t_len, b_val, center)
             centered = time.perf_counter()
-            ests = _run_reps(cell, runs, pool)
+            values = _run_reps(cell, runs, pool)
             simulated = time.perf_counter()
-            row, values = spec.statistic(cell, ests)
+            row, raw[f"{spec.raw_key}_T{t_len}"] = spec.summary(cell, values)
             end = time.perf_counter()
             rows.append({"t_len": t_len, "bandwidth": b_val, **row})
-            raw[f"{spec.raw_key}_T{t_len}"] = values
+            # "reps" covers the runs and their reductions, "statistic" the summary
             log.info(
                 "cell T=%d B=%d: %.3f s (center %.3f s, reps %.3f s, statistic %.3f s)",
                 t_len, b_val, end - start, centered - start, simulated - centered,

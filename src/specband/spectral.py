@@ -43,7 +43,7 @@ from .errors import (
 from .kernels import Kernel
 
 _TWO_PI = 2.0 * np.pi
-_ORACLE_BLOCK = 64  # frequencies per phase matrix in the direct sum
+_ORACLE_BLOCK = 16  # frequencies per phase matrix in the direct sum: 130 KB at B = 507
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,13 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import gumbel_r, kstest, norm
 
-from conftest import strict_json
-from specband.errors import InvalidModel, InvalidPlan, UnsupportedModel
+from conftest import strict_json, traced_peak
+from specband.errors import (
+    DegenerateSpectrum,
+    InvalidModel,
+    InvalidPlan,
+    UnsupportedModel,
+)
 from specband.inference import gumbel_cdf
 from specband import mc
 from specband.cli import main
@@ -21,21 +26,62 @@ from specband.mc import (
 )
 
 
+def _one_estimate(plan, index, rep, freqs):
+    """Replication ``rep`` of grid cell ``index``, estimated on its own."""
+    t_len = plan.t_grid[index]
+    b_val = mc.Bandwidth(t_len, plan.b_exponent, plan.c_const).value
+    rng = np.random.default_rng([plan.seed, index, rep])
+    acov = mc.autocov_matrices(plan.model().simulate_values(t_len, rng), b_val)
+    return mc.estimate_matrices(acov, plan.kernel(), b_val, freqs)
+
+
 @pytest.mark.parametrize(
     "experiment, name", [("gumbel", "max_deviation"), ("coverage", "uniform_band")]
 )
-def test_statistic_runs_once_per_cell(experiment, name, monkeypatch):
-    # called by name from mc's namespace, once on each cell's stacked grid
+def test_statistic_runs_once_per_run(experiment, name, monkeypatch):
+    # called by name from mc's namespace, once on each run's stacked grid:
+    # 101 reps are cut into runs 0-49 and 50-100, in that order in each cell
     calls = []
     real = getattr(mc, name)
 
     def counted(est, *args, **kwargs):
-        calls.append(est.matrices.shape[0])
+        calls.append((est.t_len, est.matrices.copy(), est.freqs))
         return real(est, *args, **kwargs)
 
     monkeypatch.setattr(mc, name, counted)
-    run_experiment(ExperimentPlan(experiment, t_grid=(256, 512), reps=100, seed=2))
-    assert calls == [100, 100]
+    plan = ExperimentPlan(experiment, t_grid=(256, 512), reps=101, seed=2)
+    run_experiment(plan)
+    runs = mc._runs(plan.reps, 0)
+    assert [len(r) for r in runs] == [50, 51]
+    assert [(t, m.shape[0]) for t, m, _ in calls] == [
+        (t, len(r)) for t in plan.t_grid for r in runs
+    ]
+    for k, (_, matrices, freqs) in enumerate(calls):
+        index, run = divmod(k, len(runs))
+        for est, rep in zip(matrices, runs[run]):
+            assert np.array_equal(est, _one_estimate(plan, index, rep, freqs))
+
+
+@pytest.mark.parametrize("experiment", list(mc._EXPERIMENTS))
+def test_report_does_not_depend_on_where_runs_are_cut(experiment, monkeypatch):
+    plan = ExperimentPlan(experiment, model_spec="white:dim=2", entry=(0, 1),
+                          t_grid=(256, 512), reps=100, seed=3)
+    wide = mc._runs(plan.reps, 0)
+    expected = run_experiment(plan).to_json()
+    monkeypatch.setattr(mc, "_RUN_REPS", 7)
+    assert len(mc._runs(plan.reps, 0)) > len(wide)  # 15 runs of 6 or 7, not 2 of 50
+    assert run_experiment(plan).to_json() == expected
+
+
+def test_coverage_cell_holds_no_estimate_stack():
+    # the cell's (reps, F, n, n) complex estimates would take 17.4 MB; a run of
+    # at most 64 reps works in a few MB and leaves 36 flags per replication
+    plan = ExperimentPlan("coverage", model_spec="white:dim=8", t_grid=(1024,),
+                          reps=1000, seed=1)
+    b_val = mc.Bandwidth(1024, plan.b_exponent, plan.c_const).value
+    stack = plan.reps * (b_val + 1) * 8**2 * 16
+    peak = traced_peak(lambda: plan, run_experiment)
+    assert peak < stack / 2
 
 
 def test_plan_validation():
@@ -282,14 +328,17 @@ def test_verdicts_recomputable_from_raw():
     assert ks == pytest.approx(report.rows[0]["ks_gumbel"], abs=1e-12)
 
 
-def test_determinism_across_worker_counts():
+def test_determinism_across_worker_counts(monkeypatch):
+    # 150 reps: serial runs of 50, 50 and 50; on 2 processes, 37, 38, 37 and 38
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     base = dict(
         experiment="clt",
         model_spec="white",
         t_grid=(512,),
-        reps=100,
+        reps=150,
         seed=7,
     )
+    assert mc._runs(150, 0) != mc._runs(150, pool_size(3))
     r1 = run_experiment(ExperimentPlan(**base, workers=1))
     r2 = run_experiment(ExperimentPlan(**base, workers=3))
     assert r1.to_json() == r2.to_json()
@@ -390,6 +439,28 @@ def test_three_cells_on_one_real_pool_match_serial(monkeypatch, caplog):
     pools = [m for m in caplog.messages if m.startswith("pool:")]
     # 100 reps on 2 processes: a run of 50 each per cell, one line per experiment
     assert len(pools) == 1 and pools[0].startswith("pool: 2 processes, 6 tasks, open ")
+
+
+def test_error_in_a_pool_worker_reads_as_serial(monkeypatch, capsys):
+    # the truncated kernel's estimated diagonal turns negative at this c; the
+    # band, and so the error, is now raised inside a worker process
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    plan = ExperimentPlan("coverage", kernel_name="truncated", c_const=40.0,
+                          t_grid=(256, 512), reps=100, seed=1, workers=2)
+    with pytest.raises(DegenerateSpectrum) as exc:
+        run_experiment(plan)
+    assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+    assert exc.value.freq == pytest.approx(0.168415, abs=1e-6)
+    argv = ["verify", "--experiment", "coverage", "--model", "white", "--kernel",
+            "truncated", "--c-const", "40", "--t-grid", "256,512", "--reps", "100",
+            "--seed", "1", "--threads"]
+    errs = []
+    for threads in ("1", "2"):
+        assert main(argv + [threads]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == (
+        "error: DegenerateSpectrum: nonpositive spectral diagonal at frequency 0.168415\n"
+    )
 
 
 def test_verify_logs_the_pool_it_starts(monkeypatch, caplog, tmp_path):
