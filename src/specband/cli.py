@@ -136,7 +136,9 @@ def _estimate_input(args, grid_spec: str):
 def _cmd_estimate(args) -> int:
     _, grid = _estimate_input(args, args.grid)
     payload = _jsonable(grid)
-    payload["config"] = _echo(args, "input", "kernel", "b_exponent", "c_const", "grid")
+    payload["config"] = _echo(
+        args, "input", "has_header", "kernel", "b_exponent", "c_const", "grid"
+    )
     payload["config"]["centered"] = True
     _emit(payload, args.output)
     return 0
@@ -169,8 +171,8 @@ def _cmd_bands(args) -> int:
         line = f"undersmoothing check b*(q+1) > 1: {verdict[check]} ({note})"
         print(line, file=sys.stderr)
     payload["config"] = _echo(
-        args, "input", "kernel", "level", "entries", "method", "bonferroni",
-        "assume_smooth", "b_exponent", "c_const",
+        args, "input", "has_header", "kernel", "level", "entries", "method",
+        "bonferroni", "assume_smooth", "b_exponent", "c_const",
     )
     _emit(payload, args.output)
     return 0

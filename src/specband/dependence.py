@@ -204,6 +204,8 @@ class ConditionReport:
     alpha2_pass: bool | None
     bandwidth_window_ok: bool
     p: float
+    b: float
+    b_lower: float
     delta_param: float
     independent_components: bool
     notes: tuple = field(default_factory=tuple)
@@ -354,6 +356,8 @@ def check_conditions(
         alpha2_pass=alpha2_pass,
         bandwidth_window_ok=bandwidth_ok,
         p=p,
+        b=b,
+        b_lower=b_lower,
         delta_param=delta_param,
         independent_components=independent_components,
         notes=tuple(notes),

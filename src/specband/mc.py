@@ -7,26 +7,30 @@ deviation, moment convergence, the uniform moment rate, smoothing-bias decay,
 and simultaneous band coverage.
 
 All simulating experiments share one cell loop in ``run_experiment``: for
-each T in the plan's grid it builds one ``_Cell`` (bandwidth and the exact
-centering E fhat on the experiment's frequency grid), runs the replications,
-and stores the cell's row and per-replication statistics. Runs are an even
-split of a cell's replications into consecutive ranges of at most 64, as
-many per pool process. A run estimates its replications by one
-``estimate_matrices`` call on their stacked autocovariances, which gives one
-``SpectralGrid`` stacked on a leading replication axis, and reduces that
-grid at once to a few numbers per replication through the same code that
-``bands`` uses (``max_deviation``, ``uniform_band``): a centered maximum, a
-sup deviation, coverage flags or standardized deviations. So no estimates
-outlive their run, and a cell holds its runs' reductions, concatenated in
-replication order, which the experiment's summary turns into the cell's row
-(KS distances, means, norms, coverage rates). With ``workers`` >= 2, one
-process pool serves every cell of the experiment, each run a task for
-whichever process is free that sends back only its reductions, and is shut
-down after the last cell; on closing it logs its processes, tasks and
-seconds open. ``bias_rate`` and serial plans start no pool. What differs is
-kept in the ``_EXPERIMENTS`` table: the frequency grid, the per-run
-reduction, the cell summary and the verdicts. ``bias_rate`` simulates
-nothing and has its own short loop over bandwidths.
+each T in the plan's grid it builds one ``_Cell``, runs the replications,
+and stores the cell's row and per-replication statistics. The cell holds the
+bandwidth and its oracles on the experiment's frequency grid, each evaluated
+once per cell: the exact centering E fhat and, for the experiments that
+normalize by kappa f_ii f_jj (clt, gumbel, moments), the exact density f; an
+oracle that leaves the float range raises InvalidModel before any
+replication runs. Runs are an even split of a cell's replications into
+consecutive ranges of at most 64, as many per pool process. A run estimates
+its replications by one ``estimate_matrices`` call on their stacked
+autocovariances, which gives one ``SpectralGrid`` stacked on a leading
+replication axis, and reduces that grid at once to a few numbers per
+replication through the same code that ``bands`` uses (``max_deviation``,
+``uniform_band``): a centered maximum, a sup deviation, coverage flags or
+scaled deviations. So no estimates outlive their run, and a cell holds its
+runs' reductions, concatenated in replication order, which the experiment's
+summary turns into the cell's row (KS distances, means, norms, coverage
+rates). With ``workers`` >= 2, one process pool serves every cell of the
+experiment, each run a task for whichever process is free that sends back
+only its reductions, and is shut down after the last cell; on closing it
+logs its processes, tasks and seconds open. ``bias_rate`` and serial plans
+start no pool. What differs is kept in the ``_EXPERIMENTS`` table: the
+frequency grid, whether the cell evaluates f, the per-run reduction, the
+cell summary and the verdicts. ``bias_rate`` simulates nothing and has its
+own short loop over bandwidths.
 
 Centering is by the exact finite-sample mean (closed form under the model),
 and autocovariances are taken on the raw simulated values without sample-mean
@@ -189,6 +193,7 @@ class _Cell(NamedTuple):
     t_len: int
     b_val: int
     center: SpectralGrid  # exact mean E fhat on the experiment's grid
+    truth: SpectralGrid | None  # exact f on that grid, if the experiment needs it
 
 
 def _run_estimates(cell: _Cell, reps: range) -> np.ndarray:
@@ -250,13 +255,6 @@ def _pool(size: int, tasks: int):
     )
 
 
-def _run_reps(cell: _Cell, runs: list, pool) -> np.ndarray:
-    """The cell's per-replication values: its runs' reductions, concatenated
-    in replication order."""
-    run = partial(_run_estimates, cell)
-    return np.concatenate(list(map(run, runs) if pool is None else pool.map(run, runs)))
-
-
 def _limit_expectation(g) -> float:
     """E g(G) under the limit law with cdf exp(-exp(-x/2)), g vectorized, by
     the exp-sinh trapezoid on each half-line (Takahasi & Mori 1974, Publ.
@@ -310,27 +308,21 @@ def _clt_grid(b_val: int) -> np.ndarray:
 
 
 def _clt_deviations(c: _Cell, ests: SpectralGrid) -> np.ndarray:
-    """Per replication, the standardized deviation sqrt(T/B)(fhat - E fhat)
-    / sqrt(omega kappa f_ii f_jj) and the same deviation scaled by
-    sqrt(kappa f_ii f_jj) alone, at 0 and pi/2: (run, 2 kinds, 2 freqs)."""
+    """Per replication, sqrt(T/B)(fhat - E fhat) at 0 and pi/2: (run, 2)."""
     i, j = c.plan.entry
-    freqs = c.center.freqs
-    truth = c.model.spectral_density(freqs)
-    dev = np.sqrt(c.t_len / c.b_val) * (ests.entry(i, j) - c.center.entry(i, j))
-    denom = c.kernel.kappa * truth[:, i, i].real * truth[:, j, j].real
-    std = dev / np.sqrt(omega_factor(freqs) * denom)
-    scaled = dev / np.sqrt(denom)[None, :]
-    return np.stack([std, scaled], axis=1)
+    return np.sqrt(c.t_len / c.b_val) * (ests.entry(i, j) - c.center.entry(i, j))
 
 
 def _clt_cell(c: _Cell, devs: np.ndarray):
-    """Normal limit of the standardized deviations at 0 and pi/2; the
-    variance ratio of the scaled deviations between them exhibits the
-    boundary factor omega = 2 vs 1.
+    """Normal limit of the deviations standardized by sqrt(omega kappa f_ii
+    f_jj) at 0 and pi/2; the variance ratio of the deviations scaled by
+    sqrt(kappa f_ii f_jj) alone exhibits the boundary factor omega = 2 vs 1.
     """
     i, j = c.plan.entry
     reps = c.plan.reps
-    std, scaled = devs[:, 0], devs[:, 1]
+    denom = c.kernel.kappa * c.truth.entry(i, i).real * c.truth.entry(j, j).real
+    std = devs / np.sqrt(omega_factor(c.truth.freqs) * denom)
+    scaled = devs / np.sqrt(denom)
     row = {
         "ks_freq0": _ks_statistic(std[:, 0].real, _normal_cdf),
         "ks_pi_half": _ks_statistic(std[:, 1].real, _normal_cdf),
@@ -356,8 +348,7 @@ def _clt_verdicts(plan, rows):
 
 def _centered_max(c: _Cell, ests: SpectralGrid) -> np.ndarray:
     """The centered maximum-deviation statistic, one per replication."""
-    denom = true_spectrum(c.model, c.center.freqs)
-    return max_deviation(ests, c.center, denom, c.kernel, c.plan.entry)
+    return max_deviation(ests, c.center, c.truth, c.kernel, c.plan.entry)
 
 
 def _gumbel_cell(c: _Cell, stats: np.ndarray):
@@ -496,6 +487,7 @@ class _Experiment(NamedTuple):
     """What one simulating experiment adds to the shared cell loop."""
 
     freqs: Callable  # B -> frequency grid
+    truth: bool  # whether the cell evaluates the exact f on that grid
     reduce: Callable  # (_Cell, one run's stacked ests) -> per-replication values
     summary: Callable  # (_Cell, the cell's values) -> (row fields, per-rep raw values)
     raw_key: str  # raw values are stored under f"{raw_key}_T{T}"
@@ -504,19 +496,21 @@ class _Experiment(NamedTuple):
 
 _EXPERIMENTS = {
     "clt": _Experiment(
-        _clt_grid, _clt_deviations, _clt_cell, "std_pi_half", _clt_verdicts
+        _clt_grid, True, _clt_deviations, _clt_cell, "std_pi_half", _clt_verdicts
     ),
     "gumbel": _Experiment(
-        theorem_grid, _centered_max, _gumbel_cell, "centered_max", _gumbel_verdicts
+        theorem_grid, True, _centered_max, _gumbel_cell, "centered_max", _gumbel_verdicts
     ),
     "moments": _Experiment(
-        theorem_grid, _centered_max, _moments_cell, "centered_max", _moments_verdicts
+        theorem_grid, True, _centered_max, _moments_cell, "centered_max",
+        _moments_verdicts,
     ),
     "uniform_rate": _Experiment(
-        _dense_grid, _sup_deviation, _uniform_rate_cell, "sup", _uniform_rate_verdicts
+        _dense_grid, False, _sup_deviation, _uniform_rate_cell, "sup",
+        _uniform_rate_verdicts,
     ),
     "coverage": _Experiment(
-        theorem_grid, _covered, _coverage_cell, "joint", _coverage_verdicts
+        theorem_grid, False, _covered, _coverage_cell, "joint", _coverage_verdicts
     ),
 }
 EXPERIMENTS = (*_EXPERIMENTS, "bias_rate")  # bias_rate simulates nothing
@@ -533,7 +527,7 @@ def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
     i, j = plan.entry
     t_len = plan.t_grid[-1]
     freq = np.array([np.pi / 2.0])
-    f_true = model.spectral_density(freq)[0, i, j]
+    f_true = true_spectrum(model, freq).matrices[0, i, j]
     rows = []
     for b_val in plan.b_grid:
         exp_mat = expected_spectrum(model, kernel, b_val, t_len, freq).matrices[0, i, j]
@@ -593,13 +587,22 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     runs = _runs(plan.reps, size)
     rows, raw = [], {}
     with _pool(size, len(runs) * len(plan.t_grid)) as pool:
+        mapper = map if pool is None else pool.map  # both yield in run order
         for index, t_len in enumerate(plan.t_grid):
             start = time.perf_counter()
             b_val = Bandwidth(t_len, plan.b_exponent, plan.c_const).value
-            center = expected_spectrum(model, kernel, b_val, t_len, spec.freqs(b_val))
-            cell = _Cell(plan, model, kernel, index, t_len, b_val, center)
+            freqs = spec.freqs(b_val)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                center = expected_spectrum(model, kernel, b_val, t_len, freqs)
+                truth = true_spectrum(model, freqs) if spec.truth else None
+            if not all(np.isfinite(g.matrices).all() for g in (center, truth) if g):
+                raise InvalidModel(
+                    f"model {plan.model_spec!r}: the exact spectra overflow at "
+                    f"T = {t_len}: its values are too large"
+                )
+            cell = _Cell(plan, model, kernel, index, t_len, b_val, center, truth)
             centered = time.perf_counter()
-            values = _run_reps(cell, runs, pool)
+            values = np.concatenate(list(mapper(partial(_run_estimates, cell), runs)))
             simulated = time.perf_counter()
             row, raw[f"{spec.raw_key}_T{t_len}"] = spec.summary(cell, values)
             end = time.perf_counter()

@@ -32,8 +32,8 @@ def test_estimate_happy_path(wn_csv, capsys):
     assert payload["schema_version"] == 1
     assert payload["kernel"] == "bartlett"
     assert payload["config"] == {
-        "input": wn_csv, "kernel": "bartlett", "b_exponent": 0.4, "c_const": 1.0,
-        "grid": "theorem", "centered": True,
+        "input": wn_csv, "has_header": False, "kernel": "bartlett", "b_exponent": 0.4,
+        "c_const": 1.0, "grid": "theorem", "centered": True,
     }
     mats = np.array(payload["matrices"])  # (F, n, n, 2) re/im pairs
     herm_re = mats[:, 0, 1, 0] - mats[:, 1, 0, 0]
@@ -244,7 +244,8 @@ def test_bands_explicit_entries_echo_one_based(wn_csv, capsys):
     assert code == 0
     assert [(e["i"], e["j"]) for e in payload["entries"]] == [(1, 1), (2, 2)]
     assert payload["config"] == {
-        "input": wn_csv, "kernel": "bartlett", "level": 0.95, "entries": "1,1;2,2",
+        "input": wn_csv, "has_header": False, "kernel": "bartlett", "level": 0.95,
+        "entries": "1,1;2,2",
         "method": "uniform", "bonferroni": False, "assume_smooth": False,
         "b_exponent": 0.4, "c_const": 1.0,
     }
@@ -418,6 +419,35 @@ def test_depmeasure(capsys):
     assert payload["p"] == 2
     assert len(payload["delta"]) == 9
     assert payload["conditions"]["bandwidth_window_ok"] is True
+
+
+def _conditions(capsys, *flags):
+    code, payload = _run_json(
+        capsys,
+        ["depmeasure", "--model", "ar1:phi=0.5", "--horizon", "8", "--reps", "400",
+         "--seed", "7", "--check-conditions", *flags],
+    )
+    assert code == 0
+    return payload["conditions"]
+
+
+def test_depmeasure_independent_components_evaluates_thresholds_at_half_p(capsys):
+    # p/2 = 4 puts alpha1 at max(1/2 - 0, 2/4) and alpha2 at max(1 - 0, 0)
+    report = _conditions(capsys, "--p", "8", "--independent-components")
+    assert report["independent_components"] is True and report["p"] == 8
+    assert (report["alpha1_threshold"], report["alpha2_threshold"]) == (0.5, 1.0)
+    assert "thresholds evaluated with p replaced by p/2" in report["notes"]
+    at_half = _conditions(capsys, "--p", "4")
+    assert at_half["independent_components"] is False
+    assert not any("p/2" in note for note in at_half["notes"])
+    for key in ("alpha1_threshold", "alpha2_threshold"):
+        assert report[key] == at_half[key]
+
+
+def test_depmeasure_reports_an_empty_bandwidth_window(capsys):
+    report = _conditions(capsys, "--b-exponent-lower", "0.5", "--b-exponent-upper", "0.4")
+    assert report["bandwidth_window_ok"] is False
+    assert (report["b_lower"], report["b"]) == (0.5, 0.4)
 
 
 @pytest.mark.parametrize(

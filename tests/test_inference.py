@@ -89,7 +89,7 @@ def test_max_deviation_single_spike():
     est2 = SpectralGrid(est.freqs, mats, b_val, "bartlett", t_len)
     stat = max_deviation(est2, center, center, BART, (0, 0))
     expected = 100.0 * d**2 / ((2.0 / 3.0) * (1.0 / TWO_PI) ** 2)
-    assert _raw(stat, b_val) == pytest.approx(expected, rel=1e-12)
+    assert _raw(stat, b_val) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_max_deviation_imaginary_spike_same_value():
@@ -110,7 +110,9 @@ def test_max_deviation_imaginary_spike_same_value():
         SpectralGrid(base.freqs, im_m, b_val, "bartlett", t_len),
         base, base, BART, (0, 1),
     )
-    assert _raw(re_stat, b_val) == pytest.approx(_raw(im_stat, b_val), rel=1e-12)
+    assert _raw(re_stat, b_val) == pytest.approx(
+        _raw(im_stat, b_val), rel=1e-12, abs=0.0
+    )
 
 
 def test_max_deviation_grid_mismatch():
@@ -254,7 +256,7 @@ def test_pointwise_ci_z_value_and_omega():
     )
     assert half[16] == pytest.approx(expected_mid, abs=1e-6)
     # boundary variance doubling: width ratio sqrt(2)
-    assert half[0] / half[16] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert half[0] / half[16] == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0.0)
     assert band.method == "clt_pointwise" and band.bonferroni_m == 1
     assert band.metadata["per_entry_level"] == 0.95
 

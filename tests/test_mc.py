@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,31 @@ def test_statistic_runs_once_per_run(experiment, name, monkeypatch):
         index, run = divmod(k, len(runs))
         for est, rep in zip(matrices, runs[run]):
             assert np.array_equal(est, _one_estimate(plan, index, rep, freqs))
+
+
+def _recording_grids(grids, oracle):
+    def counted(*args):
+        grids.append(args[-1])  # each oracle takes the frequency grid last
+        return oracle(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("experiment", list(mc._EXPERIMENTS))
+def test_exact_spectra_are_evaluated_once_per_cell(experiment, monkeypatch):
+    # 101 reps make two runs per cell; the oracles belong to the cell, not the run
+    calls = {"expected_spectrum": [], "true_spectrum": []}
+    for name, grids in calls.items():
+        monkeypatch.setattr(mc, name, _recording_grids(grids, getattr(mc, name)))
+    plan = ExperimentPlan(experiment, t_grid=(256, 512), reps=101, seed=2)
+    run_experiment(plan)
+    assert len(mc._runs(plan.reps, 0)) == 2
+    centers = calls["expected_spectrum"]
+    assert len(centers) == len(plan.t_grid)
+    needs_truth = experiment in ("clt", "gumbel", "moments")
+    assert [f.size for f in calls["true_spectrum"]] == (
+        [f.size for f in centers] if needs_truth else []
+    )
 
 
 @pytest.mark.parametrize("experiment", list(mc._EXPERIMENTS))
@@ -290,6 +316,40 @@ def test_var1_whose_autocovariance_overflows_raises_invalid_model(tmp_path):
     )
     with pytest.raises(InvalidModel, match="autocovariance overflows at T = 256"):
         run_experiment(plan)
+
+
+_OVERFLOWING_F = ["--model", "ar1:phi=0.99,sigma2=2e304", "--t-grid", "3,4"]
+
+
+@pytest.mark.parametrize(
+    "argv, name, code",
+    [
+        # f(0) = h sigma2 h / 2pi with h = 1/(1 - phi) overflows at h sigma2 h;
+        # E fhat stays finite
+        *((["--experiment", e, *_OVERFLOWING_F], "InvalidModel", 2)
+          for e in ("clt", "gumbel", "moments")),
+        # E fhat's lag sum overflows at the cell's B = 507
+        (["--experiment", "gumbel", "--model", "ar1:phi=0.999,sigma2=1e303",
+          "--c-const", "6", "--t-grid", "65536"], "InvalidModel", 2),
+        # neither evaluates f, and each fails as before on the first cell
+        (["--experiment", "coverage", *_OVERFLOWING_F], "BandUndefined", 1),
+        (["--experiment", "uniform-rate", *_OVERFLOWING_F], "InvalidPlan", 2),
+    ],
+    ids=["clt", "gumbel", "moments", "gumbel-center", "coverage", "uniform-rate"],
+)
+def test_exact_spectra_that_overflow_end_as_one_error_line(argv, name, code, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", *argv, "--reps", "100"]) == code
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name}: ")
+    if name == "InvalidModel":
+        model = argv[argv.index("--model") + 1]
+        t_len = argv[argv.index("--t-grid") + 1].split(",")[0]
+        assert f"model {model!r}: the exact spectra overflow at T = {t_len}:" in err[0]
 
 
 @pytest.mark.parametrize("sigma2, nu", [(1e-8, 100.0), (1e160, 2.0)])
@@ -564,4 +624,4 @@ def test_se_scales_with_reps():
     reports = [run_experiment(p) for p in plans]
     se_small = reports[0].rows[0]["ks_se"]
     se_big = reports[1].rows[0]["ks_se"]
-    assert se_small == pytest.approx(2.0 * se_big, rel=1e-12)
+    assert se_small == pytest.approx(2.0 * se_big, rel=1e-12, abs=0.0)

@@ -87,7 +87,7 @@ def test_ar1_gamma_closed_form():
     model = AR1Scalar(0.5, sigma2=2.0)
     for u in range(4):
         assert model.gamma(u)[0, 0] == pytest.approx(
-            0.5**u * 2.0 / (1.0 - 0.25), rel=1e-12
+            0.5**u * 2.0 / (1.0 - 0.25), rel=1e-12, abs=0.0
         )
 
 
