@@ -21,6 +21,7 @@ no OpenSSL. A program that loaded numpy first keeps both of its own.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -347,5 +348,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """The ``specband`` command and ``python -m specband.cli``: exit with
+    ``main()``'s code. ``gc.freeze()`` first moves every live object out of
+    the collector's reach, so the collections at interpreter exit skip them.
+    ``main()``, which programs call in-process, does not freeze."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

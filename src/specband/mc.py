@@ -1,18 +1,19 @@
 """Monte Carlo experiments that check the limit theorems at desk scale.
 
-Each experiment simulates a known mean-zero model, estimates the spectral
-matrix per replication, and compares distributional summaries against the
-theory: the pointwise normal limit, the extreme-value limit of the maximum
-deviation, moment convergence, the uniform moment rate, smoothing-bias decay,
-and simultaneous band coverage.
+Each experiment compares distributional summaries of the estimator on a
+known mean-zero model against the theory: the pointwise normal limit, the
+extreme-value limit of the maximum deviation, moment convergence, the
+uniform moment rate, smoothing-bias decay, and simultaneous band coverage.
 
-All simulating experiments share one cell loop in ``run_experiment``: for
-each T in the plan's grid it builds one ``_Cell``, runs the replications,
-and stores the cell's row and per-replication statistics. The cell holds the
-bandwidth and its oracles on the experiment's frequency grid, each evaluated
-once per cell: the exact centering E fhat and, for the experiments that
-normalize by kappa f_ii f_jj (clt, gumbel, moments), the exact density f; an
-oracle that leaves the float range raises InvalidModel before any
+One cell loop in ``run_experiment`` serves all six experiments. A cell is
+one (T, B): B by the plan's bandwidth rule at each T in its grid, or, for
+``bias_rate``, each ``b_grid`` bandwidth at the grid's largest T. For each
+it builds one ``_Cell``, runs the replications, stores the cell's row and
+per-replication statistics, and logs its seconds at INFO. The cell holds
+the bandwidth and its oracles on the experiment's frequency grid, each
+evaluated once per cell: the exact centering E fhat and, where the
+experiment reads it (clt, gumbel, moments, bias_rate), the exact density f;
+an oracle that leaves the float range raises InvalidModel before any
 replication runs. Runs are an even split of a cell's replications into
 consecutive ranges of at most 64, as many per pool process. A run estimates
 its replications by one ``estimate_matrices`` call on their stacked
@@ -22,15 +23,15 @@ replication through the same code that ``bands`` uses (``max_deviation``,
 ``uniform_band``): a centered maximum, a sup deviation, coverage flags or
 scaled deviations. So no estimates outlive their run, and a cell holds its
 runs' reductions, concatenated in replication order, which the experiment's
-summary turns into the cell's row (KS distances, means, norms, coverage
-rates). With ``workers`` >= 2, one process pool serves every cell of the
+summary turns into the cell's row. ``bias_rate`` has no reduction: it draws
+nothing, and its summary reads the exact bias |E fhat - f| off the oracles.
+With ``workers`` >= 2, one process pool serves every cell of a drawing
 experiment, each run a task for whichever process is free that sends back
 only its reductions, and is shut down after the last cell; on closing it
 logs its processes, tasks and seconds open. ``bias_rate`` and serial plans
-start no pool. What differs is kept in the ``_EXPERIMENTS`` table: the
+start no pool. What differs is kept in the ``EXPERIMENTS`` table: the
 frequency grid, whether the cell evaluates f, the per-run reduction, the
-cell summary and the verdicts. ``bias_rate`` simulates nothing and has its
-own short loop over bandwidths.
+cell summary, the raw key and the verdicts.
 
 Centering is by the exact finite-sample mean (closed form under the model),
 and autocovariances are taken on the raw simulated values without sample-mean
@@ -58,7 +59,7 @@ import numpy as np
 
 from .acov import autocov_matrices
 from .errors import InvalidModel, InvalidPlan
-from .inference import gumbel_cdf, max_deviation, omega_factor, uniform_band
+from .inference import _denominators, gumbel_cdf, max_deviation, omega_factor, uniform_band
 from .kernels import Kernel, get_kernel
 from .models import _check_seed, parse_model
 from .series import _fields, _json_text
@@ -189,7 +190,7 @@ class _Cell(NamedTuple):
     plan: ExperimentPlan
     model: object
     kernel: Kernel
-    index: int  # position in t_grid: replication r draws from (seed, index, r)
+    index: int  # the cell's position: replication r draws from (seed, index, r)
     t_len: int
     b_val: int
     center: SpectralGrid  # exact mean E fhat on the experiment's grid
@@ -217,7 +218,7 @@ def _run_estimates(cell: _Cell, reps: range) -> np.ndarray:
         )
     est = estimate_matrices(stacks, cell.kernel, cell.b_val, cell.center.freqs)
     del stacks  # before the reduction's temporaries, which can rival the estimator's
-    reduce = _EXPERIMENTS[cell.plan.experiment].reduce
+    reduce = EXPERIMENTS[cell.plan.experiment].reduce
     return reduce(cell, replace(cell.center, matrices=est))
 
 
@@ -320,6 +321,9 @@ def _clt_cell(c: _Cell, devs: np.ndarray):
     """
     i, j = c.plan.entry
     reps = c.plan.reps
+    # raises DegenerateSpectrum where f_ii or f_jj <= 0; denom keeps its own
+    # order of products, which the reports' bytes depend on
+    _denominators(c.truth, i, j)
     denom = c.kernel.kappa * c.truth.entry(i, i).real * c.truth.entry(j, j).real
     std = devs / np.sqrt(omega_factor(c.truth.freqs) * denom)
     scaled = devs / np.sqrt(denom)
@@ -338,7 +342,7 @@ def _clt_cell(c: _Cell, devs: np.ndarray):
     return row, std[:, 1].real
 
 
-def _clt_verdicts(plan, rows):
+def _clt_verdicts(c: _Cell, rows):
     last = rows[-1]
     return {
         "ks_pi_half_le_0.05": last["ks_pi_half"] <= 0.05,
@@ -362,7 +366,7 @@ def _gumbel_cell(c: _Cell, stats: np.ndarray):
     return row, stats
 
 
-def _gumbel_verdicts(plan, rows):
+def _gumbel_verdicts(c: _Cell, rows):
     ks_values = [row["ks_gumbel"] for row in rows]
     verdicts = {"ks_final_le_0.20": ks_values[-1] <= 0.20}
     if len(rows) > 1:
@@ -389,7 +393,7 @@ def _moments_cell(c: _Cell, stats: np.ndarray):
     return row, stats
 
 
-def _moments_verdicts(plan, rows):
+def _moments_verdicts(c: _Cell, rows):
     gaps = [row["norm_gap"] for row in rows]
     verdicts = {"norm_within_30pct_final": gaps[-1] <= 0.30 * rows[-1]["limit_norm"]}
     if len(rows) > 1:
@@ -425,7 +429,7 @@ def _uniform_rate_cell(c: _Cell, sup: np.ndarray):
     return row, sup
 
 
-def _uniform_rate_verdicts(plan, rows):
+def _uniform_rate_verdicts(c: _Cell, rows):
     ratios = [row["ratio"] for row in rows]
     verdicts = {}
     if len(rows) > 1:
@@ -466,15 +470,13 @@ def _coverage_cell(c: _Cell, covered: np.ndarray):
     return row, joint.astype(int)
 
 
-def _coverage_verdicts(plan, rows):
-    final = rows[-1]["joint_coverage"]
-    if plan.level >= 0.9:
+def _coverage_verdicts(c: _Cell, rows):
+    final, level = rows[-1]["joint_coverage"], c.plan.level
+    if level >= 0.9:
         # slack for the logarithmic extreme-value convergence rate
-        verdicts = {"joint_coverage_floor": final >= plan.level - 0.05}
+        verdicts = {"joint_coverage_floor": final >= level - 0.05}
     else:
-        verdicts = {
-            "joint_coverage_band": plan.level - 0.15 <= final <= plan.level + 0.20
-        }
+        verdicts = {"joint_coverage_band": level - 0.15 <= final <= level + 0.20}
     if len(rows) > 1:
         verdicts["coverage_nondecreasing"] = all(
             b["joint_coverage"] >= a["joint_coverage"] - 0.02
@@ -483,18 +485,61 @@ def _coverage_verdicts(plan, rows):
     return verdicts
 
 
+def _pi_half_grid(b_val: int) -> np.ndarray:
+    return np.array([np.pi / 2.0])
+
+
+def _bias_cell(c: _Cell, values: None):
+    """Exact smoothing bias |E fhat - f| at pi/2, from the cell's oracles alone."""
+    i, j = c.plan.entry
+    f_true = c.truth.matrices[0, i, j]
+    bias = float(abs(c.center.matrices[0, i, j] - f_true))
+    return {"bias": bias, "f_true": float(abs(f_true))}, None
+
+
+def _bias_verdicts(c: _Cell, rows):
+    """Fit the log-log slope of the bias in B, and close ``rows`` with it.
+
+    A model with smoothing bias at fewer than two bandwidths (a flat
+    spectrum, such as white noise, has none) has no rate to fit and raises
+    ``InvalidPlan``.
+    """
+    biases = np.array([row["bias"] for row in rows])
+    positive = biases > 0.0
+    if positive.sum() < 2:
+        raise InvalidPlan(
+            f"model {c.plan.model_spec!r} gives the {c.kernel.name} kernel no smoothing "
+            f"bias at pi/2 at {len(biases) - positive.sum()} of {len(biases)} "
+            "bandwidths, so there is no decay rate to measure"
+        )
+    log_b = np.log(c.plan.b_grid)
+    slope = float(np.polyfit(log_b[positive], np.log(biases[positive]), 1)[0])
+    if c.kernel.name == "truncated":
+        at_64 = rows[c.plan.b_grid.index(64) if 64 in c.plan.b_grid else -1]
+        verdicts = {"bias_at_64_le_1e-6_f": at_64["bias"] <= 1e-6 * at_64["f_true"]}
+    else:
+        verdicts = {
+            "slope_le_-0.7": slope <= -0.7,
+            "bias_decreasing": bool(np.all(np.diff(biases) < 0.0)),
+        }
+    # an infinite or unknown order is a string, which plot_rows leaves out
+    rows.append({"t_len": c.t_len, "fitted_slope": slope, "kernel_q_claim": c.kernel.q})
+    return verdicts
+
+
 class _Experiment(NamedTuple):
-    """What one simulating experiment adds to the shared cell loop."""
+    """What one experiment adds to the shared cell loop."""
 
     freqs: Callable  # B -> frequency grid
     truth: bool  # whether the cell evaluates the exact f on that grid
-    reduce: Callable  # (_Cell, one run's stacked ests) -> per-replication values
+    # (_Cell, one run's stacked ests) -> per-replication values; None draws nothing
+    reduce: Callable | None
     summary: Callable  # (_Cell, the cell's values) -> (row fields, per-rep raw values)
-    raw_key: str  # raw values are stored under f"{raw_key}_T{T}"
-    verdicts: Callable  # (plan, rows) -> {name: bool}
+    raw_key: str | None  # raw values are stored under f"{raw_key}_T{T}"
+    verdicts: Callable  # (last _Cell, rows) -> {name: bool}
 
 
-_EXPERIMENTS = {
+EXPERIMENTS = {
     "clt": _Experiment(
         _clt_grid, True, _clt_deviations, _clt_cell, "std_pi_half", _clt_verdicts
     ),
@@ -512,67 +557,15 @@ _EXPERIMENTS = {
     "coverage": _Experiment(
         theorem_grid, False, _covered, _coverage_cell, "joint", _coverage_verdicts
     ),
+    "bias_rate": _Experiment(_pi_half_grid, True, None, _bias_cell, None, _bias_verdicts),
 }
-EXPERIMENTS = (*_EXPERIMENTS, "bias_rate")  # bias_rate simulates nothing
-
-
-def _bias_rate(plan: ExperimentPlan, model, kernel: Kernel) -> ExperimentReport:
-    """Exact (simulation-free) smoothing-bias decay in the bandwidth.
-
-    Evaluates |E fhat - f| at pi/2 for each bandwidth in ``b_grid`` with T
-    fixed at the largest grid value, and fits the log-log slope. A model
-    with smoothing bias at fewer than two bandwidths (a flat spectrum, such
-    as white noise, has none) has no rate to fit and raises ``InvalidPlan``.
-    """
-    i, j = plan.entry
-    t_len = plan.t_grid[-1]
-    freq = np.array([np.pi / 2.0])
-    f_true = true_spectrum(model, freq).matrices[0, i, j]
-    rows = []
-    for b_val in plan.b_grid:
-        exp_mat = expected_spectrum(model, kernel, b_val, t_len, freq).matrices[0, i, j]
-        rows.append(
-            {
-                "t_len": t_len,
-                "bandwidth": b_val,
-                "bias": float(abs(exp_mat - f_true)),
-                "f_true": float(abs(f_true)),
-            }
-        )
-    biases = np.array([row["bias"] for row in rows])
-    positive = biases > 0.0
-    if positive.sum() < 2:
-        raise InvalidPlan(
-            f"model {plan.model_spec!r} gives the {kernel.name} kernel no smoothing "
-            f"bias at pi/2 at {len(biases) - positive.sum()} of {len(biases)} "
-            "bandwidths, so there is no decay rate to measure"
-        )
-    log_b = np.log([row["bandwidth"] for row in rows])
-    slope = float(np.polyfit(log_b[positive], np.log(biases[positive]), 1)[0])
-    verdicts = {}
-    if kernel.name == "truncated":
-        idx = plan.b_grid.index(64) if 64 in plan.b_grid else len(plan.b_grid) - 1
-        verdicts["bias_at_64_le_1e-6_f"] = rows[idx]["bias"] <= 1e-6 * rows[idx]["f_true"]
-    else:
-        verdicts["slope_le_-0.7"] = slope <= -0.7
-        verdicts["bias_decreasing"] = bool(np.all(np.diff(biases) < 0.0))
-    rows_out = tuple(rows) + (
-        {
-            "t_len": t_len,
-            "fitted_slope": slope,
-            # an infinite or unknown order is a string, which plot_rows leaves out
-            "kernel_q_claim": kernel.q,
-        },
-    )
-    return ExperimentReport(plan=plan, rows=rows_out, verdicts=verdicts)
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Run a plan and collect its rows, verdicts and raw statistics.
 
-    Every simulating experiment goes through the one loop below; its
-    ``_EXPERIMENTS`` entry supplies the grid, per-run reduction, cell summary
-    and verdicts.
+    Every experiment goes through the one loop below; its ``EXPERIMENTS``
+    entry supplies the grid, per-run reduction, cell summary and verdicts.
     """
     model = plan.model()
     if len(plan.entry) != 2 or not all(0 <= k < model.n_dim for k in plan.entry):
@@ -580,17 +573,18 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
             f"entry {plan.entry} (0-based) is outside a {model.n_dim}-dimensional model"
         )
     kernel = plan.kernel()
-    if plan.experiment == "bias_rate":
-        return _bias_rate(plan, model, kernel)
-    spec = _EXPERIMENTS[plan.experiment]
-    size = pool_size(plan.workers)
-    runs = _runs(plan.reps, size)
+    spec = EXPERIMENTS[plan.experiment]
+    if spec.reduce:
+        cells = [(t, Bandwidth(t, plan.b_exponent, plan.c_const).value) for t in plan.t_grid]
+        size = pool_size(plan.workers)
+        runs = _runs(plan.reps, size)
+    else:  # bias_rate draws nothing: each b_grid bandwidth at the largest T
+        cells, size, runs = [(plan.t_grid[-1], b) for b in plan.b_grid], 0, []
     rows, raw = [], {}
-    with _pool(size, len(runs) * len(plan.t_grid)) as pool:
+    with _pool(size, len(runs) * len(cells)) as pool:
         mapper = map if pool is None else pool.map  # both yield in run order
-        for index, t_len in enumerate(plan.t_grid):
+        for index, (t_len, b_val) in enumerate(cells):
             start = time.perf_counter()
-            b_val = Bandwidth(t_len, plan.b_exponent, plan.c_const).value
             freqs = spec.freqs(b_val)
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 center = expected_spectrum(model, kernel, b_val, t_len, freqs)
@@ -602,9 +596,11 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 )
             cell = _Cell(plan, model, kernel, index, t_len, b_val, center, truth)
             centered = time.perf_counter()
-            values = np.concatenate(list(mapper(partial(_run_estimates, cell), runs)))
+            values = list(mapper(partial(_run_estimates, cell), runs))
             simulated = time.perf_counter()
-            row, raw[f"{spec.raw_key}_T{t_len}"] = spec.summary(cell, values)
+            row, stats = spec.summary(cell, np.concatenate(values) if runs else None)
+            if spec.raw_key:
+                raw[f"{spec.raw_key}_T{t_len}"] = stats
             end = time.perf_counter()
             rows.append({"t_len": t_len, "bandwidth": b_val, **row})
             # "reps" covers the runs and their reductions, "statistic" the summary
@@ -613,6 +609,5 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 t_len, b_val, end - start, centered - start, simulated - centered,
                 end - simulated,
             )
-    return ExperimentReport(
-        plan=plan, rows=tuple(rows), verdicts=spec.verdicts(plan, rows), raw=raw
-    )
+    verdicts = spec.verdicts(cell, rows)  # before tuple(rows): bias_rate appends one
+    return ExperimentReport(plan=plan, rows=tuple(rows), verdicts=verdicts, raw=raw)

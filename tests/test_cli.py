@@ -738,7 +738,7 @@ def test_unknown_flag_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "experiment, message",
-    [("gumbel", "no closed-form Gamma(u)"), ("bias-rate", "no closed-form spectrum")],
+    [("gumbel", "no closed-form Gamma(u)"), ("bias-rate", "no closed-form Gamma(u)")],
 )
 def test_verify_on_threshold_ar_exit_1_without_report(experiment, message, tmp_path, capsys):
     out = tmp_path / "report.json"

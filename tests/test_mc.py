@@ -71,7 +71,11 @@ def _recording_grids(grids, oracle):
     return counted
 
 
-@pytest.mark.parametrize("experiment", list(mc._EXPERIMENTS))
+# the experiments that draw replications; bias_rate reads its cells' oracles alone
+_DRAWING = [name for name, spec in mc.EXPERIMENTS.items() if spec.reduce]
+
+
+@pytest.mark.parametrize("experiment", _DRAWING)
 def test_exact_spectra_are_evaluated_once_per_cell(experiment, monkeypatch):
     # 101 reps make two runs per cell; the oracles belong to the cell, not the run
     calls = {"expected_spectrum": [], "true_spectrum": []}
@@ -88,7 +92,7 @@ def test_exact_spectra_are_evaluated_once_per_cell(experiment, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("experiment", list(mc._EXPERIMENTS))
+@pytest.mark.parametrize("experiment", _DRAWING)
 def test_report_does_not_depend_on_where_runs_are_cut(experiment, monkeypatch):
     plan = ExperimentPlan(experiment, model_spec="white:dim=2", entry=(0, 1),
                           t_grid=(256, 512), reps=100, seed=3)
@@ -350,6 +354,26 @@ def test_exact_spectra_that_overflow_end_as_one_error_line(argv, name, code, cap
         model = argv[argv.index("--model") + 1]
         t_len = argv[argv.index("--t-grid") + 1].split(",")[0]
         assert f"model {model!r}: the exact spectra overflow at T = {t_len}:" in err[0]
+
+
+@pytest.mark.parametrize("experiment", ["clt", "gumbel"])
+def test_vanishing_spectrum_ends_as_one_degenerate_spectrum_line(experiment, tmp_path, capsys):
+    # B0 = 1 and B1 = -1 give f_11(0) = |1 - 1|^2 / 2pi = 0, which both
+    # experiments divide by
+    (tmp_path / "b0.csv").write_text("1\n")
+    (tmp_path / "b1.csv").write_text("-1\n")
+    out = tmp_path / "report.json"
+    argv = ["verify", "--experiment", experiment, "--model",
+            f"vma:file={tmp_path / 'b0.csv'};{tmp_path / 'b1.csv'}", "--t-grid", "512",
+            "--reps", "100", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "error: DegenerateSpectrum: nonpositive spectral diagonal at frequency 0.000000\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma2, nu", [(1e-8, 100.0), (1e160, 2.0)])
