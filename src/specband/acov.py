@@ -158,7 +158,10 @@ def autocov_matrices(values: np.ndarray, max_lag: int) -> np.ndarray:
 def sample_autocov(series: MultivariateSeries, max_lag: int) -> AutocovSequence:
     """Sample C(u) of a centered series for u = 0..max_lag."""
     if not series.centered:
-        raise NotCentered("center the series (or simulate a mean-zero model) first")
+        raise NotCentered(
+            "the series is not centered: pass it through center(), or read it "
+            "with load_csv(..., centered=True)"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         stack = autocov_matrices(series.values, max_lag)
     if not np.all(np.isfinite(stack)):

@@ -47,7 +47,7 @@ from .dependence import check_conditions, profile
 from .errors import SpecbandError, UsageError
 from .inference import pointwise_ci, uniform_band
 from .kernels import get_kernel
-from .mc import EXPERIMENTS, ExperimentPlan, pool_size, run_experiment
+from .mc import EXPERIMENTS, ExperimentPlan, run_experiment
 from .models import parse_model, simulate
 from .series import _json_text, _jsonable, center, load_csv, write_csv
 from .spectral import Bandwidth, estimate_spectrum, theorem_grid
@@ -214,12 +214,6 @@ def _cmd_verify(args) -> int:
         entry=_parse_entry(args.entry, "--entry"),
         workers=args.threads,
         **_echo(args, "b_exponent", "c_const", "reps", "seed", "level", "nu_star", "nu"),
-    )
-    log.info(
-        "verify %s: numpy %s, reps=%d, workers=%d, pool=%d processes,"
-        " seed=%d, streams default_rng([seed, cell, rep])",
-        plan.experiment, np.__version__, plan.reps, plan.workers,
-        pool_size(plan.workers), plan.seed,
     )
     report = run_experiment(plan)
     _write(report.to_json(include_raw=not args.no_raw), args.out)

@@ -84,6 +84,22 @@ class BandResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _check_entries(entries, n_dim: int) -> list:
+    """``entries`` as a nonempty list of 0-based (i, j) pairs, each index in
+    0..n_dim-1; anything else raises InvalidArgument."""
+    pairs = [tuple(e) for e in entries]
+    if not pairs:
+        raise InvalidArgument("no entries given")
+    for pair in pairs:
+        if len(pair) != 2:
+            raise InvalidArgument(f"entry {pair} is not an (i, j) pair")
+        if not all(isinstance(k, (int, np.integer)) and 0 <= k < n_dim for k in pair):
+            raise InvalidArgument(
+                f"entry {pair} (0-based) is outside a {n_dim}-dimensional grid"
+            )
+    return pairs
+
+
 def _denominators(denom: SpectralGrid, i: int, j: int) -> np.ndarray:
     f_ii = denom.entry(i, i).real
     f_jj = denom.entry(j, j).real
@@ -121,7 +137,7 @@ def max_deviation(
     axes, or a float for a single grid. The squared deviation is the complex
     modulus, which covers cross-spectra.
     """
-    i, j = entry
+    i, j = _check_entries([entry], est.n_dim)[0]
     for other, name in ((center, "center"), (denom, "denominator")):
         if other.freqs.shape != est.freqs.shape or not np.allclose(est.freqs, other.freqs):
             raise InvalidArgument(f"estimate and {name} grids differ")
@@ -173,7 +189,7 @@ def uniform_band(
     quantile at the (possibly Bonferroni-split) level.
     """
     _check_level(level)
-    entries = [tuple(e) for e in entries]
+    entries = _check_entries(entries, est.n_dim)
     m = len(entries) if bonferroni else 1
     threshold = gumbel_quantile(1.0 - (1.0 - level) / m) + _centering(est.bandwidth)
     if threshold < 0.0:
@@ -194,6 +210,7 @@ def pointwise_ci(
     same (conservative per-component) half-width.
     """
     _check_level(level)
+    entries = _check_entries(entries, est.n_dim)
     tail = 1.0 - 0.5 * (1.0 + level)  # P(Z > z): exact, as 0.5 * (1 + level) >= 0.5
     z = _bisect(lambda x: 0.5 * math.erfc(x * math.sqrt(0.5)) > tail, 40.0)
     crit = z**2 * omega_factor(est.freqs)

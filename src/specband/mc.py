@@ -7,9 +7,10 @@ uniform moment rate, smoothing-bias decay, and simultaneous band coverage.
 
 One cell loop in ``run_experiment`` serves all six experiments. A cell is
 one (T, B): B by the plan's bandwidth rule at each T in its grid, or, for
-``bias_rate``, each ``b_grid`` bandwidth at the grid's largest T. For each
-it builds one ``_Cell``, runs the replications, stores the cell's row and
-per-replication statistics, and logs its seconds at INFO. The cell holds
+``bias_rate``, each ``_B_GRID`` bandwidth at the grid's largest T. The loop
+logs its schedule at INFO (reps, workers, pool processes, seed), then for
+each cell builds one ``_Cell``, runs the replications, stores the cell's row
+and per-replication statistics, and logs its seconds at INFO. The cell holds
 the bandwidth and its oracles on the experiment's frequency grid, each
 evaluated once per cell: the exact centering E fhat and, where the
 experiment reads it (clt, gumbel, moments, bias_rate), the exact density f;
@@ -81,6 +82,7 @@ _RUN_REPS = 64
 # largest moment order: the limit law's quadrature reaches x = e^6.9, where
 # x**nu overflows past nu = 102
 _MAX_NU = 100.0
+_B_GRID = (8, 16, 32, 64, 128)  # bias_rate's bandwidths, at the plan's largest T
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -96,7 +98,6 @@ class ExperimentPlan:
     level: float = 0.95
     nu_star: float = 1.0
     nu: float = 2.0
-    b_grid: tuple = (8, 16, 32, 64, 128)
     workers: int = 1
 
     def __post_init__(self):
@@ -120,21 +121,14 @@ class ExperimentPlan:
             raise InvalidPlan("level must lie in (0, 1)")
         if not (1.0 <= self.nu_star <= _MAX_NU and 1.0 <= self.nu <= _MAX_NU):
             raise InvalidPlan(f"nu_star and nu must lie in [1, {_MAX_NU:g}]")
-        b_grid = tuple(int(v) for v in self.b_grid)
-        # bias_rate pins B to each entry, and a bandwidth lies in [2, T-1]; a
-        # slope and a trend need two bandwidths, in increasing order
-        if self.experiment == "bias_rate" and (
-            len(b_grid) < 2
-            or not all(2 <= b < t_grid[-1] for b in b_grid)
-            or any(b >= a for a, b in zip(b_grid[1:], b_grid))
-        ):
+        if self.experiment == "bias_rate" and t_grid[-1] <= _B_GRID[-1]:
+            # a bandwidth lies in [2, T-1]
             raise InvalidPlan(
-                "b_grid must be strictly increasing, with two or more entries in "
-                f"[2, {t_grid[-1] - 1}]"
+                f"bias_rate evaluates B up to {_B_GRID[-1]} at the largest T, which "
+                f"must exceed {_B_GRID[-1]}; got T = {t_grid[-1]}"
             )
         object.__setattr__(self, "t_grid", t_grid)
         object.__setattr__(self, "entry", tuple(int(v) for v in self.entry))
-        object.__setattr__(self, "b_grid", b_grid)
 
     def model(self):
         return parse_model(self.model_spec)
@@ -512,10 +506,10 @@ def _bias_verdicts(c: _Cell, rows):
             f"bias at pi/2 at {len(biases) - positive.sum()} of {len(biases)} "
             "bandwidths, so there is no decay rate to measure"
         )
-    log_b = np.log(c.plan.b_grid)
+    log_b = np.log(_B_GRID)
     slope = float(np.polyfit(log_b[positive], np.log(biases[positive]), 1)[0])
     if c.kernel.name == "truncated":
-        at_64 = rows[c.plan.b_grid.index(64) if 64 in c.plan.b_grid else -1]
+        at_64 = rows[_B_GRID.index(64)]
         verdicts = {"bias_at_64_le_1e-6_f": at_64["bias"] <= 1e-6 * at_64["f_true"]}
     else:
         verdicts = {
@@ -567,19 +561,24 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     Every experiment goes through the one loop below; its ``EXPERIMENTS``
     entry supplies the grid, per-run reduction, cell summary and verdicts.
     """
+    spec = EXPERIMENTS[plan.experiment]
+    size = pool_size(plan.workers) if spec.reduce else 0  # bias_rate draws nothing
+    runs = _runs(plan.reps, size) if spec.reduce else []
+    log.info(
+        "verify %s: numpy %s, reps=%d, workers=%d, pool=%d processes, seed=%d,"
+        " streams default_rng([seed, cell, rep])", plan.experiment, np.__version__,
+        sum(map(len, runs)), plan.workers, size, plan.seed,
+    )
     model = plan.model()
     if len(plan.entry) != 2 or not all(0 <= k < model.n_dim for k in plan.entry):
         raise InvalidPlan(
             f"entry {plan.entry} (0-based) is outside a {model.n_dim}-dimensional model"
         )
     kernel = plan.kernel()
-    spec = EXPERIMENTS[plan.experiment]
     if spec.reduce:
         cells = [(t, Bandwidth(t, plan.b_exponent, plan.c_const).value) for t in plan.t_grid]
-        size = pool_size(plan.workers)
-        runs = _runs(plan.reps, size)
-    else:  # bias_rate draws nothing: each b_grid bandwidth at the largest T
-        cells, size, runs = [(plan.t_grid[-1], b) for b in plan.b_grid], 0, []
+    else:  # each _B_GRID bandwidth at the largest T
+        cells = [(plan.t_grid[-1], b) for b in _B_GRID]
     rows, raw = [], {}
     with _pool(size, len(runs) * len(cells)) as pool:
         mapper = map if pool is None else pool.map  # both yield in run order

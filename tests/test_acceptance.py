@@ -213,14 +213,12 @@ def test_criterion_06_uniform_moment_rate():
 
 
 def test_criterion_07_bias_order():
-    b_grid = (8, 16, 32, 64, 128)
     trunc = run_experiment(
         ExperimentPlan(
             experiment="bias_rate",
             model_spec="ar1:phi=0.5",
             kernel_name="truncated",
             t_grid=(2**22,),
-            b_grid=b_grid,
             reps=100,
         )
     )
@@ -230,7 +228,6 @@ def test_criterion_07_bias_order():
             model_spec="ar1:phi=0.5",
             kernel_name="bartlett",
             t_grid=(2**22,),
-            b_grid=b_grid,
             reps=100,
         )
     )

@@ -38,8 +38,14 @@ def test_negative_lag_is_exact_transpose():
 
 def test_requires_centered():
     s = MultivariateSeries(np.array([[1.0], [2.0]]))
-    with pytest.raises(NotCentered):
+    advice = r"center\(\), or read it with load_csv\(\.\.\., centered=True\)"
+    with pytest.raises(NotCentered, match=advice):
         sample_autocov(s, 1)
+    # a simulated series is mean-zero by its model, not centered by its data
+    series = simulate(AR1Scalar(0.5), 100, 1)
+    with pytest.raises(NotCentered, match=advice):
+        sample_autocov(series, 5)
+    assert sample_autocov(center(series), 5).max_lag == 5
 
 
 def test_lag_out_of_range():

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import logging
 import warnings
 
 import numpy as np
@@ -712,7 +713,7 @@ def test_verify_parser_defaults_are_the_plan_defaults():
         "workers": args.threads,
     }
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentPlan)}
-    del defaults["experiment"], defaults["b_grid"]  # required, and not a flag
+    del defaults["experiment"]  # required
     assert parsed == defaults
     assert parsed["entry"] == (0, 0)
 
@@ -788,6 +789,34 @@ def test_bias_rate_tabulated_kernel_q_claim_unknown(kernel_csv, tmp_path, capsys
     assert code == 0
     assert report["rows"][-1]["kernel_q_claim"] == "unknown"
     assert "kernel_q_claim" not in plot.read_text()
+
+
+def test_bias_rate_needs_the_largest_t_above_its_largest_bandwidth(capsys):
+    argv = ["verify", "--experiment", "bias-rate", "--model", "ar1:phi=0.5", "--t-grid"]
+    assert main([*argv, "128"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: InvalidPlan: ") and "T = 128" in line
+    assert "b_grid" not in line
+    code, report = _run_json(capsys, [*argv, "129"])
+    assert code == 0
+    assert [row["bandwidth"] for row in report["rows"][:-1]] == [8, 16, 32, 64, 128]
+    assert "b_grid" not in report["plan"]
+
+
+@pytest.mark.parametrize("experiment", ["bias-rate", "gumbel"])
+def test_verify_logs_its_configuration_before_reading_a_kernel_table(
+    experiment, kernel_csv, caplog, tmp_path
+):
+    caplog.set_level(logging.INFO, logger="specband")
+    argv = ["verify", "--experiment", experiment, "--model", "ar1:phi=0.5", "--kernel",
+            f"file:{kernel_csv}", "--t-grid", "256", "--reps", "100",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    config, read = caplog.messages[:2]
+    assert config.startswith(f"verify {experiment.replace('-', '_')}: numpy ")
+    assert read.startswith(f"read {kernel_csv}: 21 rows x 2 columns")
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specband.errors import BandUndefined, DegenerateSpectrum, InvalidLevel
+from specband.errors import BandUndefined, DegenerateSpectrum, InvalidArgument, InvalidLevel
 from specband.inference import (
     gumbel_cdf,
     gumbel_quantile,
@@ -323,3 +323,41 @@ def test_band_overflowing_half_width_undefined(band):
     with np.errstate(all="raise"), pytest.raises(BandUndefined) as exc:
         band(est, BART, 0.95, [(0, 1)])
     assert "rescale" in str(exc.value)
+
+
+# each bad entry list is checked before any arithmetic: the grid's zero
+# diagonal would raise DegenerateSpectrum otherwise
+_BAD_ENTRIES = pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([(2, 2)], r"entry \(2, 2\) \(0-based\) is outside a 2-dimensional grid"),
+        ([(1,)], r"entry \(1,\) is not an \(i, j\) pair"),
+        ([(-1, 0)], r"entry \(-1, 0\) \(0-based\) is outside a 2-dimensional grid"),
+        ([], "no entries given"),
+    ],
+    ids=["past-n", "one-index", "negative", "empty"],
+)
+
+
+@_BAD_ENTRIES
+@pytest.mark.parametrize("bonferroni", [False, True])
+def test_uniform_band_rejects_bad_entries(entries, message, bonferroni):
+    est = _flat_grid(32, 4096, value=0.0, n=2)
+    with pytest.raises(InvalidArgument, match=message):
+        uniform_band(est, BART, 0.95, entries, bonferroni=bonferroni)
+
+
+@_BAD_ENTRIES
+def test_pointwise_ci_rejects_bad_entries(entries, message):
+    est = _flat_grid(32, 4096, value=0.0, n=2)
+    with pytest.raises(InvalidArgument, match=message):
+        pointwise_ci(est, BART, 0.95, entries)
+
+
+@_BAD_ENTRIES
+def test_max_deviation_rejects_bad_entry(entries, message):
+    est = _flat_grid(32, 4096, value=0.0, n=2)
+    entry = entries[0] if entries else ()
+    message = message if entries else r"entry \(\) is not an \(i, j\) pair"
+    with pytest.raises(InvalidArgument, match=message):
+        max_deviation(est, est, est, BART, entry)

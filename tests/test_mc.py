@@ -130,12 +130,13 @@ def test_plan_validation():
 @pytest.mark.parametrize(
     "fields",
     [
-        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(1, 8)),
-        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(8, 4096)),
-        dict(experiment="bias_rate", t_grid=(4096,), b_grid=()),
-        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(64,)),
-        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(16, 8)),
-        dict(experiment="bias_rate", t_grid=(4096,), b_grid=(8, 8)),
+        # bias_rate's largest bandwidth, 128, must lie below the largest T
+        dict(experiment="bias_rate", t_grid=(128,)),
+        dict(experiment="bias_rate", t_grid=(127,)),
+        dict(experiment="bias_rate", t_grid=(3,)),
+        dict(experiment="bias_rate", t_grid=(64, 128)),
+        dict(experiment="bias_rate", t_grid=(16, 32, 100)),
+        dict(experiment="bias_rate", t_grid=(8,)),
         dict(experiment="moments", nu_star=0.5),
         dict(experiment="uniform_rate", nu=0.5),
         dict(experiment="clt", t_grid=(2, 512)),
@@ -156,16 +157,6 @@ def test_plan_validation():
 def test_plan_rejects_out_of_range_fields(fields):
     with pytest.raises(InvalidPlan):
         ExperimentPlan(**fields)
-
-
-def test_bias_rate_b_grid_endpoints():
-    # B = 2 and B = T - 1 are the extremes a bandwidth can take
-    plan = ExperimentPlan(
-        experiment="bias_rate", model_spec="ar1:phi=0.5", t_grid=(4096,),
-        b_grid=(2, 4095),
-    )
-    report = run_experiment(plan)
-    assert [row["bandwidth"] for row in report.rows[:-1]] == [2, 4095]
 
 
 @pytest.mark.parametrize(
@@ -245,7 +236,7 @@ def test_every_experiment_report_shape(fields, row_keys, raw_key, verdict_keys):
     plan = ExperimentPlan(**{"t_grid": (256, 512), "reps": 100, "seed": 5, **fields})
     report = run_experiment(plan)
     cells = report.rows if raw_key else report.rows[:-1]
-    assert len(cells) == (len(plan.t_grid) if raw_key else len(plan.b_grid))
+    assert len(cells) == (len(plan.t_grid) if raw_key else len(mc._B_GRID))
     assert all(list(row) == row_keys for row in cells)
     assert set(report.verdicts) == verdict_keys
     if raw_key:
@@ -566,7 +557,6 @@ def test_bias_rate_truncated_and_bartlett():
         kernel_name="bartlett",
         t_grid=(2**18,),
         reps=1,
-        b_grid=(8, 16, 32, 64, 128),
     )
     report = run_experiment(plan)
     biases = [row["bias"] for row in report.rows[:-1]]

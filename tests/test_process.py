@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import specband
-from specband.mc import ExperimentPlan, pool_size
+from specband.mc import _B_GRID, pool_size
 from specband.models import WhiteNoise, simulate
 from specband.series import write_csv
 
@@ -294,14 +294,17 @@ def test_pooled_verify_logs_its_pool_once_and_report_ignores_log_level(tmp_path)
 
 
 def test_bias_rate_logs_one_cell_per_bandwidth_and_no_pool(tmp_path):
-    # bias_rate draws nothing, so even --threads 2 starts no pool
+    # bias_rate draws nothing, so even --threads 2 starts no pool, and its
+    # configuration line says so
     plan = ["--experiment", "bias-rate", "--model", "ar1:phi=0.5", "--t-grid", "4096",
             "--threads", "2", "--out", str(tmp_path / "report.json")]
     proc = _python(["-m", "specband.cli", "--log-level", "info", "verify", *plan])
     assert proc.returncode == 0
     info = [line for line in proc.stderr.splitlines() if line.startswith("INFO:")]
+    assert "verify bias_rate: numpy " in info[0]
+    assert "reps=0, workers=2, pool=0 processes, seed=1" in info[0]
     cells = [line.split(":")[2] for line in info[1:]]
-    assert cells == [f"cell T=4096 B={b}" for b in ExperimentPlan("bias_rate").b_grid]
+    assert cells == [f"cell T=4096 B={b}" for b in _B_GRID]
     assert not any("pool:" in line for line in info)
 
 
