@@ -82,7 +82,7 @@ class InvalidLevel(SpecbandError):
 
 
 class DegenerateSpectrum(SpecbandError):
-    """A denominator spectral diagonal is not strictly positive."""
+    """A denominator spectral diagonal is not strictly positive, or their product underflows."""
 
     def __init__(self, message, freq=None):
         super().__init__(message)

@@ -111,7 +111,10 @@ def _denominators(denom: SpectralGrid, i: int, j: int) -> np.ndarray:
         raise DegenerateSpectrum(
             f"nonpositive spectral diagonal at frequency {freq:.6f}", freq=freq
         )
-    return f_ii * f_jj
+    scale = f_ii * f_jj
+    if np.any(scale < np.finfo(float).tiny):
+        raise DegenerateSpectrum("the spectral scale underflows; rescale the series or model")
+    return scale
 
 
 def _finite(half: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ only its reductions, and is shut down after the last cell; on closing it
 logs its processes, tasks and seconds open. ``bias_rate`` and serial plans
 start no pool. What differs is kept in the ``EXPERIMENTS`` table: the
 frequency grid, whether the cell evaluates f, the per-run reduction, the
-cell summary, the raw key and the verdicts.
+cell summary, the raw key, the verdicts and the plan fields it reads.
 
 Centering is by the exact finite-sample mean (closed form under the model),
 and autocovariances are taken on the raw simulated values without sample-mean
@@ -52,7 +52,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -83,6 +83,8 @@ _RUN_REPS = 64
 # x**nu overflows past nu = 102
 _MAX_NU = 100.0
 _B_GRID = (8, 16, 32, 64, 128)  # bias_rate's bandwidths, at the plan's largest T
+_SHARED = ("experiment", "model_spec", "kernel_name", "t_grid")  # all read these and workers
+_DRAWS = ("reps", "seed", "b_exponent", "c_const")  # read by every drawing experiment
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -103,10 +105,15 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidPlan(f"unknown experiment {self.experiment!r}")
+        object.__setattr__(self, "entry", tuple(int(v) for v in self.entry))
+        reads = (*_SHARED, "workers", *EXPERIMENTS[self.experiment].reads)
+        for f in fields(self):  # a field the experiment does not read keeps its default
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise InvalidPlan(f"{self.experiment} does not read {f.name}; leave it unset")
         if self.workers < 1:
             raise InvalidPlan(f"workers must be >= 1, got {self.workers}")
         _check_seed(self.seed, InvalidPlan)
-        if self.experiment != "bias_rate" and self.reps < 100:
+        if self.reps < 100:
             raise InvalidPlan(f"reps must be >= 100, got {self.reps}")
         t_grid = tuple(int(t) for t in self.t_grid)
         if not t_grid or t_grid[0] < 3 or any(
@@ -128,7 +135,6 @@ class ExperimentPlan:
                 f"must exceed {_B_GRID[-1]}; got T = {t_grid[-1]}"
             )
         object.__setattr__(self, "t_grid", t_grid)
-        object.__setattr__(self, "entry", tuple(int(v) for v in self.entry))
 
     def model(self):
         return parse_model(self.model_spec)
@@ -137,9 +143,9 @@ class ExperimentPlan:
         return get_kernel(self.kernel_name)
 
     def to_dict(self) -> dict:
-        """The plan's fields but ``workers``, which never changes a report."""
-        out = _fields(self)
-        del out["workers"]
+        """The fields the experiment reads but ``workers``, which never changes a report."""
+        reads = _SHARED + EXPERIMENTS[self.experiment].reads
+        out = {name: value for name, value in _fields(self).items() if name in reads}
         out["model"] = out.pop("model_spec")
         out["kernel"] = out.pop("kernel_name")
         return out
@@ -167,15 +173,11 @@ class ExperimentReport:
 
     def plot_rows(self):
         """Tidy (experiment, T, statistic, value, se) tuples."""
-        out = []
-        for row in self.rows:
-            t_val = row.get("t_len", row.get("bandwidth", 0))
-            for key, value in row.items():
-                if key in ("t_len",) or not isinstance(value, (int, float)):
-                    continue
-                se = row.get(f"{key}_se")
-                out.append((self.plan.experiment, t_val, key, value, se))
-        return out
+        return [
+            (self.plan.experiment, row["t_len"], key, value, row.get(f"{key}_se"))
+            for row in self.rows for key, value in row.items()
+            if key != "t_len" and isinstance(value, (int, float))
+        ]
 
 
 class _Cell(NamedTuple):
@@ -531,27 +533,33 @@ class _Experiment(NamedTuple):
     summary: Callable  # (_Cell, the cell's values) -> (row fields, per-rep raw values)
     raw_key: str | None  # raw values are stored under f"{raw_key}_T{T}"
     verdicts: Callable  # (last _Cell, rows) -> {name: bool}
+    reads: tuple  # the plan fields it reads beyond _SHARED and workers
 
 
 EXPERIMENTS = {
     "clt": _Experiment(
-        _clt_grid, True, _clt_deviations, _clt_cell, "std_pi_half", _clt_verdicts
+        _clt_grid, True, _clt_deviations, _clt_cell, "std_pi_half", _clt_verdicts,
+        _DRAWS + ("entry",),
     ),
     "gumbel": _Experiment(
-        theorem_grid, True, _centered_max, _gumbel_cell, "centered_max", _gumbel_verdicts
+        theorem_grid, True, _centered_max, _gumbel_cell, "centered_max", _gumbel_verdicts,
+        _DRAWS + ("entry",),
     ),
     "moments": _Experiment(
         theorem_grid, True, _centered_max, _moments_cell, "centered_max",
-        _moments_verdicts,
+        _moments_verdicts, _DRAWS + ("entry", "nu_star"),
     ),
     "uniform_rate": _Experiment(
         _dense_grid, False, _sup_deviation, _uniform_rate_cell, "sup",
-        _uniform_rate_verdicts,
+        _uniform_rate_verdicts, _DRAWS + ("entry", "nu"),
     ),
     "coverage": _Experiment(
-        theorem_grid, False, _covered, _coverage_cell, "joint", _coverage_verdicts
+        theorem_grid, False, _covered, _coverage_cell, "joint", _coverage_verdicts,
+        _DRAWS + ("level",),
     ),
-    "bias_rate": _Experiment(_pi_half_grid, True, None, _bias_cell, None, _bias_verdicts),
+    "bias_rate": _Experiment(
+        _pi_half_grid, True, None, _bias_cell, None, _bias_verdicts, ("entry",)
+    ),
 }
 
 
@@ -562,12 +570,13 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     entry supplies the grid, per-run reduction, cell summary and verdicts.
     """
     spec = EXPERIMENTS[plan.experiment]
-    size = pool_size(plan.workers) if spec.reduce else 0  # bias_rate draws nothing
-    runs = _runs(plan.reps, size) if spec.reduce else []
+    draws = "seed" in spec.reads  # bias_rate draws nothing
+    size = pool_size(plan.workers) if draws else 0
+    runs = _runs(plan.reps, size) if draws else []
     log.info(
-        "verify %s: numpy %s, reps=%d, workers=%d, pool=%d processes, seed=%d,"
-        " streams default_rng([seed, cell, rep])", plan.experiment, np.__version__,
-        sum(map(len, runs)), plan.workers, size, plan.seed,
+        "verify %s: numpy %s, reps=%d, workers=%d, pool=%d processes%s", plan.experiment,
+        np.__version__, sum(map(len, runs)), plan.workers, size,
+        f", seed={plan.seed}, streams default_rng([seed, cell, rep])" if draws else "",
     )
     model = plan.model()
     if len(plan.entry) != 2 or not all(0 <= k < model.n_dim for k in plan.entry):
@@ -575,7 +584,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
             f"entry {plan.entry} (0-based) is outside a {model.n_dim}-dimensional model"
         )
     kernel = plan.kernel()
-    if spec.reduce:
+    if draws:
         cells = [(t, Bandwidth(t, plan.b_exponent, plan.c_const).value) for t in plan.t_grid]
     else:  # each _B_GRID bandwidth at the largest T
         cells = [(plan.t_grid[-1], b) for b in _B_GRID]

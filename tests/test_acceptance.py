@@ -219,7 +219,6 @@ def test_criterion_07_bias_order():
             model_spec="ar1:phi=0.5",
             kernel_name="truncated",
             t_grid=(2**22,),
-            reps=100,
         )
     )
     bart = run_experiment(
@@ -228,7 +227,6 @@ def test_criterion_07_bias_order():
             model_spec="ar1:phi=0.5",
             kernel_name="bartlett",
             t_grid=(2**22,),
-            reps=100,
         )
     )
     bias_64 = next(r["bias"] for r in trunc.rows[:-1] if r["bandwidth"] == 64)

@@ -162,6 +162,25 @@ def test_bands_overflowing_half_width_exit_1(method, tmp_path, capsys):
     assert "rescale" in err[0]
 
 
+@pytest.mark.parametrize("method", ["uniform", "pointwise"])
+@pytest.mark.parametrize("scale", [1e-80, 1e-160])
+def test_bands_underflowing_spectral_scale_exit_1(scale, method, tmp_path, capsys):
+    # the variance scale**2 makes f_11 * f_22 subnormal (1e-80) or 0 (1e-160):
+    # the half-widths would lose their digits or be 0
+    path = tmp_path / "small.csv"
+    np.savetxt(path, scale * np.random.default_rng(0).standard_normal((600, 2)), delimiter=",")
+    out = tmp_path / "bands.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["bands", "--input", str(path), "--method", method, "--output", str(out)])
+    assert code == 1
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: DegenerateSpectrum: the spectral scale underflows; rescale the series or model"
+    ]
+    assert not out.exists()
+
+
 def test_bands_invalid_level_exit_2(wn_csv, capsys):
     code = main(["bands", "--input", wn_csv, "--level", "1.5"])
     assert code == 2
@@ -376,7 +395,7 @@ def test_verify_threads_below_one_exit_2(threads, capsys):
 
 def test_verify_bias_rate_on_flat_spectrum_exit_2(capsys):
     code = main(["verify", "--experiment", "bias-rate", "--kernel", "bartlett",
-                 "--t-grid", "1024,4096", "--reps", "100", "--seed", "3"])
+                 "--t-grid", "1024,4096"])
     assert code == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -718,6 +737,40 @@ def test_verify_parser_defaults_are_the_plan_defaults():
     assert parsed["entry"] == (0, 0)
 
 
+# the verify flag of each field some experiment reads, with a valid value off its default
+_PLAN_FLAGS = {
+    "reps": ("--reps", "101"), "seed": ("--seed", "4"), "b_exponent": ("--b-exponent", "0.5"),
+    "c_const": ("--c-const", "2"), "entry": ("--entry", "1,2"), "level": ("--level", "0.8"),
+    "nu_star": ("--nu-star", "2"), "nu": ("--nu", "3"),
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, name",
+    [(exp, name) for exp, spec in EXPERIMENTS.items() for name in _PLAN_FLAGS
+     if name not in spec.reads],
+)
+def test_verify_flag_the_experiment_does_not_read_exit_2(experiment, name, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["verify", "--experiment", experiment.replace("_", "-"), "--model", "white:dim=2",
+            "--t-grid", "256", *_PLAN_FLAGS[name], "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: InvalidPlan: {experiment} does not read {name}; leave it unset"
+    ]
+    assert captured.out == "" and not out.exists()
+
+
+def test_verify_flag_at_its_default_is_accepted(capsys):
+    # argparse cannot tell --reps 500 from no --reps, so bias-rate takes it
+    argv = ["verify", "--experiment", "bias-rate", "--model", "ar1:phi=0.5",
+            "--t-grid", "4096", "--reps", "500", "--seed", "1", "--level", "0.95"]
+    code, report = _run_json(capsys, argv)
+    assert code == 0
+    assert "reps" not in report["plan"] and "seed" not in report["plan"]
+
+
 def test_verify_no_raw_drops_only_the_raw_key(capsys):
     plan = ["verify", "--experiment", "gumbel", "--t-grid", "64,128", "--reps", "100",
             "--seed", "3"]
@@ -745,7 +798,7 @@ def test_verify_on_threshold_ar_exit_1_without_report(experiment, message, tmp_p
     out = tmp_path / "report.json"
     argv = [
         "verify", "--experiment", experiment, "--model", "tar:a=0.5,b=-0.5",
-        "--t-grid", "512", "--reps", "100", "--out", str(out),
+        "--t-grid", "512", "--out", str(out),
     ]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
@@ -810,8 +863,9 @@ def test_verify_logs_its_configuration_before_reading_a_kernel_table(
     experiment, kernel_csv, caplog, tmp_path
 ):
     caplog.set_level(logging.INFO, logger="specband")
+    reps = ["--reps", "100"] if experiment == "gumbel" else []  # bias-rate reads none
     argv = ["verify", "--experiment", experiment, "--model", "ar1:phi=0.5", "--kernel",
-            f"file:{kernel_csv}", "--t-grid", "256", "--reps", "100",
+            f"file:{kernel_csv}", "--t-grid", "256", *reps,
             "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
     config, read = caplog.messages[:2]

@@ -129,6 +129,25 @@ def test_max_deviation_degenerate_spectrum():
         max_deviation(est, est, bad, BART, (0, 0))
 
 
+@pytest.mark.parametrize("f_22", [1e-160, 1e-300, 5e-324])  # the last is subnormal
+def test_underflowing_spectral_scale_raises_degenerate_spectrum(f_22):
+    # f_11 = 1e-150 keeps f_11 f_11 a normal float; f_11 f_22 and f_22 f_22 are
+    # subnormal or 0, where the statistic loses its digits or divides by 0
+    flat = _flat_grid(10, 1000, n=2)
+    mats = flat.matrices.copy()
+    mats[:, 0, 0], mats[:, 1, 1] = 1e-150, f_22
+    est = replace(flat, matrices=mats)
+    assert np.isfinite(max_deviation(est, est, est, BART, (0, 0)))
+    assert np.isfinite(uniform_band(est, BART, 0.95, [(0, 0)]).entries[0].half_width).all()
+    message = "the spectral scale underflows; rescale the series or model"
+    for entry in ((0, 1), (1, 1)):
+        with pytest.raises(DegenerateSpectrum, match=message):
+            max_deviation(est, est, est, BART, entry)
+        for band in (uniform_band, pointwise_ci):
+            with pytest.raises(DegenerateSpectrum, match=message):
+                band(est, BART, 0.95, [entry])
+
+
 def _random_stack(rng, reps, n, b_val=16, t_len=1024):
     """``reps`` random Hermitian positive definite grids stacked on axis 0."""
     freqs = theorem_grid(b_val)

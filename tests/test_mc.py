@@ -94,8 +94,9 @@ def test_exact_spectra_are_evaluated_once_per_cell(experiment, monkeypatch):
 
 @pytest.mark.parametrize("experiment", _DRAWING)
 def test_report_does_not_depend_on_where_runs_are_cut(experiment, monkeypatch):
-    plan = ExperimentPlan(experiment, model_spec="white:dim=2", entry=(0, 1),
-                          t_grid=(256, 512), reps=100, seed=3)
+    entry = {} if experiment == "coverage" else {"entry": (0, 1)}  # coverage bands all
+    plan = ExperimentPlan(experiment, model_spec="white:dim=2", t_grid=(256, 512),
+                          reps=100, seed=3, **entry)
     wide = mc._runs(plan.reps, 0)
     expected = run_experiment(plan).to_json()
     monkeypatch.setattr(mc, "_RUN_REPS", 7)
@@ -123,8 +124,8 @@ def test_plan_validation():
         ExperimentPlan(experiment="clt", t_grid=(4096, 4096))
     with pytest.raises(InvalidPlan):
         ExperimentPlan(experiment="clt", b_exponent=1.2)
-    # bias_rate is simulation-free, so the reps floor does not apply
-    ExperimentPlan(experiment="bias_rate", reps=1, t_grid=(2**18,))
+    # bias_rate is simulation-free: it reads no reps, so its plan leaves them unset
+    ExperimentPlan(experiment="bias_rate", t_grid=(2**18,))
 
 
 @pytest.mark.parametrize(
@@ -152,11 +153,55 @@ def test_plan_validation():
         dict(experiment="uniform_rate", nu=100.5),
         dict(experiment="clt", seed=-1),
         dict(experiment="coverage", level=1.0),
+        # a field the experiment does not read must keep its default
+        dict(experiment="gumbel", nu=7.0),
+        dict(experiment="coverage", entry=(0, 1)),
+        dict(experiment="bias_rate", reps=100),
+        dict(experiment="bias_rate", seed=3),
+    ],
+    # the first 21 keep the names pytest numbered them by, so that no id
+    # depends on the rows above it
+    ids=[
+        "fields0", "fields1", "fields2", "fields3", "fields4", "fields5", "fields6",
+        "fields7", "fields8", "fields9", "fields10", "fields11", "fields12", "fields13",
+        "fields14", "fields15", "fields16", "fields17", "fields18", "fields19", "fields20",
+        "gumbel-nu", "coverage-entry", "bias_rate-reps", "bias_rate-seed",
     ],
 )
 def test_plan_rejects_out_of_range_fields(fields):
     with pytest.raises(InvalidPlan):
         ExperimentPlan(**fields)
+
+
+# a valid value away from its default for each field that some experiment reads
+_AWAY = dict(reps=101, seed=4, b_exponent=0.5, c_const=2.0, entry=(0, 1), level=0.8,
+             nu_star=2.0, nu=3.0)
+
+
+@pytest.mark.parametrize("experiment", mc.EXPERIMENTS)
+def test_a_plan_holds_exactly_what_its_experiment_reads(experiment):
+    # each field the experiment reads changes its rows or raw values; any
+    # other field away from its default is rejected, naming the field
+    reads = mc.EXPERIMENTS[experiment].reads
+    # white noise has no smoothing bias, so bias_rate needs a colored model
+    model = "var1:default" if experiment == "bias_rate" else "white:dim=2"
+    draws = dict(reps=100, seed=3) if "reps" in reads else {}
+    base = dict(experiment=experiment, model_spec=model, t_grid=(256, 512), **draws)
+
+    def outcome(plan):
+        payload = strict_json(run_experiment(plan).to_json())
+        return payload["rows"], payload.get("raw")
+
+    report = run_experiment(ExperimentPlan(**base))
+    assert set(report.plan.to_dict()) == {"experiment", "model", "kernel", "t_grid", *reads}
+    before = outcome(report.plan)
+    assert set(reads) <= set(_AWAY)
+    for name, value in _AWAY.items():
+        if name in reads:
+            assert outcome(ExperimentPlan(**{**base, name: value})) != before, name
+        else:
+            with pytest.raises(InvalidPlan, match=f"^{experiment} does not read {name};"):
+                ExperimentPlan(**{**base, name: value})
 
 
 @pytest.mark.parametrize(
@@ -233,7 +278,8 @@ _SUMMARY = ["t_len", "bandwidth"]
     ids=["clt", "gumbel", "moments", "uniform_rate", "coverage", "bias_rate"],
 )
 def test_every_experiment_report_shape(fields, row_keys, raw_key, verdict_keys):
-    plan = ExperimentPlan(**{"t_grid": (256, 512), "reps": 100, "seed": 5, **fields})
+    draws = {} if fields["experiment"] == "bias_rate" else {"reps": 100, "seed": 5}
+    plan = ExperimentPlan(**{"t_grid": (256, 512), **draws, **fields})
     report = run_experiment(plan)
     cells = report.rows if raw_key else report.rows[:-1]
     assert len(cells) == (len(plan.t_grid) if raw_key else len(mc._B_GRID))
@@ -365,6 +411,29 @@ def test_vanishing_spectrum_ends_as_one_degenerate_spectrum_line(experiment, tmp
         "error: DegenerateSpectrum: nonpositive spectral diagonal at frequency 0.000000\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma2", ["1e-160", "1e-320"])
+@pytest.mark.parametrize("experiment", ["clt", "gumbel", "moments", "coverage"])
+def test_underflowing_spectral_scale_ends_as_one_error_line(
+    experiment, sigma2, monkeypatch, tmp_path, capsys
+):
+    # f_11 f_11 falls below the smallest normal float (1e-160) or to 0 (1e-320):
+    # the statistic would be off or NaN, and a band would have zero width
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--experiment", experiment, "--model", f"white:sigma2={sigma2}",
+            "--t-grid", "512", "--reps", "100", "--out", str(out), "--threads"]
+    for threads in ("1", "2"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, threads]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: DegenerateSpectrum: the spectral scale underflows; rescale the series "
+            "or model\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma2, nu", [(1e-8, 100.0), (1e160, 2.0)])
@@ -556,7 +625,6 @@ def test_bias_rate_truncated_and_bartlett():
         model_spec="ar1:phi=0.5",
         kernel_name="bartlett",
         t_grid=(2**18,),
-        reps=1,
     )
     report = run_experiment(plan)
     biases = [row["bias"] for row in report.rows[:-1]]
@@ -567,7 +635,7 @@ def test_bias_rate_truncated_and_bartlett():
     # an infinite bias order is written as a string
     plan = ExperimentPlan(
         experiment="bias_rate", model_spec="ar1:phi=0.5", kernel_name="truncated",
-        t_grid=(4096,), reps=1,
+        t_grid=(4096,),
     )
     payload = strict_json(run_experiment(plan).to_json())
     assert payload["rows"][-1]["kernel_q_claim"] == "inf"
@@ -576,7 +644,7 @@ def test_bias_rate_truncated_and_bartlett():
     for kernel_name in ("truncated", "bartlett"):
         plan = ExperimentPlan(
             experiment="bias_rate", model_spec="white", kernel_name=kernel_name,
-            t_grid=(4096,), reps=1,
+            t_grid=(4096,),
         )
         with pytest.raises(InvalidPlan, match="no smoothing bias"):
             run_experiment(plan)

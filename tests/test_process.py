@@ -209,7 +209,9 @@ def test_var1_and_ar1_load_neither_signal_nor_stats(tmp_path):
         ["simulate", "--model", "var1:default", "--t-len", "512", "--seed", "1",
          "--out", str(tmp_path / "var1.csv")],
         _verify("coverage", "var1:default", "64,128", tmp_path),
-        _verify("bias-rate", "ar1:phi=0.5", "4096", tmp_path),  # simulation-free; B reaches 128
+        # simulation-free, so it takes no --reps; B reaches 128
+        ["verify", "--experiment", "bias-rate", "--model", "ar1:phi=0.5", "--t-grid", "4096",
+         "--out", str(tmp_path / "bias-rate.json")],
     ]
     assert _scipy_modules(commands) == "[]"  # not even scipy.linalg
 
@@ -295,14 +297,14 @@ def test_pooled_verify_logs_its_pool_once_and_report_ignores_log_level(tmp_path)
 
 def test_bias_rate_logs_one_cell_per_bandwidth_and_no_pool(tmp_path):
     # bias_rate draws nothing, so even --threads 2 starts no pool, and its
-    # configuration line says so
+    # configuration line says so and names no seed or streams
     plan = ["--experiment", "bias-rate", "--model", "ar1:phi=0.5", "--t-grid", "4096",
             "--threads", "2", "--out", str(tmp_path / "report.json")]
     proc = _python(["-m", "specband.cli", "--log-level", "info", "verify", *plan])
     assert proc.returncode == 0
     info = [line for line in proc.stderr.splitlines() if line.startswith("INFO:")]
     assert "verify bias_rate: numpy " in info[0]
-    assert "reps=0, workers=2, pool=0 processes, seed=1" in info[0]
+    assert info[0].endswith("reps=0, workers=2, pool=0 processes")
     cells = [line.split(":")[2] for line in info[1:]]
     assert cells == [f"cell T=4096 B={b}" for b in _B_GRID]
     assert not any("pool:" in line for line in info)
