@@ -35,12 +35,10 @@ _EXPORTS = {
     "kernels": ("Kernel", "get_kernel", "kernel_names", "tabulated_kernel"),
     "mc": ("ExperimentPlan", "ExperimentReport", "run_experiment"),
     "models": (
-        "AR1Scalar",
         "ProcessModel",
         "ThresholdAR1",
         "VAR1",
         "VMA",
-        "WhiteNoise",
         "default_var1",
         "parse_model",
         "simulate",

@@ -174,7 +174,7 @@ def expected_autocov(model, u: int, t_len: int) -> np.ndarray:
 
     Equals ((T - |u|)/T) * Gamma(u) for |u| < T and the zero matrix beyond,
     where Gamma is the model autocovariance. Requires a model with closed-form
-    Gamma (white noise, VAR(1), VMA).
+    Gamma (VAR(1) or VMA).
     """
     if abs(u) >= t_len:
         return np.zeros((model.n_dim, model.n_dim))

@@ -194,7 +194,6 @@ def _cmd_depmeasure(args) -> int:
     if args.check_conditions:
         report = check_conditions(
             prof,
-            p=args.p,
             b=args.b_exponent_upper,
             b_lower=args.b_exponent_lower,
             delta_param=args.delta_param,

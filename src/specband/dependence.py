@@ -260,7 +260,6 @@ def _power_exponent(values: np.ndarray):
 
 def check_conditions(
     prof: DependenceProfile,
-    p: float,
     b: float,
     b_lower: float,
     delta_param: float,
@@ -273,7 +272,8 @@ def check_conditions(
         alpha_1 > max[1/2 - (p-4)/(2 delta p), 2 delta / p]
         alpha_2 > max[1 - (p-4)/(2 delta p), 0]
 
-    with ``delta_param`` supplied by the caller (the threshold's auxiliary
+    at the moment p = ``prof.p`` that delta was measured at, and with
+    ``delta_param`` supplied by the caller (the threshold's auxiliary
     exponent; it is an input here, not something the profile determines).
     ``independent_components`` applies the relaxation p -> p/2 available when
     the series components are mutually independent. Geometric decay implies
@@ -286,7 +286,7 @@ def check_conditions(
     if not 0.0 < delta_param < math.inf:
         raise InvalidArgument("delta_param must be finite and positive")
     notes = []
-    p_eff = p / 2.0 if independent_components else p
+    p_eff = prof.p / 2.0 if independent_components else prof.p
     if independent_components:
         notes.append("thresholds evaluated with p replaced by p/2")
     dp = delta_param
@@ -355,7 +355,7 @@ def check_conditions(
         alpha2_threshold=alpha2_threshold,
         alpha2_pass=alpha2_pass,
         bandwidth_window_ok=bandwidth_ok,
-        p=p,
+        p=prof.p,
         b=b,
         b_lower=b_lower,
         delta_param=delta_param,

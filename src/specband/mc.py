@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .acov import autocov_matrices
-from .errors import InvalidModel, InvalidPlan
+from .errors import DegenerateSpectrum, InvalidModel, InvalidPlan
 from .inference import _denominators, gumbel_cdf, max_deviation, omega_factor, uniform_band
 from .kernels import Kernel, get_kernel
 from .models import _check_seed, parse_model
@@ -411,15 +411,13 @@ def _sup_deviation(c: _Cell, ests: SpectralGrid) -> np.ndarray:
 
 
 def _uniform_rate_cell(c: _Cell, sup: np.ndarray):
-    """||sup-deviation||_nu against the rate (B log B / T)^(1/2)."""
-    nu = c.plan.nu
-    with np.errstate(over="ignore"):  # checked below
-        norm_val = float(np.mean(sup**nu) ** (1.0 / nu))
-    if not 0.0 < norm_val < math.inf:
-        raise InvalidPlan(
-            f"the nu = {nu:g} norm of the sup deviation at T = {c.t_len} leaves the "
-            "float range: the model's scale is too small or too large for this nu"
-        )
+    """||sup-deviation||_nu against the rate (B log B / T)^(1/2). sup is divided
+    by its largest value before the power, so that the mean cannot overflow or
+    underflow, and the norm is multiplied back."""
+    top = float(sup.max())
+    if top < np.finfo(float).tiny:
+        raise DegenerateSpectrum("the spectral scale underflows; rescale the series or model")
+    norm_val = top * float(np.mean((sup / top) ** c.plan.nu) ** (1.0 / c.plan.nu))
     rate = math.sqrt(c.b_val * math.log(c.b_val) / c.t_len)
     row = {"sup_norm": norm_val, "rate": rate, "ratio": norm_val / rate}
     return row, sup

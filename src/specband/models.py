@@ -26,34 +26,36 @@ round differently from the one-step recursion: paths differ from it, and from
 most 4e-15 on the test models, which include Jordan blocks and strongly
 non-normal A).
 
-White noise with a diagonal Cholesky factor (one-dimensional, or
-``white:dim=n``) scales each innovation column by its entry instead of
-taking a matrix product: for finite innovations the values are the same bit
-for bit, since every off-diagonal term of the product is an exact zero. A
-dense factor keeps the product.
+A VMA whose innovation Cholesky factor is diagonal (Sigma = I, or
+``white:dim=n``) scales each innovation column by its entry instead of taking
+a matrix product: for finite innovations the values are the same bit for
+bit, since every off-diagonal term of the product is an exact zero. A dense
+factor keeps the product. White noise is the VMA of order 0 with B_0 = I, so
+its path is the scaled innovations themselves.
 
 ``path`` leaves its innovations as they are unless called with
-``overwrite``, which lets it write over them: diagonal white noise then
-scales them in place and the threshold AR model runs its recursion in place
-on them. ``simulate_values`` sets it, since it owns its draws.
+``overwrite``, which lets it write over them: a VMA with a diagonal factor
+then scales them in place and the threshold AR model runs its recursion in
+place on them. ``simulate_values`` sets it, since it owns its draws.
 
 Covariances are factored by numpy's Cholesky; bad parameters raise
 ``InvalidModel`` at construction. The VAR(1) spectral radius comes from
 ``np.linalg.eigvals`` and Gamma(0) from a doubling sum (``_lyapunov``).
 
-Linear models (white noise, scalar AR(1), VAR(1), VMA) expose closed-form
-autocovariances Gamma(u) and spectral densities; the threshold AR model is
-simulation-only. In the estimator's convention f(lambda) = (1/2pi) sum_u
+The linear models, VAR(1) and VMA, expose closed-form autocovariances
+Gamma(u) and spectral densities; the threshold AR model is simulation-only.
+``parse_model`` builds white noise as a VMA of order 0 and scalar AR(1) as a
+1x1 VAR(1). In the estimator's convention f(lambda) = (1/2pi) sum_u
 e^{-i u lambda} Gamma(u), every linear model's spectral density is
 conj(H) Sigma H' / 2pi with H(lambda) its transfer function (Brillinger 1981,
-ch. 7): I for white noise, (I - A e^{-i lambda})^{-1} for VAR(1) and
-sum_k B_k e^{-i k lambda} for VMA.
+ch. 7): (I - A e^{-i lambda})^{-1} for VAR(1) and sum_k B_k e^{-i k lambda}
+for VMA.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,41 +207,6 @@ class ProcessModel:
 
 
 @dataclass(frozen=True, eq=False)
-class WhiteNoise(ProcessModel):
-    """iid Gaussian vectors with covariance sigma."""
-
-    sigma: np.ndarray = field(default_factory=lambda: np.eye(1))
-    kind = "white_noise"
-
-    def __post_init__(self):
-        sigma, chol = _as_cov(self.sigma, np.atleast_2d(self.sigma).shape[0])
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", chol)
-        diagonal = np.array_equal(chol, np.diag(chol.diagonal()))
-        object.__setattr__(self, "_scale", chol.diagonal() if diagonal else None)
-
-    def decay_horizon(self) -> int:
-        return 0
-
-    def path(self, eps, overwrite=False):
-        if self._scale is None:
-            return eps @ self._chol.T
-        if not overwrite:
-            return eps * self._scale
-        eps *= self._scale
-        return eps
-
-    def gamma(self, u):
-        if u == 0:
-            return self.sigma.copy()
-        return np.zeros_like(self.sigma)
-
-    def _transfer(self, freqs):
-        eye = np.eye(self.n_dim, dtype=complex)
-        return np.broadcast_to(eye, (freqs.size,) + eye.shape)
-
-
-@dataclass(frozen=True, eq=False)
 class VAR1(ProcessModel):
     """Z_t = A Z_{t-1} + w_t with w_t ~ N(0, sigma)."""
 
@@ -284,21 +251,6 @@ class VAR1(ProcessModel):
         return np.linalg.inv(np.eye(self.n_dim) - self.coeff * shift)
 
 
-class AR1Scalar(VAR1):
-    """Scalar AR(1): Z_t = phi Z_{t-1} + eps_t, eps_t ~ N(0, sigma2)."""
-
-    kind = "ar1_scalar"
-
-    def __init__(self, phi: float, sigma2: float = 1.0):
-        if not np.isfinite(phi):
-            raise InvalidModel(f"AR(1) needs a finite phi, got {phi}")
-        if not abs(phi) < 1.0:
-            raise NonStationaryModel(f"AR(1) needs |phi| < 1, got {phi}")
-        super().__init__(coeff=np.array([[phi]]), sigma=np.array([[sigma2]]))
-        object.__setattr__(self, "phi", float(phi))
-        object.__setattr__(self, "sigma2", float(sigma2))
-
-
 @dataclass(frozen=True, eq=False)
 class VMA(ProcessModel):
     """Vector MA: Z_t = sum_k B_k w_{t-k}, w_t ~ N(0, sigma)."""
@@ -321,6 +273,10 @@ class VMA(ProcessModel):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", chol)
+        diagonal = np.array_equal(chol, np.diag(chol.diagonal()))
+        object.__setattr__(self, "_scale", chol.diagonal() if diagonal else None)
+        white = len(coeffs) == 1 and np.array_equal(coeffs[0], np.eye(n))
+        object.__setattr__(self, "_white", white)
 
     @property
     def order(self):
@@ -330,7 +286,15 @@ class VMA(ProcessModel):
         return self.order
 
     def path(self, eps, overwrite=False):
-        w = eps @ self._chol.T
+        if self._scale is None:
+            w = eps @ self._chol.T
+        elif overwrite:
+            w = eps
+            w *= self._scale
+        else:
+            w = eps * self._scale
+        if self._white:
+            return w
         out = np.zeros(w.shape[:-1] + (self.n_dim,))
         steps = w.shape[-2]
         for k, b in enumerate(self.coeffs[:steps]):
@@ -406,8 +370,8 @@ def _check_seed(seed, error=InvalidArgument) -> int:
 def simulate(model: ProcessModel, t_len: int, seed) -> MultivariateSeries:
     """Deterministic draw of T observations after burn-in.
 
-    Diagonal white noise and the threshold AR model write over their draws,
-    so for them ``simulate`` holds one draw buffer.
+    White noise with a diagonal Sigma and the threshold AR model write over
+    their draws, so for them ``simulate`` holds one draw buffer.
     """
     if t_len < 2:
         raise InvalidArgument("t_len must be at least 2")
@@ -437,7 +401,8 @@ def parse_model(text: str) -> ProcessModel:
     ``white[:dim=k,sigma2=v]``, ``ar1:phi=0.5[,sigma2=1]``,
     ``var1:file=A.csv,sigma=S.csv`` (or ``var1:default``),
     ``vma:file=B0.csv;B1.csv[,sigma=S.csv]``, ``tar:a=0.5,b=-0.3[,sigma2=1]``.
-    Matrix files are read by ``load_matrix``, so a bad cell is a ParseError.
+    White noise is the VMA with B = (I,) and AR(1) the 1x1 VAR(1). Matrix
+    files are read by ``load_matrix``, so a bad cell is a ParseError.
     """
     try:
         return _parse_model(text)
@@ -456,12 +421,12 @@ def _parse_model(text: str) -> ProcessModel:
         if dim < 1:
             raise InvalidModel(f"white noise needs dim >= 1, got {dim}")
         sigma2 = float(kv.get("sigma2", 1.0))
-        return WhiteNoise(sigma=sigma2 * np.eye(dim))
+        return VMA((np.eye(dim),), sigma=sigma2 * np.eye(dim))
     if head == "ar1":
         kv = _parse_kv(head, body, ("phi", "sigma2"))
         if "phi" not in kv:
             raise InvalidModel("ar1 model needs phi=, e.g. ar1:phi=0.5")
-        return AR1Scalar(phi=float(kv["phi"]), sigma2=float(kv.get("sigma2", 1.0)))
+        return VAR1([[float(kv["phi"])]], [[float(kv.get("sigma2", 1.0))]])
     if head == "var1":
         if body.strip() == "default":
             return default_var1()

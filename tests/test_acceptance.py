@@ -23,7 +23,7 @@ from specband.mc import (
     gumbel_mean,
     run_experiment,
 )
-from specband.models import AR1Scalar, parse_model
+from specband.models import parse_model
 from specband.series import MultivariateSeries, center
 from specband.spectral import (
     Bandwidth,
@@ -247,7 +247,7 @@ def test_criterion_07_bias_order():
 
 
 def test_criterion_08_dependence_measures():
-    model = AR1Scalar(0.5)
+    model = parse_model("ar1:phi=0.5")
     reps = 10**4
     worst = 0.0
     for p, innov_norm in ((2.0, math.sqrt(2.0)), (4.0, 12.0**0.25)):
@@ -259,7 +259,7 @@ def test_criterion_08_dependence_measures():
     prof = profile(model, 2.0, horizon=20, reps=reps, seed=81)
     theta0 = float(prof.theta[0])
     theta_ok = abs(theta0 - 2.0 * math.sqrt(2.0)) <= 3.0 * prof.theta_se
-    report = check_conditions(prof, p=2.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    report = check_conditions(prof, b=0.4, b_lower=0.2, delta_param=1.0)
     rho_ok = report.geometric_pass and 0.45 <= report.fitted_rho <= 0.55
     ok = worst <= 3.0 and theta_ok and rho_ok
     _verdict(

@@ -13,7 +13,7 @@ from specband.errors import (
     SpecbandError,
     UnsupportedModel,
 )
-from specband.models import AR1Scalar, ThresholdAR1, WhiteNoise, simulate
+from specband.models import ThresholdAR1, parse_model, simulate
 from specband.series import MultivariateSeries, center
 
 
@@ -42,7 +42,7 @@ def test_requires_centered():
     with pytest.raises(NotCentered, match=advice):
         sample_autocov(s, 1)
     # a simulated series is mean-zero by its model, not centered by its data
-    series = simulate(AR1Scalar(0.5), 100, 1)
+    series = simulate(parse_model("ar1:phi=0.5"), 100, 1)
     with pytest.raises(NotCentered, match=advice):
         sample_autocov(series, 5)
     assert sample_autocov(center(series), 5).max_lag == 5
@@ -181,13 +181,13 @@ def test_sample_autocov_holds_the_input_and_one_block_copy():
 
 
 def test_expected_autocov_white_noise():
-    model = WhiteNoise(sigma=np.eye(2))
+    model = parse_model("white:dim=2")
     np.testing.assert_array_equal(expected_autocov(model, 0, 10), np.eye(2))
     np.testing.assert_array_equal(expected_autocov(model, 1, 10), np.zeros((2, 2)))
 
 
 def test_expected_autocov_ar1():
-    model = AR1Scalar(0.5)
+    model = parse_model("ar1:phi=0.5")
     # (T-|u|)/T * phi^u / (1 - phi^2) at u=2, T=8
     val = expected_autocov(model, 2, 8)[0, 0]
     assert val == pytest.approx((6.0 / 8.0) * 0.25 / 0.75, rel=1e-12, abs=0.0)
@@ -197,7 +197,7 @@ def test_expected_autocov_ar1():
 
 
 def test_expected_autocov_beyond_series_length():
-    model = AR1Scalar(0.5)
+    model = parse_model("ar1:phi=0.5")
     np.testing.assert_array_equal(expected_autocov(model, 8, 8), np.zeros((1, 1)))
 
 
@@ -208,7 +208,7 @@ def test_expected_autocov_rejects_nonclosed_form():
 
 def test_sample_mean_matches_expected_autocov():
     # long-run Monte Carlo average of C(u) approaches ((T-u)/T) Gamma(u)
-    model = AR1Scalar(0.5)
+    model = parse_model("ar1:phi=0.5")
     t_len, reps = 256, 400
     total = np.zeros((3, 1, 1))
     for rep in range(reps):

@@ -10,14 +10,14 @@ from conftest import strict_json
 from specband import errors
 from specband.cli import _parse_entry, build_parser, main
 from specband.mc import EXPERIMENTS, ExperimentPlan
-from specband.models import WhiteNoise, simulate
+from specband.models import parse_model, simulate
 from specband.series import write_csv
 
 
 @pytest.fixture
 def wn_csv(tmp_path):
     path = tmp_path / "wn.csv"
-    write_csv(simulate(WhiteNoise(sigma=np.eye(2)), 512, seed=1), path)
+    write_csv(simulate(parse_model("white:dim=2"), 512, seed=1), path)
     return str(path)
 
 
@@ -351,7 +351,9 @@ _BAD_MODELS = [
     ("white:sigma2=nan", "finite"),
     ("white:dim=0", "dim >= 1"),
     ("ar1:phi=0.5,sigma2=0", "positive definite"),
-    ("ar1:phi=nan", "finite phi"),
+    # ar1 is a 1x1 VAR(1), so VAR1's check words the error; the id names the fault
+    pytest.param("ar1:phi=nan", "VAR(1) coefficient must be a finite square matrix",
+                 id="ar1:phi=nan-finite phi"),
     ("tar:a=0.5,b=nan", "finite a, b"),
     ("tar:a=0.5,b=0.2,sigma2=0", "0 < sigma2"),
     ("ar1:phi=abc", "could not convert"),
@@ -520,12 +522,12 @@ _DELTA = "InvalidArgument: delta_param must be finite and positive"
         ([*_DEPMEASURE, "--horizon", "3"], "InvalidArgument: horizon must be at least 4"),
         (
             ["depmeasure", "--horizon", "4", "--reps", "100", "--model", "white:sigma2=1e308"],
-            "InvalidModel: model 'white_noise': its dependence overflows at p = 4",
+            "InvalidModel: model 'vma': its dependence overflows at p = 4",
         ),
         (  # the fitted tail's (A rho^(H+1))^p' is past the float range
             ["depmeasure", "--horizon", "4", "--reps", "200", "--p", "1000",
              "--model", "ar1:phi=0.9,sigma2=3.4e307"],
-            "InvalidModel: model 'ar1_scalar': its dependence overflows at p = 1000",
+            "InvalidModel: model 'var1': its dependence overflows at p = 1000",
         ),
         (
             ["simulate", "--model", "white", "--out", "unused.csv", "--t-len", "1"],

@@ -12,46 +12,46 @@ from specband.dependence import (
     profile,
 )
 from specband.errors import DecayFitWarning, InvalidArgument
-from specband.models import VMA, AR1Scalar, WhiteNoise, parse_model
+from specband.models import VMA, parse_model
 
 SQRT2 = math.sqrt(2.0)
 
 
 def test_white_noise_delta_t0():
-    est, se = coupled_delta(WhiteNoise(), 0, 2.0, reps=20000, seed=1)
+    est, se = coupled_delta(parse_model("white"), 0, 2.0, reps=20000, seed=1)
     assert abs(est[0] - SQRT2) < 3.0 * se[0]
 
 
 def test_white_noise_delta_vanishes_after_t0():
     for t in (1, 2, 5):
-        est, se = coupled_delta(WhiteNoise(), t, 2.0, reps=200, seed=1)
+        est, se = coupled_delta(parse_model("white"), t, 2.0, reps=200, seed=1)
         assert est[0] == 0.0
         assert se[0] == 0.0
 
 
 def test_ar1_delta_t3():
-    est, se = coupled_delta(AR1Scalar(0.5), 3, 2.0, reps=20000, seed=2)
+    est, se = coupled_delta(parse_model("ar1:phi=0.5"), 3, 2.0, reps=20000, seed=2)
     assert abs(est[0] - 0.5**3 * SQRT2) < 3.0 * se[0]
     assert est[0] == pytest.approx(0.176777, abs=3.0 * se[0])
 
 
 def test_coupled_delta_validation():
     with pytest.raises(ValueError):
-        coupled_delta(WhiteNoise(), -1, 2.0, reps=200, seed=0)
+        coupled_delta(parse_model("white"), -1, 2.0, reps=200, seed=0)
     with pytest.raises(ValueError):
-        coupled_delta(WhiteNoise(), 0, 0.5, reps=200, seed=0)
+        coupled_delta(parse_model("white"), 0, 0.5, reps=200, seed=0)
     with pytest.raises(ValueError):
-        coupled_delta(WhiteNoise(), 0, 2.0, reps=50, seed=0)
+        coupled_delta(parse_model("white"), 0, 2.0, reps=50, seed=0)
 
 
 def test_coupled_delta_deterministic():
-    a = coupled_delta(AR1Scalar(0.3), 2, 2.0, reps=500, seed=9)
-    b = coupled_delta(AR1Scalar(0.3), 2, 2.0, reps=500, seed=9)
+    a = coupled_delta(parse_model("ar1:phi=0.3"), 2, 2.0, reps=500, seed=9)
+    b = coupled_delta(parse_model("ar1:phi=0.3"), 2, 2.0, reps=500, seed=9)
     np.testing.assert_array_equal(a[0], b[0])
 
 
 def test_white_noise_profile_aggregates():
-    prof = profile(WhiteNoise(), 2.0, horizon=6, reps=2000, seed=3)
+    prof = profile(parse_model("white"), 2.0, horizon=6, reps=2000, seed=3)
     # Theta_0 = delta_0 ~ sqrt(2); Theta_m = 0 beyond t=0
     assert abs(prof.theta[0] - SQRT2) < 4.0 * prof.theta_se
     assert prof.theta[1] == 0.0
@@ -60,7 +60,7 @@ def test_white_noise_profile_aggregates():
 
 
 def test_ar1_profile_theta_and_rho():
-    prof = profile(AR1Scalar(0.5), 2.0, horizon=24, reps=4000, seed=4)
+    prof = profile(parse_model("ar1:phi=0.5"), 2.0, horizon=24, reps=4000, seed=4)
     # geometric series: Theta_0 = sqrt(2)/(1 - 0.5)
     assert abs(prof.theta[0] - 2.0 * SQRT2) < 4.0 * (prof.theta_se + 1e-3)
     assert prof.fitted_rho == pytest.approx(0.5, abs=0.02)
@@ -70,13 +70,13 @@ def test_ar1_profile_theta_and_rho():
 def test_ar1_psi_p4_uses_p_prime_two():
     # Psi aggregates delta^{p'} with p' = min(2, p); for p=4 the limit is
     # c4 / sqrt(1 - 0.25) with c4 = ||eps0 - eps0*||_4 = (12)^{1/4}
-    prof = profile(AR1Scalar(0.5), 4.0, horizon=24, reps=30000, seed=5)
+    prof = profile(parse_model("ar1:phi=0.5"), 4.0, horizon=24, reps=30000, seed=5)
     c4 = 12.0 ** 0.25
     assert prof.psi[0] == pytest.approx(c4 / math.sqrt(0.75), rel=0.02)
 
 
 def test_profile_monotone_aggregates():
-    prof = profile(AR1Scalar(0.6), 2.0, horizon=16, reps=2000, seed=6)
+    prof = profile(parse_model("ar1:phi=0.6"), 2.0, horizon=16, reps=2000, seed=6)
     assert np.all(np.diff(prof.theta) <= 1e-12)
     assert np.all(np.diff(prof.psi) <= 1e-12)
     assert np.all(np.diff(prof.d_seq) <= 1e-12)
@@ -138,23 +138,23 @@ def test_profile_aggregates_match_their_definitions(model, horizon, p):
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        profile(WhiteNoise(), 2.0, horizon=2, reps=500, seed=0)
+        profile(parse_model("white"), 2.0, horizon=2, reps=500, seed=0)
     with pytest.raises(ValueError):
-        profile(WhiteNoise(), 2.0, horizon=8, reps=50, seed=0)
+        profile(parse_model("white"), 2.0, horizon=8, reps=50, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
 def test_seed_must_be_a_non_negative_integer(seed):
     message = f"seed must be a non-negative integer, got {seed}"
     with pytest.raises(InvalidArgument, match=message):
-        coupled_delta(WhiteNoise(), 1, 2.0, reps=200, seed=seed)
+        coupled_delta(parse_model("white"), 1, 2.0, reps=200, seed=seed)
     with pytest.raises(InvalidArgument, match=message):
-        profile(WhiteNoise(), 2.0, horizon=6, reps=200, seed=seed)
+        profile(parse_model("white"), 2.0, horizon=6, reps=200, seed=seed)
 
 
 def test_check_conditions_ar1_geometric_pass():
-    prof = profile(AR1Scalar(0.5), 8.0, horizon=20, reps=20000, seed=10)
-    report = check_conditions(prof, p=8.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    prof = profile(parse_model("ar1:phi=0.5"), 8.0, horizon=20, reps=20000, seed=10)
+    report = check_conditions(prof, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.geometric_pass is True
     assert 0.45 <= report.fitted_rho <= 0.55
     assert report.bandwidth_window_ok
@@ -162,8 +162,8 @@ def test_check_conditions_ar1_geometric_pass():
 
 @pytest.mark.parametrize("phi", [0.5, 0.9, 0.97])
 def test_check_conditions_geometric_pass_settles_the_alpha_verdicts(phi):
-    prof = profile(AR1Scalar(phi), 4.0, horizon=30, reps=400, seed=22)
-    report = check_conditions(prof, p=4.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    prof = profile(parse_model(f"ar1:phi={phi}"), 4.0, horizon=30, reps=400, seed=22)
+    report = check_conditions(prof, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.geometric_pass is True
     assert report.alpha1_pass is True and report.alpha2_pass is True
     # a note for each verdict that the power-law fit alone would not give
@@ -182,8 +182,8 @@ def test_check_conditions_geometric_pass_settles_the_alpha_verdicts(phi):
 
 
 def test_check_conditions_white_noise_trivial_pass():
-    prof = profile(WhiteNoise(), 8.0, horizon=8, reps=1000, seed=11)
-    report = check_conditions(prof, p=8.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    prof = profile(parse_model("white"), 8.0, horizon=8, reps=1000, seed=11)
+    report = check_conditions(prof, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.geometric_pass is True
     assert report.fitted_rho == 0.0
     assert report.alpha1_fit == math.inf and report.alpha1_pass is True
@@ -208,7 +208,7 @@ def test_check_conditions_synthetic_power_law_fails_geometric():
         theta=theta, psi=psi, d_seq=d_seq, theta_se=0.0,
         decay_fit=_fit_geometric(delta[:, 0]), tail_remainder=None, reps=0,
     )
-    report = check_conditions(prof, p=p, b=0.4, b_lower=0.2, delta_param=1.0)
+    report = check_conditions(prof, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.geometric_pass is False
     assert not any(note.startswith("alpha") for note in report.notes)
     # thresholds from the declared exponent formulas at p=8, delta=1
@@ -234,7 +234,7 @@ def test_check_conditions_two_positive_deltas_give_no_fits():
         theta=theta, psi=psi, d_seq=d_seq, theta_se=0.0,
         decay_fit=None, tail_remainder=None, reps=0,
     )
-    report = check_conditions(prof, p=2.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    report = check_conditions(prof, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.geometric_pass is None and report.fitted_rho is None
     assert report.notes == ("too few positive delta entries for a decay fit",)
     # one positive value beyond m = 0 is too few for a power-law exponent
@@ -248,9 +248,9 @@ _FLAT_D = "d_m is constant over m <= 30: the horizon is too short for a power-la
 @pytest.mark.parametrize("phi", [0.97, 0.99])
 def test_check_conditions_flat_d_profile_has_no_power_law_fit(phi):
     # Psi_m stays above delta_0 for m <= 30, so d_m is the same number there
-    prof = profile(AR1Scalar(phi), 4.0, horizon=30, reps=2000, seed=0)
+    prof = profile(parse_model(f"ar1:phi={phi}"), 4.0, horizon=30, reps=2000, seed=0)
     assert np.all(prof.d_seq[1:] == prof.d_seq[1])
-    report = check_conditions(prof, p=4.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    report = check_conditions(prof, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.alpha1_fit is None  # not the rounding slope of a flat line
     assert _FLAT_D in report.notes
     assert report.geometric_pass is True and report.alpha1_pass is True
@@ -268,7 +268,7 @@ def test_check_conditions_synthetic_flat_profile_without_geometric_pass():
         theta=theta, psi=np.sqrt(theta), d_seq=np.full(horizon + 1, 2.5),
         theta_se=0.0, decay_fit=None, tail_remainder=None, reps=0,
     )
-    report = check_conditions(prof, p=4.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    report = check_conditions(prof, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.geometric_pass is False
     assert report.alpha1_fit is None and report.alpha1_pass is None
     assert report.alpha2_fit is not None and report.alpha2_pass is not None
@@ -277,20 +277,20 @@ def test_check_conditions_synthetic_flat_profile_without_geometric_pass():
 
 
 def test_check_conditions_independent_components_note():
-    prof = profile(WhiteNoise(), 8.0, horizon=8, reps=1000, seed=12)
+    prof = profile(parse_model("white"), 8.0, horizon=8, reps=1000, seed=12)
     report = check_conditions(
-        prof, p=8.0, b=0.4, b_lower=0.2, delta_param=1.0,
+        prof, b=0.4, b_lower=0.2, delta_param=1.0,
         independent_components=True,
     )
     assert report.independent_components
     assert any("p/2" in note for note in report.notes)
     # thresholds move with p -> p/2
-    base = check_conditions(prof, p=8.0, b=0.4, b_lower=0.2, delta_param=1.0)
+    base = check_conditions(prof, b=0.4, b_lower=0.2, delta_param=1.0)
     assert report.alpha1_threshold != base.alpha1_threshold
 
 
 def test_decay_fit_warning_on_nondecaying_profile():
-    class Flat(WhiteNoise):
+    class Flat(VMA):
         # dependence never decays: Z_t = eps_0 for every t
         def path(self, eps, overwrite=False):
             out = np.broadcast_to(
@@ -302,7 +302,7 @@ def test_decay_fit_warning_on_nondecaying_profile():
             return 0
 
     with pytest.warns(DecayFitWarning):
-        profile(Flat(), 2.0, horizon=6, reps=200, seed=13)
+        profile(Flat((np.eye(1),)), 2.0, horizon=6, reps=200, seed=13)
 
 
 def test_t_two_sided_matches_stdtrit():

@@ -370,13 +370,14 @@ _OVERFLOWING_F = ["--model", "ar1:phi=0.99,sigma2=2e304", "--t-grid", "3,4"]
         *((["--experiment", e, *_OVERFLOWING_F], "InvalidModel", 2)
           for e in ("clt", "gumbel", "moments")),
         # E fhat's lag sum overflows at the cell's B = 507
-        (["--experiment", "gumbel", "--model", "ar1:phi=0.999,sigma2=1e303",
-          "--c-const", "6", "--t-grid", "65536"], "InvalidModel", 2),
-        # neither evaluates f, and each fails as before on the first cell
+        *((["--experiment", e, "--model", "ar1:phi=0.999,sigma2=1e303",
+            "--c-const", "6", "--t-grid", "65536"], "InvalidModel", 2)
+          for e in ("gumbel", "uniform-rate")),
+        # coverage evaluates no f, and fails as before on the first cell;
+        # uniform-rate evaluates no f either, and its norm of a finite sup is finite
         (["--experiment", "coverage", *_OVERFLOWING_F], "BandUndefined", 1),
-        (["--experiment", "uniform-rate", *_OVERFLOWING_F], "InvalidPlan", 2),
     ],
-    ids=["clt", "gumbel", "moments", "gumbel-center", "coverage", "uniform-rate"],
+    ids=["clt", "gumbel", "moments", "gumbel-center", "uniform-rate", "coverage"],
 )
 def test_exact_spectra_that_overflow_end_as_one_error_line(argv, name, code, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -413,13 +414,17 @@ def test_vanishing_spectrum_ends_as_one_degenerate_spectrum_line(experiment, tmp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma2", ["1e-160", "1e-320"])
-@pytest.mark.parametrize("experiment", ["clt", "gumbel", "moments", "coverage"])
+@pytest.mark.parametrize(
+    "experiment, sigma2",
+    [(e, s) for e in ("clt", "gumbel", "moments", "coverage") for s in ("1e-160", "1e-320")]
+    + [("uniform-rate", "1e-320")],
+)
 def test_underflowing_spectral_scale_ends_as_one_error_line(
     experiment, sigma2, monkeypatch, tmp_path, capsys
 ):
     # f_11 f_11 falls below the smallest normal float (1e-160) or to 0 (1e-320):
-    # the statistic would be off or NaN, and a band would have zero width
+    # the statistic would be off or NaN, and a band would have zero width.
+    # uniform-rate reads no f_11; at 1e-320 its largest sup deviation is subnormal
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     out = tmp_path / "report.json"
     argv = ["verify", "--experiment", experiment, "--model", f"white:sigma2={sigma2}",
@@ -436,12 +441,15 @@ def test_underflowing_spectral_scale_ends_as_one_error_line(
         assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma2, nu", [(1e-8, 100.0), (1e160, 2.0)])
-def test_uniform_rate_norm_outside_the_float_range_raises_invalid_plan(sigma2, nu):
-    plan = ExperimentPlan(experiment="uniform_rate", model_spec=f"white:sigma2={sigma2}",
-                          t_grid=(64, 128), reps=100, nu=nu)
-    with pytest.raises(InvalidPlan, match="leaves the float range"):
-        run_experiment(plan)
+def test_uniform_rate_norm_scales_with_the_model():
+    # sup is divided by its largest value before the power, so its nu-norm
+    # neither underflows (1e-160) nor overflows (1e300)
+    norms = []
+    for sigma2 in (1e-160, 1.0, 1e300):
+        plan = ExperimentPlan(experiment="uniform_rate", model_spec=f"white:sigma2={sigma2}",
+                              t_grid=(512,), reps=100, seed=3)
+        norms.append(run_experiment(plan).rows[0]["sup_norm"] / sigma2)
+    assert max(norms) / min(norms) - 1.0 <= 1e-12, norms
 
 
 def test_gumbel_smoke_and_report_shape():

@@ -10,11 +10,9 @@ from specband.errors import (
     UnsupportedModel,
 )
 from specband.models import (
-    AR1Scalar,
     ThresholdAR1,
     VAR1,
     VMA,
-    WhiteNoise,
     default_var1,
     parse_model,
     simulate,
@@ -24,7 +22,7 @@ from specband.spectral import theorem_grid
 
 def test_white_noise_gamma_and_spectrum():
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
-    model = WhiteNoise(sigma=sigma)
+    model = VMA((np.eye(2),), sigma=sigma)
     np.testing.assert_array_equal(model.gamma(0), sigma)
     np.testing.assert_array_equal(model.gamma(3), np.zeros((2, 2)))
     spec = model.spectral_density([0.3, 1.1])
@@ -57,18 +55,25 @@ class _OpRecorder:
     ],
 )
 def test_white_noise_path_scales_a_diagonal_factor(sigma, op):
-    # a diagonal factor scales each column, bit for bit the product; a dense one multiplies
-    model = WhiteNoise(sigma=sigma)
-    eps = np.random.default_rng(6).standard_normal((3, 500, sigma.shape[0]))
-    want = eps @ np.linalg.cholesky(sigma).T
-    recorder = _OpRecorder(eps)
-    got = model.path(recorder)
-    assert recorder.ops == [op]
-    np.testing.assert_array_equal(got, want)
+    # a VMA's diagonal factor scales each column, bit for bit the product; a
+    # dense one multiplies. White noise (B = (I,)) is the scaled innovations,
+    # and order 1 sums its lags over them.
+    n = sigma.shape[0]
+    eps = np.random.default_rng(6).standard_normal((3, 500, n))
+    w = eps @ np.linalg.cholesky(sigma).T
+    lag = np.random.default_rng(7).standard_normal((n, n))
+    order1 = np.zeros_like(w)
+    order1 += w @ np.eye(n)
+    order1[:, 1:] += w[:, :-1] @ lag.T
+    for coeffs, want in (((np.eye(n),), w), ((np.eye(n), lag), order1)):
+        recorder = _OpRecorder(eps)
+        got = VMA(coeffs, sigma=sigma).path(recorder)
+        assert recorder.ops == [op]
+        np.testing.assert_array_equal(got, want)
 
 
 def test_white_noise_sample_covariance():
-    model = WhiteNoise(sigma=np.eye(2))
+    model = parse_model("white:dim=2")
     s = simulate(model, 4096, seed=5)
     assert s.t_len == 4096 and s.n_dim == 2
     cov = s.values.T @ s.values / s.t_len
@@ -76,7 +81,7 @@ def test_white_noise_sample_covariance():
 
 
 def test_ar1_lag1_autocorrelation():
-    model = AR1Scalar(0.5)
+    model = parse_model("ar1:phi=0.5")
     s = simulate(model, 2**14, seed=2)
     x = s.values[:, 0]
     rho1 = (x[:-1] @ x[1:]) / (x @ x)
@@ -84,7 +89,7 @@ def test_ar1_lag1_autocorrelation():
 
 
 def test_ar1_gamma_closed_form():
-    model = AR1Scalar(0.5, sigma2=2.0)
+    model = parse_model("ar1:phi=0.5,sigma2=2.0")
     for u in range(4):
         assert model.gamma(u)[0, 0] == pytest.approx(
             0.5**u * 2.0 / (1.0 - 0.25), rel=1e-12, abs=0.0
@@ -92,7 +97,7 @@ def test_ar1_gamma_closed_form():
 
 
 def test_ar1_spectrum_values():
-    model = AR1Scalar(0.5)
+    model = parse_model("ar1:phi=0.5")
     spec = model.spectral_density([0.0, np.pi])
     assert spec[0][0, 0].real == pytest.approx(2.0 / np.pi, rel=1e-12, abs=0.0)
     assert spec[1][0, 0].real == pytest.approx(
@@ -108,10 +113,10 @@ def test_spectrum_matches_gamma_sum():
     phases = np.exp(-1j * np.outer(freqs, lags))
     models = (
         default_var1(),
-        AR1Scalar(0.7),
+        parse_model("ar1:phi=0.7"),
         VMA((np.eye(2), 0.4 * np.eye(2))),
         _VMA2,
-        WhiteNoise(sigma=_DENSE_SIGMA),
+        VMA((np.eye(2),), sigma=_DENSE_SIGMA),
     )
     for model in models:
         gammas = np.stack([model.gamma(u) for u in lags])
@@ -140,10 +145,10 @@ def _random_var1(n, seed):
 
 def _reference_spectrum(model, freqs):
     """The spectral density by one formula per model family, one frequency at a time."""
-    if isinstance(model, WhiteNoise):
+    n = model.n_dim
+    if isinstance(model, VMA) and model.order == 0 and np.array_equal(model.coeffs[0], np.eye(n)):
         flat = model.sigma.astype(complex) / (2 * np.pi)
         return np.broadcast_to(flat, (freqs.size, *flat.shape)).copy()
-    n = model.n_dim
     out = np.empty((freqs.size, n, n), dtype=complex)
     for idx, lam in enumerate(freqs):
         if isinstance(model, VAR1):
@@ -159,11 +164,11 @@ def _reference_spectrum(model, freqs):
     "model",
     [
         default_var1(),
-        AR1Scalar(0.5),
+        parse_model("ar1:phi=0.5"),
         _random_var1(3, 11),
         _VMA2,
-        WhiteNoise(sigma=np.diag([2.0, 0.5, 3.0])),
-        WhiteNoise(sigma=_DENSE_SIGMA),
+        VMA((np.eye(3),), sigma=np.diag([2.0, 0.5, 3.0])),
+        VMA((np.eye(2),), sigma=_DENSE_SIGMA),
     ],
     ids=["var1-default", "ar1", "var1-random-3x3", "vma2", "white-diagonal", "white-dense"],
 )
@@ -188,7 +193,7 @@ def test_var1_rejects_explosive():
     with pytest.raises(NonStationaryModel):
         VAR1(coeff=np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(NonStationaryModel):
-        AR1Scalar(1.01)
+        parse_model("ar1:phi=1.01")
 
 
 _NOT_PD = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -197,10 +202,10 @@ _NOT_PD = np.array([[1.0, 2.0], [2.0, 1.0]])
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: WhiteNoise(sigma=np.full((2, 2), np.nan)), "finite"),  # not "symmetric"
-        (lambda: WhiteNoise(sigma=np.array([[1.0, 0.5], [0.0, 1.0]])), "symmetric"),
-        (lambda: WhiteNoise(sigma=np.zeros((0, 0))), "n >= 1"),
-        (lambda: WhiteNoise(sigma=_NOT_PD), "positive definite"),
+        (lambda: VMA((np.eye(2),), sigma=np.full((2, 2), np.nan)), "finite"),  # not "symmetric"
+        (lambda: VMA((np.eye(2),), sigma=np.array([[1.0, 0.5], [0.0, 1.0]])), "symmetric"),
+        (lambda: VMA((np.zeros((0, 0)),), sigma=np.zeros((0, 0))), "n >= 1"),
+        (lambda: VMA((np.eye(2),), sigma=_NOT_PD), "positive definite"),
         (lambda: VAR1(coeff=0.5 * np.eye(2), sigma=_NOT_PD), "positive definite"),
         (lambda: VAR1(coeff=np.array([[0.5, np.inf], [0.0, 0.5]])), "finite square"),
         (lambda: VAR1(coeff=np.ones((2, 3))), "finite square"),
@@ -294,6 +299,15 @@ def test_simulate_holds_one_draw_buffer(spec):
     assert peak <= 1.3 * t_len * model.n_dim * 8
 
 
+def test_vma_simulate_holds_three_series():
+    # Sigma = I scales the draws in place; the output and one lag product are
+    # the other two series
+    t_len, model = 2**18, VMA((np.eye(2), np.array([[0.5, 0.2], [-0.1, 0.3]])))
+    simulate(model, 16, seed=1)  # numpy.random is imported on first use
+    peak = traced_peak(lambda: None, lambda _: simulate(model, t_len, seed=1))
+    assert peak <= 3.3 * t_len * model.n_dim * 8
+
+
 def _sequential_path(model, eps):
     """Oracle: Z_t = A Z_{t-1} + w_t one time step at a time, from Z_{-1} = 0."""
     w = eps @ model._chol.T
@@ -349,7 +363,7 @@ def test_scan_levels_end_at_the_first_zero_power_of_a(coeff, levels):
 @pytest.mark.parametrize("phi,sigma2", [(0.5, 1.0), (-0.7, 2.3), (0.6, 1.0)])
 def test_ar1_path_is_scalar_filter(phi, sigma2):
     # a 1x1 A runs the same blocked scan; its sums round unlike the recursion's
-    model = AR1Scalar(phi, sigma2)
+    model = VAR1([[phi]], [[sigma2]])
     eps = np.random.default_rng(4).standard_normal((3, 400, 1))
     expected = lfilter([1.0], [1.0, -phi], eps * np.sqrt(sigma2), axis=-2)
     got = model.path(eps)
@@ -401,7 +415,7 @@ def test_parse_model_grammar(tmp_path):
     assert parse_model("white").n_dim == 1
     assert parse_model("white:dim=3,sigma2=2.0").n_dim == 3
     m = parse_model("ar1:phi=0.25")
-    assert isinstance(m, AR1Scalar) and m.phi == 0.25
+    assert isinstance(m, VAR1) and m.coeff.tolist() == [[0.25]]
     var = parse_model("var1:default")
     assert isinstance(var, VAR1) and var.n_dim == 2
     tar = parse_model("tar:a=0.4,b=-0.2")
@@ -423,7 +437,7 @@ def test_parse_model_grammar(tmp_path):
 @pytest.mark.parametrize("seed", [-1, 1.5, None])
 def test_simulate_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(InvalidArgument, match=f"seed must be a non-negative integer, got {seed}"):
-        simulate(WhiteNoise(), 16, seed)
+        simulate(parse_model("white"), 16, seed)
 
 
 def test_parse_model_rejects_unknown():
@@ -443,9 +457,9 @@ def test_var1_scalar_innovation_file_is_not_broadcast(tmp_path):
 @pytest.mark.parametrize(
     "model",
     [
-        WhiteNoise(sigma=np.diag([2.0, 0.5])),
-        WhiteNoise(sigma=np.array([[2.0, 0.5], [0.5, 1.0]])),
-        AR1Scalar(phi=0.7),
+        VMA((np.eye(2),), sigma=np.diag([2.0, 0.5])),
+        VMA((np.eye(2),), sigma=np.array([[2.0, 0.5], [0.5, 1.0]])),
+        parse_model("ar1:phi=0.7"),
         default_var1(),
         VMA(coeffs=(np.eye(2), np.array([[0.5, 0.2], [-0.1, 0.3]])), sigma=np.eye(2)),
         ThresholdAR1(a=0.5, b=-0.3),

@@ -24,7 +24,7 @@ import pytest
 
 import specband
 from specband.mc import _B_GRID, pool_size
-from specband.models import WhiteNoise, simulate
+from specband.models import parse_model, simulate
 from specband.series import write_csv
 
 SRC = str(Path(specband.__file__).resolve().parents[1])
@@ -131,7 +131,7 @@ for info in pkgutil.iter_modules(specband.__path__):  # _EXPORTS is the one list
     assert not hasattr(importlib.import_module('specband.' + info.name), '__all__'), info.name
 print(len(specband.__all__))
 """
-    assert _python(["-c", code]).stdout == "41\n"
+    assert _python(["-c", code]).stdout == "39\n"
 
 
 # Runs specband.cli as the ``specband`` command does, with no numpy loaded
@@ -176,7 +176,7 @@ print(sys.modules.get('_hashlib') is not None)
 
 def test_commands_that_do_not_draw_load_no_numpy_random(tmp_path):
     x = tmp_path / "x.csv"
-    write_csv(simulate(WhiteNoise(sigma=np.eye(2)), 512, seed=1), x)
+    write_csv(simulate(parse_model("white:dim=2"), 512, seed=1), x)
     commands = [
         ["estimate", "--input", str(x), "--output", str(tmp_path / "est.json")],
         ["bands", "--input", str(x), "--bonferroni", "--output", str(tmp_path / "uniform.json")],

@@ -13,7 +13,7 @@ from specband.errors import (
     UnsupportedModel,
 )
 from specband.kernels import get_kernel, kernel_names, tabulated_kernel
-from specband.models import AR1Scalar, ThresholdAR1, VMA, WhiteNoise, default_var1, simulate
+from specband.models import ThresholdAR1, VMA, default_var1, parse_model, simulate
 from specband.series import _jsonable, center
 from specband.spectral import (
     Bandwidth,
@@ -179,7 +179,7 @@ def test_off_grid_frequency_raises():
 
 
 def test_bandwidth_too_large():
-    s = center(simulate(WhiteNoise(), 16, seed=0))
+    s = center(simulate(parse_model("white"), 16, seed=0))
     acov = sample_autocov(s, 15)
     with pytest.raises(InvalidArgument, match="lags up to 15, need 39"):
         estimate_spectrum(acov, BART, Bandwidth(40, 0.99, c_const=1.0), [0.0])
@@ -192,14 +192,14 @@ def test_autocov_lags_stop_at_t_minus_1():
 
 
 def test_lag_coverage_check():
-    s = center(simulate(WhiteNoise(), 512, seed=0))
+    s = center(simulate(parse_model("white"), 512, seed=0))
     acov = sample_autocov(s, 3)  # too few lags for B=28
     with pytest.raises(ValueError, match="lags"):
         estimate_spectrum(acov, BART, Bandwidth(512, 0.4), [0.0])
 
 
 def test_frequencies_restricted_to_0_pi():
-    s = center(simulate(WhiteNoise(), 64, seed=0))
+    s = center(simulate(parse_model("white"), 64, seed=0))
     acov = sample_autocov(s, 10)
     with pytest.raises(ValueError):
         estimate_spectrum(acov, BART, Bandwidth(64, 0.4), [-0.1])
@@ -208,12 +208,12 @@ def test_frequencies_restricted_to_0_pi():
     with pytest.raises(ValueError):
         estimate_spectrum(acov, BART, Bandwidth(64, 0.4), [np.nan])
     with pytest.raises(ValueError):
-        expected_spectrum(WhiteNoise(), BART, 5, 64, [np.nan])
+        expected_spectrum(parse_model("white"), BART, 5, 64, [np.nan])
 
 
 def test_scale_equivariance():
     # scaling the series by c scales the spectral matrix by c^2
-    s = center(simulate(WhiteNoise(), 256, seed=3))
+    s = center(simulate(parse_model("white"), 256, seed=3))
     acov = sample_autocov(s, 30)
     acov_scaled = AutocovSequence(4.0 * acov.matrices, acov.t_len)
     bw = Bandwidth(256, 0.4)
@@ -225,11 +225,11 @@ def test_scale_equivariance():
 @pytest.mark.parametrize("b_val", [0, 64])
 def test_expected_spectrum_rejects_window_outside_series(b_val):
     with pytest.raises(InvalidArgument, match=r"\[1, 63\]"):
-        expected_spectrum(WhiteNoise(), BART, b_val, 64, [0.0])
+        expected_spectrum(parse_model("white"), BART, b_val, 64, [0.0])
 
 
 def test_expected_spectrum_white_noise_flat():
-    grid = expected_spectrum(WhiteNoise(), BART, 8, 64, [0.0, 1.0, np.pi])
+    grid = expected_spectrum(parse_model("white"), BART, 8, 64, [0.0, 1.0, np.pi])
     np.testing.assert_allclose(grid.entry(0, 0).real, 1.0 / TWO_PI, rtol=1e-14)
 
 
@@ -244,7 +244,7 @@ def test_expected_spectrum_ma1_hand_value():
 
 
 def test_expected_spectrum_approaches_truth():
-    model = AR1Scalar(0.5)
+    model = parse_model("ar1:phi=0.5")
     lam = np.array([0.9])
     truth = true_spectrum(model, lam).entry(0, 0)[0].real
     gaps = []
