@@ -48,12 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import (
-    InvalidSeries,
-    LagOutOfRange,
-    MalformedArray,
-    NotCentered,
-)
+from .errors import InvalidArgument, InvalidSeries
 from .series import MultivariateSeries
 
 _BLOCK_COLS = 32  # at most s * n columns per block row
@@ -72,11 +67,11 @@ class AutocovSequence:
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=float)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise MalformedArray("autocovariance stack must have shape (L+1, n, n)")
+            raise InvalidArgument("autocovariance stack must have shape (L+1, n, n)")
         if not np.all(np.isfinite(m)):
-            raise MalformedArray("autocovariance contains non-finite entries")
+            raise InvalidArgument("autocovariance contains non-finite entries")
         if m.shape[0] > self.t_len:
-            raise MalformedArray(f"{m.shape[0]} autocovariance lags exceed T = {self.t_len}")
+            raise InvalidArgument(f"{m.shape[0]} autocovariance lags exceed T = {self.t_len}")
         m.setflags(write=False)
         object.__setattr__(self, "matrices", m)
 
@@ -91,7 +86,7 @@ class AutocovSequence:
     def lag(self, u: int) -> np.ndarray:
         """C(u); negative u returns the exact transpose of C(-u)."""
         if abs(u) > self.max_lag:
-            raise LagOutOfRange(f"lag {u} beyond computed horizon {self.max_lag}")
+            raise InvalidArgument(f"lag {u} beyond computed horizon {self.max_lag}")
         if u >= 0:
             return self.matrices[u]
         return self.matrices[-u].T
@@ -100,21 +95,21 @@ class AutocovSequence:
 def autocov_matrices(values: np.ndarray, max_lag: int) -> np.ndarray:
     """Divisor-T autocovariance stack of a raw (T, n) array, lags 0..max_lag.
 
-    Raises LagOutOfRange unless 0 <= max_lag <= T - 1. The block rows are
+    Raises InvalidArgument unless 0 <= max_lag <= T - 1. The block rows are
     read through a window of ``_CHUNK_BATCHES`` batches plus the ceil(L/s)
     rows that the last offset reaches past them, filled from ``values`` (and
     zeros past T) one chunk of batches at a time, so the working set does
-    not grow with T: at n = 2 and L = 190, a 1.05 MB window, a 520 KB
-    product of the chunk's batch products plus a carry row, and the
-    (s n, K + 1, s n) grams. Past one chunk, each offset's running sum goes
-    in the carry row ahead of the next chunk's products: numpy sums axis 0
-    one row after another, so the total is the same bit for bit as one sum
-    over every batch.
+    not grow with T: at n = 2 and L = 190, a 1.05 MB window, a 512 KB
+    product of the chunk's batch products, and the (s n, K + 1, s n) grams.
+    Each offset's running sum, zero before the first chunk, is added to the
+    chunk's first product: numpy sums axis 0 one row after another and
+    0 + x = x, so the total is the same bit for bit as one sum over every
+    batch.
     """
     values = np.asarray(values, dtype=float)
     t_len, n_dim = values.shape
     if not 0 <= max_lag <= t_len - 1:
-        raise LagOutOfRange(
+        raise InvalidArgument(
             f"max_lag must lie in [0, T-1] = [0, {t_len - 1}], got {max_lag}"
         )
     span = max(1, min(max_lag + 1, _BLOCK_COLS // n_dim))  # s time points per row
@@ -124,10 +119,9 @@ def autocov_matrices(values: np.ndarray, max_lag: int) -> np.ndarray:
     batch = min(_BATCH_ROWS, n_rows)
     n_batches = -(-n_rows // batch)  # whole batches; the padding is zeros
     chunk = min(n_batches, _CHUNK_BATCHES)
-    carry = int(n_batches > chunk)  # a row for the running sum of earlier chunks
     window = np.empty((chunk * batch + offsets - 1, width))
-    product = np.empty((carry + chunk, width, width))
-    grams = np.empty((width, offsets, width))  # [(p, i), k, (q, j)]
+    product = np.empty((chunk, width, width))
+    grams = np.zeros((width, offsets, width))  # [(p, i), k, (q, j)]
     for first in range(0, n_batches, chunk):
         count = min(chunk, n_batches - first)  # batches in this chunk
         rows = count * batch
@@ -137,14 +131,13 @@ def autocov_matrices(values: np.ndarray, max_lag: int) -> np.ndarray:
         points[:filled] = values[start : start + filled]
         points[filled:] = 0.0
         left = window[:rows].reshape(count, batch, width).transpose(0, 2, 1)
-        part = product[: carry + count]
+        part = product[:count]
         for k in range(offsets):
             total = grams[:, k, :]
             right = window[k : k + rows].reshape(count, batch, width)
-            np.matmul(left, right, out=part[carry:])
-            if first:  # numpy sums axis 0 in order, so this adds on to the total
-                part[0] = total
-            np.sum(part if first else part[carry:], axis=0, out=total)
+            np.matmul(left, right, out=part)
+            part[0] += total
+            np.sum(part, axis=0, out=total)
     row, _, col = grams.strides
     diag = as_strided(  # diag[u, p, i, j] = grams[(p, i), (p + u, j)]
         grams,
@@ -158,7 +151,7 @@ def autocov_matrices(values: np.ndarray, max_lag: int) -> np.ndarray:
 def sample_autocov(series: MultivariateSeries, max_lag: int) -> AutocovSequence:
     """Sample C(u) of a centered series for u = 0..max_lag."""
     if not series.centered:
-        raise NotCentered(
+        raise InvalidArgument(
             "the series is not centered: pass it through center(), or read it "
             "with load_csv(..., centered=True)"
         )

@@ -44,7 +44,7 @@ import numpy as np  # noqa: E402  (after the start-up settings)
 from . import __version__
 from .acov import sample_autocov
 from .dependence import check_conditions, profile
-from .errors import SpecbandError, UsageError
+from .errors import InvalidModel, SpecbandError, UsageError
 from .inference import pointwise_ci, uniform_band
 from .kernels import get_kernel
 from .mc import EXPERIMENTS, ExperimentPlan, run_experiment
@@ -189,7 +189,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_depmeasure(args) -> int:
     model = parse_model(args.model)
-    prof = profile(model, args.p, args.horizon, args.reps, args.seed)
+    try:
+        prof = profile(model, args.p, args.horizon, args.reps, args.seed)
+    except InvalidModel as exc:
+        raise InvalidModel(f"model {args.model!r}: {exc}") from None
     payload = {**_jsonable(prof), **_echo(args, "model", "seed")}
     if args.check_conditions:
         report = check_conditions(

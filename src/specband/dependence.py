@@ -174,7 +174,7 @@ def profile(
     )
     aggregates = (delta_se, theta, psi, d_seq, tail_remainder or 0.0)
     if not all(np.all(np.isfinite(v)) for v in aggregates):
-        raise InvalidModel(f"model {model.kind!r}: its dependence overflows at p = {p:g}")
+        raise InvalidModel(f"its dependence overflows at p = {p:g}")
     if fit_max is None and np.any(delta_max[1:] > _ZERO_TOL):
         warnings.warn(
             "geometric decay fit failed; tail sums truncated at the horizon "

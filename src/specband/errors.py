@@ -18,7 +18,9 @@ class UsageError(SpecbandError):
 
 
 class InvalidArgument(SpecbandError, ValueError):
-    """A parameter outside its domain, such as p < 1 or an asymmetric kernel table."""
+    """A parameter outside its domain: p < 1, a level outside (0, 1), a lag past
+    T - 1 or the computed horizon, a frequency off the grid pi*l/M, a malformed
+    stack or grid, an uncentered series, or an asymmetric kernel table."""
 
     exit_code = 2
 
@@ -36,20 +38,8 @@ class InvalidSeries(SpecbandError, ValueError):
     """Series values are not a finite (T, n) array, or overflow in centering or C(u)."""
 
 
-class MalformedArray(SpecbandError, ValueError):
-    """An autocovariance stack or spectral grid has the wrong shape or non-finite entries."""
-
-
 class InsufficientData(SpecbandError):
     """Too few time points for the requested operation."""
-
-
-class NotCentered(SpecbandError):
-    """Operation requires a centered (or known mean-zero) series."""
-
-
-class LagOutOfRange(SpecbandError):
-    """Requested autocovariance lag is >= T."""
 
 
 class InvalidBandwidth(InvalidArgument):
@@ -75,12 +65,6 @@ class UnknownKernel(SpecbandError, KeyError):
     __str__ = Exception.__str__  # KeyError.__str__ would quote the message
 
 
-class InvalidLevel(SpecbandError):
-    """Confidence level outside (0, 1)."""
-
-    exit_code = 2
-
-
 class DegenerateSpectrum(SpecbandError):
     """A denominator spectral diagonal is not strictly positive, or their product underflows."""
 
@@ -97,10 +81,6 @@ class InvalidPlan(SpecbandError):
     """Monte Carlo experiment plan violates its validity constraints."""
 
     exit_code = 2
-
-
-class OffGridFrequency(SpecbandError):
-    """A requested frequency is not on a grid pi*l/M the estimator evaluates."""
 
 
 class DecayFitWarning(UserWarning):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandUndefined, DegenerateSpectrum, InvalidArgument, InvalidLevel
+from .errors import BandUndefined, DegenerateSpectrum, InvalidArgument
 from .kernels import Kernel
 from .spectral import SpectralGrid
 
@@ -33,7 +33,7 @@ def gumbel_cdf(x):
 
 def _check_level(level: float):
     if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
+        raise InvalidArgument(f"level must lie in (0, 1), got {level}")
 
 
 def gumbel_quantile(level: float) -> float:

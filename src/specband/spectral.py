@@ -8,7 +8,7 @@ Every grid the package evaluates has the form lambda_l = pi*l/M: the
 theorem grid (M = B), ``uniform:<count>`` (M = count - 1), the 4x dense grid
 (M = 4B) and the CLT pair {0, pi/2} (M = 2). ``estimate_matrices`` takes M
 from the smallest step among 0 and the requested frequencies and raises
-``OffGridFrequency`` when a frequency lies more than 1e-12 from pi*l/M. On
+``InvalidArgument`` when a frequency lies more than 1e-12 from pi*l/M. On
 such a grid the sum over positive lags is one real FFT of length 2M: since
 e^{-i u pi l/M} has period 2M in u, the weighted lags w_u C(u), u = 1..L, are
 folded into bins u mod 2M (this matters when L > 2M), transformed, and the
@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acov import AutocovSequence, expected_autocov
-from .errors import (
-    InsufficientData,
-    InvalidArgument,
-    InvalidBandwidth,
-    MalformedArray,
-    OffGridFrequency,
-)
+from .errors import InsufficientData, InvalidArgument, InvalidBandwidth
 from .kernels import Kernel
 
 _TWO_PI = 2.0 * np.pi
@@ -90,7 +84,7 @@ class SpectralGrid:
         matrices = np.asarray(self.matrices, dtype=complex)
         shape = matrices.shape
         if len(shape) < 3 or shape[-3:] != (freqs.size, shape[-1], shape[-1]):
-            raise MalformedArray("matrices must be (..., n_freqs, n, n)")
+            raise InvalidArgument("matrices must be (..., n_freqs, n, n)")
         freqs.setflags(write=False)
         matrices.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
@@ -159,7 +153,7 @@ def _grid_rows(freqs: np.ndarray) -> tuple:
     rows = np.rint(freqs * (m / np.pi))
     off = ~(np.abs(freqs - np.pi * rows / m) <= 1e-12) | (rows < 0) | (rows > m)
     if np.any(off):
-        raise OffGridFrequency(
+        raise InvalidArgument(
             f"frequency {float(freqs[np.argmax(off)])!r} is not on the grid pi*l/{m}, "
             f"l = 0..{m}"
         )

@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from specband import acov
 from specband.acov import AutocovSequence, autocov_matrices, expected_autocov, sample_autocov
-from specband.errors import (
-    LagOutOfRange,
-    MalformedArray,
-    NotCentered,
-    SpecbandError,
-    UnsupportedModel,
-)
+from specband.errors import InvalidArgument, SpecbandError, UnsupportedModel
 from specband.models import ThresholdAR1, parse_model, simulate
 from specband.series import MultivariateSeries, center
 
@@ -32,6 +26,7 @@ def test_negative_lag_is_exact_transpose():
     rng = np.random.default_rng(0)
     s = center(MultivariateSeries(rng.standard_normal((50, 3))))
     acov = sample_autocov(s, 5)
+    assert (acov.max_lag, acov.n_dim) == (5, 3)
     for u in range(1, 6):
         np.testing.assert_array_equal(acov.lag(-u), acov.lag(u).T)
 
@@ -39,24 +34,25 @@ def test_negative_lag_is_exact_transpose():
 def test_requires_centered():
     s = MultivariateSeries(np.array([[1.0], [2.0]]))
     advice = r"center\(\), or read it with load_csv\(\.\.\., centered=True\)"
-    with pytest.raises(NotCentered, match=advice):
+    with pytest.raises(InvalidArgument, match=advice):
         sample_autocov(s, 1)
     # a simulated series is mean-zero by its model, not centered by its data
     series = simulate(parse_model("ar1:phi=0.5"), 100, 1)
-    with pytest.raises(NotCentered, match=advice):
+    with pytest.raises(InvalidArgument, match=advice):
         sample_autocov(series, 5)
     assert sample_autocov(center(series), 5).max_lag == 5
 
 
 def test_lag_out_of_range():
     s = _series([[1.0], [-1.0], [2.0], [-2.0]])
-    with pytest.raises(LagOutOfRange):
+    bad_lag = r"max_lag must lie in \[0, T-1\] = \[0, 3\], got "
+    with pytest.raises(InvalidArgument, match=bad_lag + "4"):
         sample_autocov(s, 4)  # max_lag beyond T-1
     for max_lag in (-1, 4):
-        with pytest.raises(LagOutOfRange):
+        with pytest.raises(InvalidArgument, match=bad_lag + str(max_lag)):
             autocov_matrices(s.values, max_lag)
     acov = sample_autocov(s, 2)
-    with pytest.raises(LagOutOfRange):
+    with pytest.raises(InvalidArgument, match="lag 3 beyond computed horizon 2"):
         acov.lag(3)
 
 
@@ -240,7 +236,9 @@ def test_stack_validation():
     ],
 )
 def test_malformed_stack_is_a_specband_value_error(stack):
-    with pytest.raises(MalformedArray) as exc:
+    shape = np.isfinite(stack).all()  # the shape is checked before the entries
+    match = r"must have shape \(L\+1, n, n\)" if shape else "contains non-finite entries"
+    with pytest.raises(InvalidArgument, match=match) as exc:
         AutocovSequence(stack, t_len=10)
     assert isinstance(exc.value, SpecbandError)
     assert isinstance(exc.value, ValueError)

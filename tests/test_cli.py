@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import strict_json
-from specband import errors
+from specband import cli, errors
 from specband.cli import _parse_entry, build_parser, main
 from specband.mc import EXPERIMENTS, ExperimentPlan
 from specband.models import parse_model, simulate
@@ -185,7 +185,7 @@ def test_bands_invalid_level_exit_2(wn_csv, capsys):
     code = main(["bands", "--input", wn_csv, "--level", "1.5"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "InvalidLevel" in err
+    assert err == "error: InvalidArgument: level must lie in (0, 1), got 1.5\n"
 
 
 def test_bands_uniform_bonferroni(wn_csv, capsys):
@@ -296,25 +296,36 @@ def test_estimate_bad_grid_exit_2(grid, wn_csv, capsys):
     assert err.startswith("error: UsageError: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "error, code",
-    [
-        (errors.UsageError, 2),
-        (errors.InvalidArgument, 2),
-        (errors.InvalidBandwidth, 2),
-        (errors.InvalidLevel, 2),
-        (errors.InvalidModel, 2),
-        (errors.InvalidPlan, 2),
-        (errors.UnknownKernel, 2),
-        (errors.InvalidSeries, 1),
-        (errors.MalformedArray, 1),
-        (errors.ParseError, 1),
-        (errors.UnsupportedModel, 1),
-    ],
-)
+_EXIT_CODES = [
+    (errors.UsageError, 2),
+    (errors.InvalidArgument, 2),
+    (errors.InvalidBandwidth, 2),
+    (errors.InvalidModel, 2),
+    (errors.InvalidPlan, 2),
+    (errors.UnknownKernel, 2),
+    (errors.InvalidSeries, 1),
+    (errors.ParseError, 1),
+    (errors.UnsupportedModel, 1),
+    (errors.InsufficientData, 1),
+    (errors.NonStationaryModel, 1),
+    (errors.DegenerateSpectrum, 1),
+    (errors.BandUndefined, 1),
+]
+
+
+@pytest.mark.parametrize("error, code", _EXIT_CODES)
 def test_error_classes_carry_their_exit_code(error, code):
     assert issubclass(error, errors.SpecbandError)
     assert error.exit_code == code
+
+
+def test_exit_code_table_names_every_error_class():
+    # a class added to or folded out of errors must declare its exit code here
+    defined = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.SpecbandError)
+    }
+    assert {error for error, _ in _EXIT_CODES} == defined - {errors.SpecbandError}
 
 
 def test_simulate_estimate_round_trip(tmp_path, capsys):
@@ -522,12 +533,13 @@ _DELTA = "InvalidArgument: delta_param must be finite and positive"
         ([*_DEPMEASURE, "--horizon", "3"], "InvalidArgument: horizon must be at least 4"),
         (
             ["depmeasure", "--horizon", "4", "--reps", "100", "--model", "white:sigma2=1e308"],
-            "InvalidModel: model 'vma': its dependence overflows at p = 4",
+            "InvalidModel: model 'white:sigma2=1e308': its dependence overflows at p = 4",
         ),
         (  # the fitted tail's (A rho^(H+1))^p' is past the float range
             ["depmeasure", "--horizon", "4", "--reps", "200", "--p", "1000",
              "--model", "ar1:phi=0.9,sigma2=3.4e307"],
-            "InvalidModel: model 'var1': its dependence overflows at p = 1000",
+            "InvalidModel: model 'ar1:phi=0.9,sigma2=3.4e307': its dependence overflows "
+            "at p = 1000",
         ),
         (
             ["simulate", "--model", "white", "--out", "unused.csv", "--t-len", "1"],
@@ -920,6 +932,17 @@ def test_model_matrix_file_comment_line_is_a_parse_error(commented, tmp_path, ca
         "error: ParseError: non-numeric cell '# coefficient' at row 1, col 1"
     ]
     assert not out.exists()
+
+
+def test_stray_value_error_exit_2_with_one_error_line(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(cli, "_cmd_kernel_info", broken)  # the parser binds it per call
+    assert main(["kernel-info", "--kernel", "bartlett"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: ValueError: not a domain error"]
+    assert captured.out == ""
 
 
 def test_out_of_memory_exit_1_with_one_error_line(tmp_path, capsys):

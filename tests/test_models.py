@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -18,6 +20,20 @@ from specband.models import (
     simulate,
 )
 from specband.spectral import theorem_grid
+
+
+@pytest.mark.parametrize(
+    "model",
+    [VAR1([[0.0, 1.0], [0.0, 0.0]]), parse_model("tar:a=0,b=0")],
+    ids=["nilpotent-var1", "tar-a=0-b=0"],
+)
+def test_zero_memory_rate_burns_in_one_lag(model):
+    assert model.decay_horizon() == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = simulate(model, 64, seed=0)
+    assert series.values.shape == (64, model.n_dim)
+    assert np.all(np.isfinite(series.values))
 
 
 def test_white_noise_gamma_and_spectrum():

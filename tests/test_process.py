@@ -134,6 +134,17 @@ print(len(specband.__all__))
     assert _python(["-c", code]).stdout == "39\n"
 
 
+def test_submodule_attribute_imports_it_on_first_access():
+    code = """
+import sys
+import specband
+assert 'specband.mc' not in sys.modules
+assert specband.mc is sys.modules['specband.mc']
+print(specband.mc.__name__)
+"""
+    assert _python(["-c", code]).stdout == "specband.mc\n"
+
+
 # Runs specband.cli as the ``specband`` command does, with no numpy loaded
 # first. The finder reports the first import of each watched module in every
 # process, forked pool workers included, as one write so that concurrent
