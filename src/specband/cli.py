@@ -5,9 +5,10 @@ All structured output is JSON with a schema_version field and an echo of the
 fully resolved configuration; series and plot data travel as CSV.
 
 Exit codes: 0 success, otherwise the error's ``exit_code``: 1 for domain
-errors (bad data, unsupported model), 2 for usage errors (bad flags, plan
-validation, malformed model parameters); a stray ValueError exits 2 and an
-OSError 1.
+errors (bad data, unsupported model), 2 for a bad parameter: an
+``InvalidArgument`` (a flag value that does not parse, a plan field or a
+bandwidth out of its domain, malformed model parameters) or an unknown
+kernel; a stray ValueError exits 2 and an OSError 1.
 
 When this module is what loads numpy (the ``specband`` command,
 ``python -m specband.cli``), it makes two start-up settings. numpy's
@@ -44,7 +45,7 @@ import numpy as np  # noqa: E402  (after the start-up settings)
 from . import __version__
 from .acov import sample_autocov
 from .dependence import check_conditions, profile
-from .errors import InvalidModel, SpecbandError, UsageError
+from .errors import InvalidArgument, InvalidModel, SpecbandError
 from .inference import pointwise_ci, uniform_band
 from .kernels import get_kernel
 from .mc import EXPERIMENTS, ExperimentPlan, run_experiment
@@ -80,7 +81,7 @@ def _int(text: str, flag: str, form: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"{flag} takes {form}; {text!r} is not an integer") from None
+        raise InvalidArgument(f"{flag} takes {form}; {text!r} is not an integer") from None
 
 
 def _parse_grid(spec: str, bandwidth: Bandwidth):
@@ -89,9 +90,9 @@ def _parse_grid(spec: str, bandwidth: Bandwidth):
     if spec.startswith("uniform:"):
         count = _int(spec.split(":", 1)[1], "--grid", "uniform:<count>")
         if count < 2:
-            raise UsageError("uniform grid needs at least 2 points")
+            raise InvalidArgument("uniform grid needs at least 2 points")
         return np.linspace(0.0, np.pi, count)
-    raise UsageError(f"unknown grid {spec!r} (use theorem or uniform:<count>)")
+    raise InvalidArgument(f"unknown grid {spec!r} (use theorem or uniform:<count>)")
 
 
 def _parse_entries(spec: str, n: int):
@@ -105,13 +106,15 @@ def _parse_entries(spec: str, n: int):
     for token in filter(None, (t.strip() for t in spec.split(";"))):
         i, j = _parse_entry(token, "--entries")
         if not (0 <= i < n and 0 <= j < n):
-            raise UsageError(f"entry {token!r} outside 1..{n}")
+            raise InvalidArgument(f"entry {token!r} outside 1..{n}")
         first = tokens.get((i, j), tokens.get((j, i)))
         if first is not None:
-            raise UsageError(f"entry {token!r} repeats {first!r}: f_ji is the conjugate of f_ij")
+            raise InvalidArgument(
+                f"entry {token!r} repeats {first!r}: f_ji is the conjugate of f_ij"
+            )
         tokens[i, j] = token
     if not tokens:
-        raise UsageError("no entries selected")
+        raise InvalidArgument("no entries selected")
     return list(tokens)
 
 
@@ -120,7 +123,7 @@ def _parse_entry(spec: str, flag: str):
     with no range check (the caller knows the dimension)."""
     values = spec.split(",")
     if len(values) != 2:
-        raise UsageError(f"{flag} takes 1-based i,j; {spec!r} is not two integers")
+        raise InvalidArgument(f"{flag} takes 1-based i,j; {spec!r} is not two integers")
     return tuple(_int(v, flag, "1-based i,j") - 1 for v in values)
 
 
@@ -147,7 +150,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bands(args) -> int:
     if args.bonferroni and args.method != "uniform":
-        raise UsageError("--bonferroni applies to --method uniform only")
+        raise InvalidArgument("--bonferroni applies to --method uniform only")
     kernel, grid = _estimate_input(args, "theorem")
     entries = _parse_entries(args.entries, grid.n_dim)
     if args.method == "uniform":

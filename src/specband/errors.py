@@ -11,16 +11,13 @@ class SpecbandError(Exception):
     exit_code = 1
 
 
-class UsageError(SpecbandError):
-    """A command-line value that does not parse, such as a grid or entry list."""
-
-    exit_code = 2
-
-
 class InvalidArgument(SpecbandError, ValueError):
-    """A parameter outside its domain: p < 1, a level outside (0, 1), a lag past
-    T - 1 or the computed horizon, a frequency off the grid pi*l/M, a malformed
-    stack or grid, an uncentered series, or an asymmetric kernel table."""
+    """A bad parameter: a flag value that does not parse (a grid, an entry
+    list, an integer), a Monte Carlo plan field outside its domain, a
+    bandwidth exponent outside (0, 1) or a constant not finite and positive,
+    p < 1, a level outside (0, 1), a lag past T - 1 or the computed horizon,
+    a frequency off the grid pi*l/M, a malformed stack or grid, an uncentered
+    series, or an asymmetric kernel table."""
 
     exit_code = 2
 
@@ -40,10 +37,6 @@ class InvalidSeries(SpecbandError, ValueError):
 
 class InsufficientData(SpecbandError):
     """Too few time points for the requested operation."""
-
-
-class InvalidBandwidth(InvalidArgument):
-    """Bandwidth exponent outside (0, 1), or a constant not finite and positive."""
 
 
 class UnsupportedModel(SpecbandError):
@@ -75,12 +68,6 @@ class DegenerateSpectrum(SpecbandError):
 
 class BandUndefined(SpecbandError):
     """Band half-width is undefined: negative under the root, or overflowing."""
-
-
-class InvalidPlan(SpecbandError):
-    """Monte Carlo experiment plan violates its validity constraints."""
-
-    exit_code = 2
 
 
 class DecayFitWarning(UserWarning):

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -59,8 +60,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .acov import autocov_matrices
-from .errors import DegenerateSpectrum, InvalidModel, InvalidPlan
-from .inference import _denominators, gumbel_cdf, max_deviation, omega_factor, uniform_band
+from .errors import DegenerateSpectrum, InvalidArgument, InvalidModel
+from .inference import (
+    _check_entries, _check_level, _denominators, gumbel_cdf, max_deviation, omega_factor,
+    uniform_band,
+)
 from .kernels import Kernel, get_kernel
 from .models import _check_seed, parse_model
 from .series import _fields, _json_text
@@ -104,37 +108,35 @@ class ExperimentPlan:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise InvalidPlan(f"unknown experiment {self.experiment!r}")
-        object.__setattr__(self, "entry", tuple(int(v) for v in self.entry))
+            raise InvalidArgument(f"unknown experiment {self.experiment!r}")
+        for name, values in (("t_grid", self.t_grid), ("entry", self.entry),
+                             ("reps", [self.reps]), ("workers", [self.workers])):
+            if not all(isinstance(v, numbers.Integral) for v in values):
+                raise InvalidArgument(f"{name} takes integers only, got {getattr(self, name)}")
+        t_grid = tuple(map(int, self.t_grid))
+        object.__setattr__(self, "t_grid", t_grid)
+        object.__setattr__(self, "entry", tuple(map(int, self.entry)))
         reads = (*_SHARED, "workers", *EXPERIMENTS[self.experiment].reads)
         for f in fields(self):  # a field the experiment does not read keeps its default
             if f.name not in reads and getattr(self, f.name) != f.default:
-                raise InvalidPlan(f"{self.experiment} does not read {f.name}; leave it unset")
+                raise InvalidArgument(f"{self.experiment} does not read {f.name}; leave it unset")
         if self.workers < 1:
-            raise InvalidPlan(f"workers must be >= 1, got {self.workers}")
-        _check_seed(self.seed, InvalidPlan)
+            raise InvalidArgument(f"workers must be >= 1, got {self.workers}")
+        _check_seed(self.seed)
         if self.reps < 100:
-            raise InvalidPlan(f"reps must be >= 100, got {self.reps}")
-        t_grid = tuple(int(t) for t in self.t_grid)
-        if not t_grid or t_grid[0] < 3 or any(
-            b >= a for a, b in zip(t_grid[1:], t_grid)
-        ):
-            raise InvalidPlan("t_grid must be strictly increasing, with entries >= 3")
-        if not 0.0 < self.b_exponent < 1.0:
-            raise InvalidPlan("b_exponent must lie in (0, 1)")
-        if not (math.isfinite(self.c_const) and self.c_const > 0.0):
-            raise InvalidPlan("c_const must be finite and positive")
-        if not 0.0 < self.level < 1.0:
-            raise InvalidPlan("level must lie in (0, 1)")
+            raise InvalidArgument(f"reps must be >= 100, got {self.reps}")
+        if not t_grid or t_grid[0] < 3 or any(b >= a for a, b in zip(t_grid[1:], t_grid)):
+            raise InvalidArgument("t_grid must be strictly increasing, with entries >= 3")
+        Bandwidth(t_grid[0], self.b_exponent, self.c_const)  # checks b_exponent and c_const
+        _check_level(self.level)
         if not (1.0 <= self.nu_star <= _MAX_NU and 1.0 <= self.nu <= _MAX_NU):
-            raise InvalidPlan(f"nu_star and nu must lie in [1, {_MAX_NU:g}]")
+            raise InvalidArgument(f"nu_star and nu must lie in [1, {_MAX_NU:g}]")
         if self.experiment == "bias_rate" and t_grid[-1] <= _B_GRID[-1]:
             # a bandwidth lies in [2, T-1]
-            raise InvalidPlan(
+            raise InvalidArgument(
                 f"bias_rate evaluates B up to {_B_GRID[-1]} at the largest T, which "
                 f"must exceed {_B_GRID[-1]}; got T = {t_grid[-1]}"
             )
-        object.__setattr__(self, "t_grid", t_grid)
 
     def model(self):
         return parse_model(self.model_spec)
@@ -496,12 +498,12 @@ def _bias_verdicts(c: _Cell, rows):
 
     A model with smoothing bias at fewer than two bandwidths (a flat
     spectrum, such as white noise, has none) has no rate to fit and raises
-    ``InvalidPlan``.
+    ``InvalidArgument``.
     """
     biases = np.array([row["bias"] for row in rows])
     positive = biases > 0.0
     if positive.sum() < 2:
-        raise InvalidPlan(
+        raise InvalidArgument(
             f"model {c.plan.model_spec!r} gives the {c.kernel.name} kernel no smoothing "
             f"bias at pi/2 at {len(biases) - positive.sum()} of {len(biases)} "
             "bandwidths, so there is no decay rate to measure"
@@ -577,10 +579,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
         f", seed={plan.seed}, streams default_rng([seed, cell, rep])" if draws else "",
     )
     model = plan.model()
-    if len(plan.entry) != 2 or not all(0 <= k < model.n_dim for k in plan.entry):
-        raise InvalidPlan(
-            f"entry {plan.entry} (0-based) is outside a {model.n_dim}-dimensional model"
-        )
+    _check_entries([plan.entry], model.n_dim)
     kernel = plan.kernel()
     if draws:
         cells = [(t, Bandwidth(t, plan.b_exponent, plan.c_const).value) for t in plan.t_grid]

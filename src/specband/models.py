@@ -360,11 +360,11 @@ def default_var1() -> VAR1:
     return VAR1(coeff=np.array([[0.4, 0.1], [0.0, 0.3]]), sigma=np.eye(2))
 
 
-def _check_seed(seed, error=InvalidArgument) -> int:
-    """A seed as an int; raises ``error`` unless it is a non-negative integer."""
+def _check_seed(seed) -> int:
+    """A seed as an int; raises InvalidArgument unless it is a non-negative integer."""
     if isinstance(seed, numbers.Integral) and seed >= 0:
         return int(seed)
-    raise error(f"seed must be a non-negative integer, got {seed}")
+    raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
 
 
 def simulate(model: ProcessModel, t_len: int, seed) -> MultivariateSeries:

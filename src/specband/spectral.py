@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acov import AutocovSequence, expected_autocov
-from .errors import InsufficientData, InvalidArgument, InvalidBandwidth
+from .errors import InsufficientData, InvalidArgument
 from .kernels import Kernel
 
 _TWO_PI = 2.0 * np.pi
@@ -50,9 +50,9 @@ class Bandwidth:
 
     def __post_init__(self):
         if not 0.0 < self.b_exponent < 1.0:
-            raise InvalidBandwidth("bandwidth exponent must lie in (0, 1)")
+            raise InvalidArgument("bandwidth exponent must lie in (0, 1)")
         if not (math.isfinite(self.c_const) and self.c_const > 0.0):
-            raise InvalidBandwidth("bandwidth constant must be finite and positive")
+            raise InvalidArgument("bandwidth constant must be finite and positive")
         if self.t_len < 3:
             raise InsufficientData("bandwidth needs T >= 3")
 

@@ -285,7 +285,7 @@ def test_bands_malformed_entries_exit_2_with_one_error_line(entries, message, wn
     assert main(["bands", "--input", wn_csv, "--entries", entries]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: UsageError: ") and message in captured.err
+    assert captured.err.startswith("error: InvalidArgument: ") and message in captured.err
     assert captured.err.count("\n") == 1
 
 
@@ -293,15 +293,12 @@ def test_bands_malformed_entries_exit_2_with_one_error_line(entries, message, wn
 def test_estimate_bad_grid_exit_2(grid, wn_csv, capsys):
     assert main(["estimate", "--input", wn_csv, "--grid", grid]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: UsageError: ") and err.count("\n") == 1
+    assert err.startswith("error: InvalidArgument: ") and err.count("\n") == 1
 
 
 _EXIT_CODES = [
-    (errors.UsageError, 2),
     (errors.InvalidArgument, 2),
-    (errors.InvalidBandwidth, 2),
     (errors.InvalidModel, 2),
-    (errors.InvalidPlan, 2),
     (errors.UnknownKernel, 2),
     (errors.InvalidSeries, 1),
     (errors.ParseError, 1),
@@ -403,7 +400,7 @@ def test_verify_threads_below_one_exit_2(threads, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: InvalidPlan: workers must be >= 1, got {threads}"]
+    assert err == [f"error: InvalidArgument: workers must be >= 1, got {threads}"]
 
 
 def test_verify_bias_rate_on_flat_spectrum_exit_2(capsys):
@@ -412,21 +409,22 @@ def test_verify_bias_rate_on_flat_spectrum_exit_2(capsys):
     assert code == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: InvalidPlan: ")
-    assert "no smoothing bias" in err[0]
+    assert err == [
+        "error: InvalidArgument: model 'white' gives the bartlett kernel no smoothing bias "
+        "at pi/2 at 5 of 5 bandwidths, so there is no decay rate to measure"
+    ]
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["estimate", "bands", "verify"])
 @pytest.mark.parametrize("c_const", ["inf", "nan", "0", "-1"])
 def test_bad_bandwidth_constant_exit_2_with_one_error_line(command, c_const, wn_csv, capsys):
-    argv, name = {
-        "estimate": (["estimate", "--input", wn_csv], "InvalidBandwidth"),
-        "bands": (["bands", "--input", wn_csv], "InvalidBandwidth"),
-        "verify": (
-            ["verify", "--experiment", "gumbel", "--t-grid", "64", "--reps", "100"],
-            "InvalidPlan",
-        ),
+    # the plan checks its constant by building the Bandwidth, so all three
+    # commands print the same line
+    argv = {
+        "estimate": ["estimate", "--input", wn_csv],
+        "bands": ["bands", "--input", wn_csv],
+        "verify": ["verify", "--experiment", "gumbel", "--t-grid", "64", "--reps", "100"],
     }[command]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would reach the user's stderr
@@ -434,8 +432,7 @@ def test_bad_bandwidth_constant_exit_2_with_one_error_line(command, c_const, wn_
     assert code == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {name}: ")
-    assert "finite and positive" in err[0]
+    assert err == ["error: InvalidArgument: bandwidth constant must be finite and positive"]
     assert captured.out == ""
 
 
@@ -509,7 +506,7 @@ def test_depmeasure_far_from_unit_scale_stays_finite(model, args, tmp_path, caps
 
 _VERIFY = ["verify", "--t-grid", "64", "--reps", "100"]
 _DEPMEASURE = ["depmeasure", "--model", "ar1:phi=0.5", "--horizon", "4", "--reps", "100"]
-_NU = "InvalidPlan: nu_star and nu must lie in [1, 100]"
+_NU = "InvalidArgument: nu_star and nu must lie in [1, 100]"
 _P = "InvalidArgument: p must be finite and >= 1"
 _DELTA = "InvalidArgument: delta_param must be finite and positive"
 
@@ -567,8 +564,8 @@ _SEED = "seed must be a non-negative integer, got -1"
     [
         (["simulate", "--model", "white", "--t-len", "16"], f"InvalidArgument: {_SEED}"),
         (_DEPMEASURE, f"InvalidArgument: {_SEED}"),
-        ([*_VERIFY, "--experiment", "clt", "--threads", "1"], f"InvalidPlan: {_SEED}"),
-        ([*_VERIFY, "--experiment", "clt", "--threads", "2"], f"InvalidPlan: {_SEED}"),
+        ([*_VERIFY, "--experiment", "clt", "--threads", "1"], f"InvalidArgument: {_SEED}"),
+        ([*_VERIFY, "--experiment", "clt", "--threads", "2"], f"InvalidArgument: {_SEED}"),
     ],
     ids=["simulate", "depmeasure", "verify-1-worker", "verify-2-workers"],
 )
@@ -589,7 +586,7 @@ def test_verify_entry_needs_two_indices_exit_2(entry, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        f"error: UsageError: --entry takes 1-based i,j; {entry!r} is not two integers"
+        f"error: InvalidArgument: --entry takes 1-based i,j; {entry!r} is not two integers"
     ]
     assert captured.out == ""
 
@@ -599,7 +596,8 @@ def test_verify_reps_floor_exit_2(capsys):
         ["verify", "--experiment", "gumbel", "--reps", "50", "--t-grid", "512"]
     )
     assert code == 2
-    assert "InvalidPlan" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: InvalidArgument: reps must be >= 100, got 50"]
 
 
 @pytest.mark.parametrize("model, entry", [("white", "3,3"), ("white:dim=2", "0,0")])
@@ -611,7 +609,11 @@ def test_verify_entry_outside_model_exit_2(model, entry, capsys):
         ]
     )
     assert code == 2
-    assert "InvalidPlan" in capsys.readouterr().err
+    message = {
+        "3,3": "entry (2, 2) (0-based) is outside a 1-dimensional grid",
+        "0,0": "entry (-1, -1) (0-based) is outside a 2-dimensional grid",
+    }[entry]
+    assert capsys.readouterr().err.splitlines() == [f"error: InvalidArgument: {message}"]
 
 
 def test_verify_runs_and_writes_report(tmp_path, capsys):
@@ -712,7 +714,7 @@ def test_bands_pointwise_bonferroni_exit_2_before_reading_input(capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "error: UsageError: --bonferroni applies to --method uniform only"
+        "error: InvalidArgument: --bonferroni applies to --method uniform only"
     ]
     assert captured.out == ""
 
@@ -771,7 +773,7 @@ def test_verify_flag_the_experiment_does_not_read_exit_2(experiment, name, tmp_p
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        f"error: InvalidPlan: {experiment} does not read {name}; leave it unset"
+        f"error: InvalidArgument: {experiment} does not read {name}; leave it unset"
     ]
     assert captured.out == "" and not out.exists()
 
@@ -835,7 +837,7 @@ def test_malformed_integer_flag_exit_2_names_the_flag(flag, value, message, wn_c
         argv = ["verify", "--experiment", "gumbel"]
     assert main([*argv, flag, value]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error: UsageError: {message} is not an integer"]
+    assert captured.err.splitlines() == [f"error: InvalidArgument: {message} is not an integer"]
     assert captured.out == ""
 
 
@@ -864,7 +866,10 @@ def test_bias_rate_needs_the_largest_t_above_its_largest_bandwidth(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("error: InvalidPlan: ") and "T = 128" in line
+    assert line == (
+        "error: InvalidArgument: bias_rate evaluates B up to 128 at the largest T, "
+        "which must exceed 128; got T = 128"
+    )
     assert "b_grid" not in line
     code, report = _run_json(capsys, [*argv, "129"])
     assert code == 0

@@ -10,11 +10,11 @@ from scipy.stats import gumbel_r, kstest, norm
 from conftest import strict_json, traced_peak
 from specband.errors import (
     DegenerateSpectrum,
+    InvalidArgument,
     InvalidModel,
-    InvalidPlan,
     UnsupportedModel,
 )
-from specband.inference import gumbel_cdf
+from specband.inference import _check_entries, _check_level, gumbel_cdf
 from specband import mc
 from specband.cli import main
 from specband.mc import (
@@ -116,14 +116,18 @@ def test_coverage_cell_holds_no_estimate_stack():
 
 
 def test_plan_validation():
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(InvalidArgument, match="^unknown experiment 'nope'$"):
         ExperimentPlan(experiment="nope")
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(InvalidArgument, match="^reps must be >= 100, got 50$"):
         ExperimentPlan(experiment="clt", reps=50)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(InvalidArgument, match="^t_grid must be strictly increasing"):
         ExperimentPlan(experiment="clt", t_grid=(4096, 4096))
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(InvalidArgument, match=r"^bandwidth exponent must lie in \(0, 1\)$"):
         ExperimentPlan(experiment="clt", b_exponent=1.2)
+    # numpy integers are integers; the plan stores them as ints
+    plan = ExperimentPlan("gumbel", t_grid=np.array([64, 128]), entry=np.zeros(2, int))
+    assert plan.t_grid == (64, 128) and plan.entry == (0, 0)
+    assert {type(v) for v in plan.t_grid + plan.entry} == {int}
     # bias_rate is simulation-free: it reads no reps, so its plan leaves them unset
     ExperimentPlan(experiment="bias_rate", t_grid=(2**18,))
 
@@ -169,8 +173,44 @@ def test_plan_validation():
     ],
 )
 def test_plan_rejects_out_of_range_fields(fields):
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(InvalidArgument):
         ExperimentPlan(**fields)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("t_grid", (64.9, 128.2)), ("entry", (0.7, 0)), ("reps", 100.5), ("workers", 2.5)],
+    ids=["t_grid", "entry", "reps", "workers"],
+)
+def test_plan_rejects_a_non_integral_integer_field(name, value):
+    # none is truncated to an int, and none waits for run_experiment to fail
+    with pytest.raises(InvalidArgument) as exc:
+        ExperimentPlan("gumbel", **{name: value})
+    assert str(exc.value) == f"{name} takes integers only, got {value}"
+
+
+@pytest.mark.parametrize(
+    "name, value, owner",
+    [
+        ("b_exponent", 1.5, lambda: mc.Bandwidth(64, 1.5)),
+        ("c_const", math.inf, lambda: mc.Bandwidth(64, 0.4, math.inf)),
+        ("level", 1.5, lambda: _check_level(1.5)),
+        ("entry", (0, 1), lambda: _check_entries([(0, 1)], 1)),
+    ],
+    ids=["b_exponent", "c_const", "level", "entry"],
+)
+def test_plan_raises_the_check_of_the_object_it_builds(name, value, owner):
+    # the plan (or, for the entry, which needs the model's dimension, the run)
+    # raises exactly what the bandwidth, the band or the statistic raises
+    with pytest.raises(InvalidArgument) as expected:
+        owner()
+    experiment = "coverage" if name == "level" else "gumbel"
+    with pytest.raises(InvalidArgument) as got:
+        plan = ExperimentPlan(experiment, model_spec="white", t_grid=(64,), reps=100,
+                              **{name: value})
+        run_experiment(plan)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
 
 
 # a valid value away from its default for each field that some experiment reads
@@ -200,7 +240,7 @@ def test_a_plan_holds_exactly_what_its_experiment_reads(experiment):
         if name in reads:
             assert outcome(ExperimentPlan(**{**base, name: value})) != before, name
         else:
-            with pytest.raises(InvalidPlan, match=f"^{experiment} does not read {name};"):
+            with pytest.raises(InvalidArgument, match=f"^{experiment} does not read {name};"):
                 ExperimentPlan(**{**base, name: value})
 
 
@@ -654,7 +694,7 @@ def test_bias_rate_truncated_and_bartlett():
             experiment="bias_rate", model_spec="white", kernel_name=kernel_name,
             t_grid=(4096,),
         )
-        with pytest.raises(InvalidPlan, match="no smoothing bias"):
+        with pytest.raises(InvalidArgument, match="no smoothing bias"):
             run_experiment(plan)
 
 

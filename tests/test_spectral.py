@@ -6,7 +6,6 @@ import pytest
 from specband.acov import AutocovSequence, sample_autocov
 from specband.errors import (
     InvalidArgument,
-    InvalidBandwidth,
     SpecbandError,
     UnsupportedModel,
 )
@@ -49,8 +48,12 @@ def test_bandwidth_values():
     [(0.4, math.inf), (0.4, math.nan), (0.4, 0.0), (0.4, -math.inf), (math.nan, 1.0)],
 )
 def test_bandwidth_rejects_nonfinite_or_nonpositive_settings(b_exponent, c_const):
-    with pytest.raises(InvalidBandwidth) as exc:
+    with pytest.raises(InvalidArgument) as exc:
         Bandwidth(100, b_exponent, c_const)
+    assert str(exc.value) == (
+        "bandwidth exponent must lie in (0, 1)" if math.isnan(b_exponent)
+        else "bandwidth constant must be finite and positive"
+    )
     assert isinstance(exc.value, SpecbandError)
     assert isinstance(exc.value, ValueError)
 
