@@ -4,11 +4,11 @@ Subcommands: estimate, bands, depmeasure, simulate, verify, kernel-info.
 All structured output is JSON with a schema_version field and an echo of the
 fully resolved configuration; series and plot data travel as CSV.
 
-Exit codes: 0 success, otherwise the error's ``exit_code``: 1 for domain
-errors (bad data, unsupported model), 2 for a bad parameter: an
-``InvalidArgument`` (a flag value that does not parse, a plan field or a
-bandwidth out of its domain, malformed model parameters) or an unknown
-kernel; a stray ValueError exits 2 and an OSError 1.
+Exit codes: 0 success, otherwise the error's ``exit_code``, which names the
+party at fault: 2 the command line (``InvalidArgument``, ``InvalidModel``),
+1 the input data or what it estimates (``ParseError``, ``InvalidSeries``,
+``DegenerateSpectrum``, ``BandUndefined``); a stray ValueError exits 2 and
+an OSError 1.
 
 When this module is what loads numpy (the ``specband`` command,
 ``python -m specband.cli``), it makes two start-up settings. numpy's

@@ -4,20 +4,22 @@
 class SpecbandError(Exception):
     """Base class for all domain errors raised by this package.
 
-    ``exit_code`` is the command line's exit status: 1 for bad data or an
-    unsupported request, 2 for a bad flag, plan or parameter.
-    """
+    ``exit_code`` is the command line's exit status and names the party at
+    fault: 2 the command line (InvalidArgument, InvalidModel), 1 the input
+    data or what it estimates (ParseError, InvalidSeries, DegenerateSpectrum,
+    BandUndefined)."""
 
     exit_code = 1
 
 
 class InvalidArgument(SpecbandError, ValueError):
     """A bad parameter: a flag value that does not parse (a grid, an entry
-    list, an integer), a Monte Carlo plan field outside its domain, a
-    bandwidth exponent outside (0, 1) or a constant not finite and positive,
-    p < 1, a level outside (0, 1), a lag past T - 1 or the computed horizon,
-    a frequency off the grid pi*l/M, a malformed stack or grid, an uncentered
-    series, or an asymmetric kernel table."""
+    list, an integer), a Monte Carlo plan field outside its domain or of the
+    wrong type, a bandwidth exponent outside (0, 1) or a constant not finite
+    and positive, p < 1, a level outside (0, 1), a lag past T - 1 or the
+    computed horizon, a frequency off the grid pi*l/M, a malformed stack or
+    grid, an uncentered series, an unknown kernel name, or an asymmetric
+    kernel table."""
 
     exit_code = 2
 
@@ -32,30 +34,14 @@ class ParseError(SpecbandError):
 
 
 class InvalidSeries(SpecbandError, ValueError):
-    """Series values are not a finite (T, n) array, or overflow in centering or C(u)."""
-
-
-class InsufficientData(SpecbandError):
-    """Too few time points for the requested operation."""
-
-
-class UnsupportedModel(SpecbandError):
-    """The process model has no closed-form autocovariance/spectrum."""
+    """Series values are not a finite (T, n) array, have too few time points
+    or rows for the operation, or overflow in centering or C(u)."""
 
 
 class InvalidModel(InvalidArgument):
-    """Model parameters are malformed, non-finite or not positive definite."""
-
-
-class NonStationaryModel(SpecbandError):
-    """Model parameters violate the stationarity region."""
-
-
-class UnknownKernel(SpecbandError, KeyError):
-    """Kernel name not in the catalog; a KeyError, as for any failed lookup."""
-
-    exit_code = 2
-    __str__ = Exception.__str__  # KeyError.__str__ would quote the message
+    """Model parameters are malformed, non-finite, not positive definite or
+    outside the stationarity region, or the model has no closed-form
+    autocovariance or spectrum for a request that needs one."""
 
 
 class DegenerateSpectrum(SpecbandError):

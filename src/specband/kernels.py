@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgument, UnknownKernel
+from .errors import InvalidArgument
 from .series import load_csv
 
 
@@ -140,9 +140,7 @@ def get_kernel(name: str) -> Kernel:
     try:
         return _CATALOG[key]
     except KeyError:
-        raise UnknownKernel(
-            f"unknown kernel {name!r}; choose from {kernel_names()}"
-        ) from None
+        raise InvalidArgument(f"unknown kernel {name!r}; choose from {kernel_names()}") from None
 
 
 def tabulated_kernel(path) -> Kernel:

@@ -90,6 +90,20 @@ _B_GRID = (8, 16, 32, 64, 128)  # bias_rate's bandwidths, at the plan's largest 
 _SHARED = ("experiment", "model_spec", "kernel_name", "t_grid")  # all read these and workers
 _DRAWS = ("reps", "seed", "b_exponent", "c_const")  # read by every drawing experiment
 
+
+def _int_sequence(value) -> bool:
+    """A tuple, list or 1-D array of integers; numpy integers count."""
+    seq = value.tolist() if isinstance(value, np.ndarray) and value.ndim == 1 else value
+    return isinstance(seq, (tuple, list)) and all(isinstance(v, numbers.Integral) for v in seq)
+
+
+# what a plan field of each annotated type takes, and how an error names it
+_TAKES = {"str": (lambda v: isinstance(v, str), "a string"),
+          "int": (lambda v: isinstance(v, numbers.Integral), "integers only"),
+          "float": (lambda v: isinstance(v, numbers.Real), "a real number"),
+          "tuple": (_int_sequence, "integers only")}
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     experiment: str
@@ -107,12 +121,13 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text, such as "float"
+            takes, what = _TAKES[f.type]
+            value = getattr(self, f.name)
+            if not takes(value):
+                raise InvalidArgument(f"{f.name} takes {what}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise InvalidArgument(f"unknown experiment {self.experiment!r}")
-        for name, values in (("t_grid", self.t_grid), ("entry", self.entry),
-                             ("reps", [self.reps]), ("workers", [self.workers])):
-            if not all(isinstance(v, numbers.Integral) for v in values):
-                raise InvalidArgument(f"{name} takes integers only, got {getattr(self, name)}")
         t_grid = tuple(map(int, self.t_grid))
         object.__setattr__(self, "t_grid", t_grid)
         object.__setattr__(self, "entry", tuple(map(int, self.entry)))

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acov import _BLOCK_COLS, _GEMM_SIZE
-from .errors import InvalidArgument, InvalidModel, NonStationaryModel, UnsupportedModel
+from .errors import InvalidArgument, InvalidModel, SpecbandError
 from .series import MultivariateSeries, load_matrix
 
 _TWO_PI = 2.0 * np.pi
@@ -186,11 +186,11 @@ class ProcessModel:
         raise NotImplementedError
 
     def gamma(self, u: int) -> np.ndarray:
-        raise UnsupportedModel(f"model {self.kind!r} has no closed-form Gamma(u)")
+        raise InvalidModel(f"model {self.kind!r} has no closed-form Gamma(u)")
 
     def _transfer(self, freqs: np.ndarray) -> np.ndarray:
         """H(lambda) at each frequency, (F, n, n) complex."""
-        raise UnsupportedModel(f"model {self.kind!r} has no closed-form spectrum")
+        raise InvalidModel(f"model {self.kind!r} has no closed-form spectrum")
 
     def spectral_density(self, freqs) -> np.ndarray:
         """f(lambda) = conj(H) Sigma H' / 2pi at each frequency, (F, n, n)."""
@@ -222,7 +222,7 @@ class VAR1(ProcessModel):
         sigma, chol = _as_cov(self.sigma if self.sigma is not None else np.eye(n), n)
         radius = np.max(np.abs(np.linalg.eigvals(coeff)))
         if radius >= 1.0:
-            raise NonStationaryModel(f"VAR(1) spectral radius {radius:.4f} >= 1")
+            raise InvalidModel(f"VAR(1) spectral radius {radius:.4f} >= 1")
         with np.errstate(over="ignore", invalid="ignore"):
             gamma0 = _lyapunov(coeff, sigma)
         if not np.all(np.isfinite(gamma0)):
@@ -332,9 +332,7 @@ class ThresholdAR1(ProcessModel):
             raise InvalidModel("threshold AR needs finite a, b and 0 < sigma2 < inf")
         contraction = max(abs(self.a), abs(self.b))
         if contraction >= 1.0:
-            raise NonStationaryModel(
-                f"threshold AR needs max(|a|, |b|) < 1, got {contraction:.4f}"
-            )
+            raise InvalidModel(f"threshold AR needs max(|a|, |b|) < 1, got {contraction:.4f}")
         object.__setattr__(self, "_contraction", contraction)
 
     def decay_horizon(self) -> int:
@@ -406,7 +404,7 @@ def parse_model(text: str) -> ProcessModel:
     """
     try:
         return _parse_model(text)
-    except InvalidModel:
+    except SpecbandError:
         raise
     except ValueError as exc:  # a non-numeric parameter
         raise InvalidModel(f"model {text!r}: {exc}") from None

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidSeries, ParseError
+from .errors import InvalidSeries, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -83,9 +83,7 @@ class MultivariateSeries:
         if values.ndim != 2:
             raise InvalidSeries("series values must be a 2-D (T, n) array")
         if values.shape[0] < 2:
-            raise InsufficientData(
-                f"need at least 2 time points, got {values.shape[0]}"
-            )
+            raise InvalidSeries(f"need at least 2 time points, got {values.shape[0]}")
         if values.shape[1] < 1:
             raise InvalidSeries("series needs at least one component column")
         col_max, col_min = _column_extremes(values)
@@ -200,7 +198,7 @@ def _parse_cells(path, has_header: bool, min_rows: int = 2) -> np.ndarray:
     """Per-cell reader: the reference semantics of the CSV format.
 
     Raises ParseError(row, col) at the first bad cell or ragged row, and
-    InsufficientData below ``min_rows`` data rows.
+    InvalidSeries below ``min_rows`` data rows.
     """
     rows = []
     width = None
@@ -239,7 +237,7 @@ def _parse_cells(path, has_header: bool, min_rows: int = 2) -> np.ndarray:
             rows.append(parsed)
     data_row = 2 if has_header else 1
     if len(rows) < min_rows:
-        raise InsufficientData(
+        raise InvalidSeries(
             f"need at least {min_rows} data {'row' if min_rows == 1 else 'rows'},"
             f" got {len(rows)} (data starts at row {data_row})"
         )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acov import AutocovSequence, expected_autocov
-from .errors import InsufficientData, InvalidArgument
+from .errors import InvalidArgument, InvalidSeries
 from .kernels import Kernel
 
 _TWO_PI = 2.0 * np.pi
@@ -54,7 +54,7 @@ class Bandwidth:
         if not (math.isfinite(self.c_const) and self.c_const > 0.0):
             raise InvalidArgument("bandwidth constant must be finite and positive")
         if self.t_len < 3:
-            raise InsufficientData("bandwidth needs T >= 3")
+            raise InvalidSeries("bandwidth needs T >= 3")
 
     @property
     def value(self) -> int:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from specband import acov
 from specband.acov import AutocovSequence, autocov_matrices, expected_autocov, sample_autocov
-from specband.errors import InvalidArgument, SpecbandError, UnsupportedModel
+from specband.errors import InvalidArgument, InvalidModel, SpecbandError
 from specband.models import ThresholdAR1, parse_model, simulate
 from specband.series import MultivariateSeries, center
 
@@ -198,7 +198,7 @@ def test_expected_autocov_beyond_series_length():
 
 
 def test_expected_autocov_rejects_nonclosed_form():
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(InvalidModel, match=r"^model 'threshold_ar1' has no closed-form Gamma\(u\)$"):
         expected_autocov(ThresholdAR1(0.4, 0.2), 1, 100)
 
 

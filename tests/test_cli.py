@@ -75,11 +75,11 @@ def test_estimate_bad_data_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, flags, message",
     [
-        ("", [], "InsufficientData: need at least 2 data rows, got 0 (data starts at row 1)"),
+        ("", [], "InvalidSeries: need at least 2 data rows, got 0 (data starts at row 1)"),
         (
             "a,b\n",
             ["--has-header"],
-            "InsufficientData: need at least 2 data rows, got 0 (data starts at row 2)",
+            "InvalidSeries: need at least 2 data rows, got 0 (data starts at row 2)",
         ),
         ("1,2\n3,x\n5,6\n", [], "ParseError: non-numeric cell 'x' at row 2, col 2"),
         (
@@ -239,7 +239,9 @@ def test_estimate_two_rows_exit_1(tmp_path, capsys):
     path = tmp_path / "short.csv"
     path.write_text("1,2\n3,4\n")
     assert main(["estimate", "--input", str(path)]) == 1
-    assert "InsufficientData" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: InvalidSeries: bandwidth needs T >= 3"
+    ]
 
 
 @pytest.mark.parametrize("command", ["estimate", "bands", "verify", "kernel-info"])
@@ -251,7 +253,7 @@ def test_unknown_kernel_exit_2(command, wn_csv, capsys):
         argv += ["--experiment", "gumbel", "--t-grid", "512", "--reps", "100"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: UnknownKernel: unknown kernel 'nope'")
+    assert err.startswith("error: InvalidArgument: unknown kernel 'nope'")
     assert err.count("\n") == 1
 
 
@@ -299,12 +301,8 @@ def test_estimate_bad_grid_exit_2(grid, wn_csv, capsys):
 _EXIT_CODES = [
     (errors.InvalidArgument, 2),
     (errors.InvalidModel, 2),
-    (errors.UnknownKernel, 2),
     (errors.InvalidSeries, 1),
     (errors.ParseError, 1),
-    (errors.UnsupportedModel, 1),
-    (errors.InsufficientData, 1),
-    (errors.NonStationaryModel, 1),
     (errors.DegenerateSpectrum, 1),
     (errors.BandUndefined, 1),
 ]
@@ -351,6 +349,28 @@ def test_simulate_bad_model_exit_2(tmp_path, capsys):
          "--out", str(tmp_path / "x.csv")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--model", "ar1:phi=1.01", "--t-len", "64", "--out", "{out}"],
+         "VAR(1) spectral radius 1.0100 >= 1"),
+        (["depmeasure", "--model", "tar:a=1.2,b=0"],
+         "threshold AR needs max(|a|, |b|) < 1, got 1.2000"),
+        (["verify", "--experiment", "gumbel", "--model", "tar:a=0.5,b=-0.5",
+          "--t-grid", "256", "--reps", "100", "--out", "{out}"],
+         "model 'threshold_ar1' has no closed-form Gamma(u)"),
+    ],
+    ids=["simulate-nonstationary", "depmeasure-nonstationary", "verify-no-closed-form"],
+)
+def test_model_the_command_cannot_use_exit_2_with_one_error_line(argv, message, tmp_path, capsys):
+    # the model spec is a command-line argument, so the command line is at fault
+    out = tmp_path / "out"
+    assert main([arg.format(out=out) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: InvalidModel: {message}"]
+    assert captured.out == "" and not out.exists()
 
 
 _BAD_MODELS = [
@@ -810,15 +830,15 @@ def test_unknown_flag_exit_2(capsys):
     "experiment, message",
     [("gumbel", "no closed-form Gamma(u)"), ("bias-rate", "no closed-form Gamma(u)")],
 )
-def test_verify_on_threshold_ar_exit_1_without_report(experiment, message, tmp_path, capsys):
+def test_verify_on_threshold_ar_exit_2_without_report(experiment, message, tmp_path, capsys):
     out = tmp_path / "report.json"
     argv = [
         "verify", "--experiment", experiment, "--model", "tar:a=0.5,b=-0.5",
         "--t-grid", "512", "--out", str(out),
     ]
-    assert main(argv) == 1
+    assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: UnsupportedModel: model 'threshold_ar1' has {message}"]
+    assert err == [f"error: InvalidModel: model 'threshold_ar1' has {message}"]
     assert not out.exists()
 
 
@@ -897,7 +917,7 @@ def test_verify_logs_its_configuration_before_reading_a_kernel_table(
     [
         ("-1,0\n0\n1,0\n", "ParseError: row 2 has 1 columns, expected 2"),
         ("-1,0\n0,1,2\n1,0\n", "ParseError: row 2 has 3 columns, expected 2"),
-        ("", "InsufficientData: need at least 2 data rows, got 0 (data starts at row 1)"),
+        ("", "InvalidSeries: need at least 2 data rows, got 0 (data starts at row 1)"),
         ("u,K\n-1,0\n0,1\n1,0\n", "ParseError: non-numeric cell 'u' at row 1, col 1"),
     ],
     ids=["one-cell row", "three-cell row", "empty file", "header row"],
@@ -935,6 +955,18 @@ def test_model_matrix_file_comment_line_is_a_parse_error(commented, tmp_path, ca
     assert main(["simulate", "--model", model, "--t-len", "64", "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: ParseError: non-numeric cell '# coefficient' at row 1, col 1"
+    ]
+    assert not out.exists()
+
+
+def test_empty_model_matrix_file_exit_1_as_invalid_series(tmp_path, capsys):
+    # the file is the data at fault, so parse_model passes its error on unwrapped
+    empty, out = tmp_path / "A.csv", tmp_path / "x.csv"
+    empty.write_text("")
+    argv = ["simulate", "--model", f"var1:file={empty}", "--t-len", "64", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: InvalidSeries: need at least 1 data row, got 0 (data starts at row 1)"
     ]
     assert not out.exists()
 

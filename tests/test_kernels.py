@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ def test_aliases():
 
 
 def test_unknown_kernel():
-    with pytest.raises(KeyError):
+    message = "unknown kernel 'nope'; choose from ['bartlett', 'parzen', 'truncated', 'tukey_hanning']"
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
         get_kernel("nope")
 
 

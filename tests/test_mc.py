@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,12 +9,7 @@ from scipy.special import ndtr
 from scipy.stats import gumbel_r, kstest, norm
 
 from conftest import strict_json, traced_peak
-from specband.errors import (
-    DegenerateSpectrum,
-    InvalidArgument,
-    InvalidModel,
-    UnsupportedModel,
-)
+from specband.errors import DegenerateSpectrum, InvalidArgument, InvalidModel
 from specband.inference import _check_entries, _check_level, gumbel_cdf
 from specband import mc
 from specband.cli import main
@@ -187,6 +183,23 @@ def test_plan_rejects_a_non_integral_integer_field(name, value):
     with pytest.raises(InvalidArgument) as exc:
         ExperimentPlan("gumbel", **{name: value})
     assert str(exc.value) == f"{name} takes integers only, got {value}"
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("b_exponent", "0.5", "b_exponent takes a real number, got '0.5'"),
+        ("level", None, "level takes a real number, got None"),
+        ("t_grid", 512, "t_grid takes integers only, got 512"),
+        ("entry", None, "entry takes integers only, got None"),
+        ("model_spec", 5, "model_spec takes a string, got 5"),
+    ],
+    ids=["b_exponent", "level", "t_grid", "entry", "model_spec"],
+)
+def test_plan_rejects_a_mistyped_field_naming_it(name, value, message):
+    # the type is checked before any range check, so no TypeError escapes
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+        ExperimentPlan("coverage", **{name: value})
 
 
 @pytest.mark.parametrize(
@@ -383,7 +396,7 @@ def test_oracle_experiments_reject_tar():
     plan = ExperimentPlan(
         experiment="clt", model_spec="tar:a=0.4,b=0.2", t_grid=(1024,), reps=100
     )
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(InvalidModel, match=r"^model 'threshold_ar1' has no closed-form Gamma\(u\)$"):
         run_experiment(plan)
 
 

@@ -5,12 +5,7 @@ import pytest
 from scipy.signal import lfilter
 
 from conftest import traced_peak
-from specband.errors import (
-    InvalidArgument,
-    InvalidModel,
-    NonStationaryModel,
-    UnsupportedModel,
-)
+from specband.errors import InvalidArgument, InvalidModel
 from specband.models import (
     ThresholdAR1,
     VAR1,
@@ -206,9 +201,9 @@ def test_var1_gamma_symmetry():
 
 
 def test_var1_rejects_explosive():
-    with pytest.raises(NonStationaryModel):
+    with pytest.raises(InvalidModel, match=r"^VAR\(1\) spectral radius 1\.0000 >= 1$"):
         VAR1(coeff=np.array([[1.0, 0.0], [0.0, 0.5]]))
-    with pytest.raises(NonStationaryModel):
+    with pytest.raises(InvalidModel, match=r"^VAR\(1\) spectral radius 1\.0100 >= 1$"):
         parse_model("ar1:phi=1.01")
 
 
@@ -274,11 +269,13 @@ def test_vma_gamma_negative_lag_is_transpose():
 
 def test_threshold_ar_no_closed_form():
     model = ThresholdAR1(0.4, -0.3)
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(InvalidModel, match=r"^model 'threshold_ar1' has no closed-form Gamma\(u\)$"):
         model.gamma(0)
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(InvalidModel, match="^model 'threshold_ar1' has no closed-form spectrum$"):
         model.spectral_density([0.0])
-    with pytest.raises(NonStationaryModel):
+    with pytest.raises(
+        InvalidModel, match=r"^threshold AR needs max\(\|a\|, \|b\|\) < 1, got 1\.2000$"
+    ):
         ThresholdAR1(1.2, 0.3)
 
 

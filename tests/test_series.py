@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from specband.errors import InsufficientData, InvalidSeries, ParseError, SpecbandError
+from specband.errors import InvalidSeries, ParseError, SpecbandError
 from conftest import traced_peak
 from specband.acov import sample_autocov
 from specband.series import (
@@ -66,7 +66,9 @@ def test_load_csv_ragged_row(tmp_path):
 def test_load_csv_single_row(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("1,2\n")
-    with pytest.raises(InsufficientData):
+    with pytest.raises(
+        InvalidSeries, match=r"^need at least 2 data rows, got 1 \(data starts at row 1\)$"
+    ):
         load_csv(path)
 
 
@@ -80,7 +82,7 @@ def test_load_csv_non_finite(tmp_path):
 def test_series_validation():
     with pytest.raises(ValueError):
         MultivariateSeries(np.array([1.0, 2.0]))  # 1-D
-    with pytest.raises(InsufficientData):
+    with pytest.raises(InvalidSeries, match="^need at least 2 time points, got 1$"):
         MultivariateSeries(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         MultivariateSeries(np.array([[1.0], [np.nan]]))
@@ -310,7 +312,7 @@ PARITY_CASES = [
     ("header-wider", b"a,b,c\n1,2\n3,4\n", True, (ParseError, 2, None)),
     ("header-blank", b"\n1,2\n3,4\n", True, (ParseError, 2, None)),
     ("header-multiline", b'"a\n",b\n1,2\n3,4\n', True, "ok"),
-    ("header-unclosed", b'"\r0\r0', True, (InsufficientData, None, None)),
+    ("header-unclosed", b'"\r0\r0', True, (InvalidSeries, None, None)),
     ("tab", b"1\t,2\n3,\t4\n", False, "ok"),
     ("mixed-newlines", b"1,2\r\n3,4\n5,6\r\n", False, "ok"),
     ("cr-newlines", b"1,2\r3,4\r", False, "ok"),
@@ -328,9 +330,9 @@ PARITY_CASES = [
     ("trailing-comma", b"1,2,\n3,4,\n", False, (ParseError, 1, 3)),
     ("comment", b"1,2\n# c\n3,4\n", False, (ParseError, 2, None)),
     ("single-column", b"1\n2\n3\n", False, "ok"),
-    ("empty", b"", False, (InsufficientData, None, None)),
-    ("header-only", b"a,b\n", True, (InsufficientData, None, None)),
-    ("one-row", b"1,2\n", False, (InsufficientData, None, None)),
+    ("empty", b"", False, (InvalidSeries, None, None)),
+    ("header-only", b"a,b\n", True, (InvalidSeries, None, None)),
+    ("one-row", b"1,2\n", False, (InvalidSeries, None, None)),
     ("extremes", b"-0.0,5e-324\n1.7976931348623157e308,1e16\n", False, "ok"),
 ]
 

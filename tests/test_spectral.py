@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from specband.acov import AutocovSequence, sample_autocov
-from specband.errors import (
-    InvalidArgument,
-    SpecbandError,
-    UnsupportedModel,
-)
+from specband.errors import InvalidArgument, InvalidModel, SpecbandError
 from specband.kernels import get_kernel, kernel_names, tabulated_kernel
 from specband.models import ThresholdAR1, VMA, default_var1, parse_model, simulate
 from specband.series import _jsonable, center
@@ -258,7 +254,7 @@ def test_expected_spectrum_approaches_truth():
 
 
 def test_expected_spectrum_rejects_nonclosed_form():
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(InvalidModel, match=r"^model 'threshold_ar1' has no closed-form Gamma\(u\)$"):
         expected_spectrum(ThresholdAR1(0.3, 0.3), BART, 8, 64, [0.0])
 
 
